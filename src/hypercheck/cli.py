@@ -44,8 +44,11 @@ from .unipoly import UniPoly, ZeroSumPoly
 
 def _load_payload(text: str) -> dict:
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text[1:], encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"cannot read payload file: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -252,6 +255,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    if args.width_bits < 0:
+        raise InvalidInput("--width-bits must be nonnegative")
     roots = [parse_rational(part) for part in args.roots.split(",")]
     width = Q(1, 1 << args.width_bits)
     enclosures = phi(roots, width=width)
@@ -300,7 +305,7 @@ def _cmd_conjecture(args) -> int:
             "min": format_rational(report.delta_min),
         },
         "extendable": report.extendable,
-        "certificate_kind": report.certificate_kind,
+        "certificate_kind": report.certificate.kind,
     }
     _emit(payload, args.pretty)
     return _status_exit(report.falsifier.status)
@@ -310,8 +315,7 @@ def _cmd_demo_quintic(args) -> int:
     p = HookPoly.from_e_basis(5, 5, (0, 0, 7, -220, 4500))
     T = associated_operator(p)
     image = apply(T, g0(5)).inner
-    verdict = falsify_hyperbolicity(p, _budget_from_args(args))
-    extendable, cert = decide_extendable(T)
+    # conjecture_case recovers this same p and T from the image of the pivot
     report = conjecture_case(
         ZeroSumPoly(image), 5, _budget_from_args(args),
         delta_trials=args.delta_trials,
@@ -320,9 +324,9 @@ def _cmd_demo_quintic(args) -> int:
         "hook": hook_to_json(p),
         "operator": map_to_json(T),
         "image_of_pivot": poly_to_json(image),
-        "falsifier": verdict_to_json(verdict),
-        "extendable": extendable,
-        "certificate": certificate_to_json(cert),
+        "falsifier": verdict_to_json(report.falsifier),
+        "extendable": report.extendable,
+        "certificate": certificate_to_json(report.certificate),
         "delta_samples": {
             "trials": report.delta_trials,
             "negative": report.delta_negative,
@@ -330,7 +334,7 @@ def _cmd_demo_quintic(args) -> int:
         },
     }
     _emit(payload, args.pretty)
-    return _status_exit(verdict.status)
+    return _status_exit(report.falsifier.status)
 
 
 def build_parser() -> argparse.ArgumentParser:

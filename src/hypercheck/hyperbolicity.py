@@ -5,17 +5,16 @@ outright.  For higher degrees only falsification is available: the
 degree principle guarantees that a symmetric polynomial of degree d is
 hyperbolic iff its line restriction is real rooted at every point with
 at most d - 1 distinct entries, so the falsifier searches exactly that
-space.  Candidate points are ranked by a float eigenvalue prescreen
-(see kernels) and every reported witness is re-verified with exact
-rational Sturm computations; sampling procedures therefore never return
-"Hyperbolic", only "NoCounterexampleFound".
+space, one multiplicity pattern at a time and stopping at the first
+pattern that yields a witness.  Candidate points are ranked by a float
+eigenvalue prescreen (see kernels) and every reported witness is
+re-verified with exact rational Sturm computations; sampling procedures
+therefore never return "Hyperbolic", only "NoCounterexampleFound".
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -30,7 +29,12 @@ from .errors import (
     ZeroPolynomial,
 )
 from .kernels import realness_defects
-from .operators import decide_extendable, map_sending_g0_to, operator_to_hook
+from .operators import (
+    ExtendCertificate,
+    decide_extendable,
+    map_sending_g0_to,
+    operator_to_hook,
+)
 from .rationals import Q, QONE, QZERO, qsign, simplest_between, to_q
 from .sympoly import HookPoly, SymPoint, mixed_derivative_eval, restrict_line
 from .unipoly import (
@@ -88,13 +92,9 @@ DEFAULT_BUDGET = SearchBudget()
 
 
 def max_threads() -> int:
-    value = os.environ.get("HYPERCHECK_THREADS", "")
-    if value.strip():
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    """Threads the falsifier uses; it runs on the caller's thread.  Kept
+    because run records name the thread count they were measured with."""
+    return 1
 
 
 # -- exact decisions ------------------------------------------------------
@@ -341,9 +341,8 @@ def _search_composition(p, a_float, mults, budget):
     k = len(mults)
     free = k - 1
     res = budget.grid
-    while free >= 1 and res**free > budget.max_points and res > 3:
+    if free >= 1 and res**free > budget.max_points and res > 3:
         res = max(3, int(budget.max_points ** (1.0 / free)))
-        break
     axis = _grid_axis(res)
     w_rows = [()]
     for _ in range(free):
@@ -383,8 +382,10 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     values are reduced (translation along 1, homogeneity) to the compact
     slice sum(m_i v_i) = 0, max |v_i| = 1, which is gridded, float
     prescreened and locally refined.  Hits are snapped to bounded
-    denominators and re-verified exactly; only exact verification can
-    produce NotHyperbolic, and the procedure never claims hyperbolicity.
+    denominators and re-verified exactly before the next pattern is
+    searched, so the search stops at the first pattern with a witness;
+    only exact verification can produce NotHyperbolic, and the procedure
+    never claims hyperbolicity.
     """
     budget = budget or DEFAULT_BUDGET
     d, n = p.d, p.n
@@ -394,21 +395,9 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
         patterns.extend(_compositions(n, k))
     if not patterns:
         return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": 0})
-    workers = min(max_threads(), len(patterns))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_candidates = list(
-                pool.map(
-                    lambda m: _search_composition(p, a_float, m, budget),
-                    patterns,
-                )
-            )
-    else:
-        all_candidates = [
-            _search_composition(p, a_float, m, budget) for m in patterns
-        ]
-    for mults, cands in zip(patterns, all_candidates):
-        witness = _verify_candidates(p, mults, cands, budget)
+    for mults in patterns:
+        candidates = _search_composition(p, a_float, mults, budget)
+        witness = _verify_candidates(p, mults, candidates, budget)
         if witness is not None:
             return Verdict(
                 NOT_HYPERBOLIC,
@@ -460,7 +449,7 @@ class ConjectureReport:
     """Evidence record for the sufficiency conjecture: the hook
     polynomial induced by a zero-sum target with d-1 one-signed roots,
     its falsification outcome, mixed-derivative sampling, and the
-    extendability decision."""
+    extendability decision with its certificate."""
 
     n: int
     d: int
@@ -470,7 +459,7 @@ class ConjectureReport:
     delta_negative: int
     delta_min: Q
     extendable: bool
-    certificate_kind: str
+    certificate: ExtendCertificate
 
 
 def conjecture_case(
@@ -513,7 +502,7 @@ def conjecture_case(
         delta_negative=negative,
         delta_min=minimum if minimum is not None else QZERO,
         extendable=extendable,
-        certificate_kind=cert.kind,
+        certificate=cert,
     )
 
 

@@ -1,6 +1,6 @@
-"""Float prescreen kernels for the falsifier.
+"""Float prescreen kernel for the falsifier.
 
-Exact decisions never happen here: these kernels only rank candidate
+Exact decisions never happen here: this kernel only ranks candidate
 points by how non-real the roots of their line restriction look, so the
 expensive exact Sturm verification runs on a short list.  The measure is
 the companion-matrix eigenvalue "realness defect"
@@ -8,92 +8,19 @@ the companion-matrix eigenvalue "realness defect"
     defect(q) = max_i |Im lambda_i| / (1 + max_i |lambda_i|)
 
 which is 0 (up to rounding) for real-rooted q and bounded away from 0
-when q has a genuinely non-real root.
-
-Two interchangeable backends compute stacked defects:
-  * a numba @njit kernel (default when numba imports cleanly), and
-  * a pure-numpy batched eigvals fallback.
-Set HYPERCHECK_NO_NUMBA=1 to force the numpy path.
+when q has a genuinely non-real root.  The defects of a whole stack of
+polynomials come from one batched numpy eigvals call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCE_NUMPY = os.environ.get("HYPERCHECK_NO_NUMBA", "") not in ("", "0")
-
-_numba_defects = None
-if not _FORCE_NUMPY:
-    try:
-        # prefer the dependency-free threading layer; tbb/omp may be
-        # missing or version-mismatched in slim environments
-        os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-        import numba
-
-        _threads = os.environ.get("HYPERCHECK_THREADS", "").strip()
-        if _threads.isdigit() and int(_threads) >= 1:
-            numba.set_num_threads(
-                min(int(_threads), numba.config.NUMBA_NUM_THREADS)
-            )
-
-        @numba.njit(cache=True, parallel=True)
-        def _numba_kernel(coeffs):  # pragma: no cover - compiled
-            n, m = coeffs.shape
-            d = m - 1
-            out = np.empty(n, dtype=np.float64)
-            for i in numba.prange(n):
-                lead = coeffs[i, 0]
-                if lead == 0.0 or not np.isfinite(lead):
-                    out[i] = -1.0
-                    continue
-                # complex companion: numba's eigvals rejects real matrices
-                # whose eigenvalues leave the real domain
-                comp = np.zeros((d, d), dtype=np.complex128)
-                for c in range(d):
-                    comp[0, c] = -coeffs[i, c + 1] / lead
-                for r in range(1, d):
-                    comp[r, r - 1] = 1.0
-                eig = np.linalg.eigvals(comp)
-                max_im = 0.0
-                max_abs = 0.0
-                for j in range(d):
-                    im = abs(eig[j].imag)
-                    if im > max_im:
-                        max_im = im
-                    a = abs(eig[j])
-                    if a > max_abs:
-                        max_abs = a
-                out[i] = max_im / (1.0 + max_abs)
-            return out
-
-        _numba_defects = _numba_kernel
-    except Exception:  # pragma: no cover - import environment dependent
-        _numba_defects = None
-
-
-def _numpy_defects(coeffs: np.ndarray) -> np.ndarray:
-    n, m = coeffs.shape
-    d = m - 1
-    out = np.full(n, -1.0)
-    lead = coeffs[:, 0]
-    ok = np.isfinite(lead) & (lead != 0.0) & np.all(np.isfinite(coeffs), axis=1)
-    if not ok.any() or d == 0:
-        return out
-    sub = coeffs[ok]
-    comp = np.zeros((sub.shape[0], d, d))
-    comp[:, 0, :] = -sub[:, 1:] / sub[:, :1]
-    idx = np.arange(1, d)
-    comp[:, idx, idx - 1] = 1.0
-    eig = np.linalg.eigvals(comp)
-    defect = np.abs(eig.imag).max(axis=1) / (1.0 + np.abs(eig).max(axis=1))
-    out[ok] = defect
-    return out
 
 
 def backend_name() -> str:
-    return "numba" if _numba_defects is not None else "numpy"
+    """The prescreen backend; numpy is the only one.  Kept because run
+    records name the backend they were measured with."""
+    return "numpy"
 
 
 def realness_defects(coeffs: np.ndarray) -> np.ndarray:
@@ -101,15 +28,23 @@ def realness_defects(coeffs: np.ndarray) -> np.ndarray:
 
     coeffs: (N, d+1) float64, descending degree order.  Rows with a zero
     or non-finite leading coefficient get defect -1 (excluded from the
-    candidate ranking).
+    candidate ranking), as do rows with any non-finite coefficient.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] < 2:
         raise ValueError("expected an (N, d+1) array with d >= 1")
-    if _numba_defects is not None:
-        if not np.all(np.isfinite(coeffs)):
-            bad = ~np.all(np.isfinite(coeffs), axis=1)
-            coeffs = coeffs.copy()
-            coeffs[bad] = 0.0
-        return _numba_defects(coeffs)
-    return _numpy_defects(coeffs)
+    n, m = coeffs.shape
+    d = m - 1
+    out = np.full(n, -1.0)
+    lead = coeffs[:, 0]
+    ok = (lead != 0.0) & np.all(np.isfinite(coeffs), axis=1)
+    if not ok.any():
+        return out
+    sub = coeffs[ok]
+    comp = np.zeros((sub.shape[0], d, d))
+    comp[:, 0, :] = -sub[:, 1:] / sub[:, :1]
+    idx = np.arange(1, d)
+    comp[:, idx, idx - 1] = 1.0
+    eig = np.linalg.eigvals(comp)
+    out[ok] = np.abs(eig.imag).max(axis=1) / (1.0 + np.abs(eig).max(axis=1))
+    return out

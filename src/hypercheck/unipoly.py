@@ -365,11 +365,6 @@ class RealRoot:
             return QZERO
         return self.hi - self.lo
 
-    def midpoint(self):
-        if self.exact is not None:
-            return self.exact
-        return (self.lo + self.hi) / 2
-
     def refine(self):
         """One bisection step; may discover an exact rational value."""
         if self.exact is not None:

@@ -183,6 +183,19 @@ def test_errors_are_machine_readable(capsys):
     assert code == 1 and doc["error"] == "WrongDegree"
 
 
+def test_missing_payload_file_rejected(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    code, doc = _capture(capsys, ["extend", "--target", f"@{missing}"])
+    assert code == 1 and doc["error"] == "InvalidInput"
+
+
+def test_negative_width_bits_rejected(capsys):
+    code, doc = _capture(
+        capsys, ["phi", "--roots", "1/2,1/4,1/4", "--width-bits", "-3"]
+    )
+    assert code == 1 and doc["error"] == "InvalidInput"
+
+
 def test_bad_rational_rejected(capsys):
     code, doc = _capture(
         capsys, ["check-cubic", "--a", "1.5", "--b", "0", "--c", "0"]

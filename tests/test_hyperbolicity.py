@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hypercheck import hyperbolicity
 from hypercheck.errors import (
     HypothesisViolated,
     InvalidInput,
@@ -184,6 +185,25 @@ def test_falsifier_determinism():
     assert v1.witness[0].x == v2.witness[0].x
 
 
+def test_falsifier_stops_at_first_witness_pattern(monkeypatch):
+    """Patterns after the one that yields the witness are never searched."""
+    calls = []
+    search = hyperbolicity._search_composition
+
+    def counting(p, a_float, mults, budget):
+        calls.append(mults)
+        return search(p, a_float, mults, budget)
+
+    monkeypatch.setattr(hyperbolicity, "_search_composition", counting)
+    p = HookPoly(4, 4, (3, -1, -3, 1))
+    v = falsify_hyperbolicity(p, FAST)
+    assert v.status == NOT_HYPERBOLIC
+    patterns = [m for k in (2, 3) for m in hyperbolicity._compositions(4, k)]
+    position = patterns.index(tuple(v.detail["pattern"]))
+    assert 0 < position < len(patterns) - 1
+    assert calls == patterns[: position + 1]
+
+
 def test_restricted_and_unrestricted_agree():
     rng = random.Random(3)
     for _ in range(15):
@@ -218,7 +238,7 @@ def test_conjecture_case_quintic():
     assert report.falsifier.status == NO_COUNTEREXAMPLE
     assert report.delta_negative == 0 and report.delta_min >= 0
     assert not report.extendable
-    assert report.certificate_kind == "MultiplicityObstruction"
+    assert report.certificate.kind == "MultiplicityObstruction"
 
 
 def test_conjecture_case_pure_power():
@@ -226,7 +246,7 @@ def test_conjecture_case_pure_power():
     report = conjecture_case(
         ZeroSumPoly(target), 4, budget=FAST, delta_trials=100
     )
-    assert report.extendable and report.certificate_kind == "Extension"
+    assert report.extendable and report.certificate.kind == "Extension"
     assert report.delta_negative == 0
 
 
