@@ -38,6 +38,11 @@ from .rationals import Q, format_rational, parse_rational, to_q
 from .sympoly import HookPoly
 from .unipoly import UniPoly, ZeroSumPoly
 
+# input-size bounds: phi at 1024 bits takes under a second and g0 at
+# n = 1000 several seconds; both grow much faster than linearly beyond
+MAX_WIDTH_BITS = 1024
+MAX_G0_N = 1000
+
 
 # -- JSON plumbing ---------------------------------------------------------
 
@@ -233,6 +238,8 @@ def _cmd_hook_of(args) -> int:
 
 
 def _cmd_g0(args) -> int:
+    if args.n > MAX_G0_N:
+        raise InvalidInput(f"--n must be at most {MAX_G0_N}")
     _emit(poly_to_json(g0(args.n).inner), args.pretty)
     return 0
 
@@ -255,8 +262,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    if args.width_bits < 0:
-        raise InvalidInput("--width-bits must be nonnegative")
+    if not 0 <= args.width_bits <= MAX_WIDTH_BITS:
+        raise InvalidInput(f"--width-bits must be in [0, {MAX_WIDTH_BITS}]")
     roots = [parse_rational(part) for part in args.roots.split(",")]
     width = Q(1, 1 << args.width_bits)
     enclosures = phi(roots, width=width)

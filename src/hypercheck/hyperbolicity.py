@@ -43,12 +43,8 @@ from .unipoly import (
     interlaces,
     isolate_real_roots,
     is_real_rooted,
-    root_profile,
-    same_sign_count,
+    root_counts,
     squarefree_part,
-    sturm_chain,
-    sturm_variations_at,
-    sturm_variations_at_inf,
 )
 
 HYPERBOLIC = "Hyperbolic"
@@ -59,7 +55,7 @@ NO_COUNTEREXAMPLE = "NoCounterexampleFound"
 @dataclass
 class Verdict:
     status: str
-    witness: tuple | None = None  # (SymPoint, RootProfile)
+    witness: tuple | None = None  # (SymPoint, RootCounts)
     detail: dict = field(default_factory=dict)
 
 
@@ -86,6 +82,10 @@ class SearchBudget:
     snap_denominator: int = 4096
     trials: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.grid < 2:
+            raise InvalidInput(f"grid must be at least 2, got {self.grid}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -133,13 +133,13 @@ def decide_quartic_hook(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     detail = {"shifted_restriction": q}
     if q.is_zero():
         return Verdict(HYPERBOLIC, detail=detail)
-    prof = root_profile(q)
-    real = prof.n_nonreal == 0
+    counts = root_counts(q)
+    real = counts.n_nonreal == 0
     # roots at infinity (degree drop) count toward either sign, like zero
     # roots: they are limits of arbitrarily large one-signed roots
-    slack = prof.n_zero + prof.degree_drop
+    slack = counts.n_zero + counts.degree_drop
     signs = real and (
-        prof.n_positive + slack >= 3 or prof.n_negative + slack >= 3
+        counts.n_positive + slack >= 3 or counts.n_negative + slack >= 3
     )
     if real and signs:
         return Verdict(HYPERBOLIC, detail=detail)
@@ -157,9 +157,9 @@ def _find_witness(p: HookPoly, budget: SearchBudget = None):
     region is open).
     """
     u = [QONE] + [QZERO] * (p.n - 1)
-    prof = root_profile(restrict_line(p, u))
-    if prof.n_nonreal:
-        return (SymPoint(tuple(u)), prof)
+    counts = root_counts(restrict_line(p, u))
+    if counts.n_nonreal:
+        return (SymPoint(tuple(u)), counts)
     base = budget or DEFAULT_BUDGET
     for grid in (base.grid, 2 * base.grid, 4 * base.grid, 8 * base.grid):
         v = falsify_hyperbolicity(
@@ -187,14 +187,7 @@ def cone_member(p: HookPoly, x) -> bool:
     q = restrict_line(p, xs)
     if q.is_zero():
         return False
-    sf = squarefree_part(q)
-    if sf.degree() < 1:
-        return True
-    chain = sturm_chain(sf)
-    positive = sturm_variations_at(chain, QZERO) - sturm_variations_at_inf(
-        chain, True
-    )
-    return positive == 0
+    return root_counts(q).n_positive == 0
 
 
 # -- the falsifier --------------------------------------------------------
@@ -273,9 +266,9 @@ def _exact_check(p: HookPoly, x):
     q = restrict_line(p, x)
     if q.is_zero():
         return None
-    prof = root_profile(q)
-    if prof.n_nonreal:
-        return (SymPoint(tuple(x)), prof)
+    counts = root_counts(q)
+    if counts.n_nonreal:
+        return (SymPoint(tuple(x)), counts)
     return None
 
 
@@ -470,10 +463,10 @@ def conjecture_case(
     d = inner.ambient_degree
     if inner.is_zero():
         raise HypothesisViolated("zero target")
-    prof = root_profile(inner)
-    if prof.n_nonreal or not (
-        prof.n_positive + prof.n_zero >= d - 1
-        or prof.n_negative + prof.n_zero >= d - 1
+    counts = root_counts(inner)
+    if counts.n_nonreal or not (
+        counts.n_positive + counts.n_zero >= d - 1
+        or counts.n_negative + counts.n_zero >= d - 1
     ):
         raise HypothesisViolated(
             "target must be real rooted with d-1 roots of one sign"

@@ -31,10 +31,8 @@ from .unipoly import (
     ZeroSumPoly,
     delta_n,
     discriminant,
-    is_real_rooted,
+    root_counts,
     root_profile,
-    same_sign_count,
-    sturm_chain,
 )
 
 DEFAULT_ENCLOSURE_WIDTH = Q(1, 1 << 40)
@@ -219,10 +217,10 @@ def polya_schur_test(T: FullDiagonalMap) -> bool:
     image = T.apply(base)
     if image.is_zero():
         return True
-    prof = root_profile(image)
-    if prof.n_nonreal:
+    counts = root_counts(image)
+    if counts.n_nonreal:
         return False
-    return prof.n_positive == 0 or prof.n_negative == 0
+    return counts.n_positive == 0 or counts.n_negative == 0
 
 
 def full_map_sending_onesbase_to(f: UniPoly, n: int) -> FullDiagonalMap:
@@ -241,11 +239,14 @@ def necessary_sign_test(T: DiagonalMap) -> bool:
     image = apply(T, g0(T.n)).inner
     if image.is_zero():
         return True
-    prof = root_profile(image)
-    if prof.n_nonreal:
+    counts = root_counts(image)
+    if counts.n_nonreal:
         return False
     k = T.d - 1
-    return prof.n_positive + prof.n_zero >= k or prof.n_negative + prof.n_zero >= k
+    return (
+        counts.n_positive + counts.n_zero >= k
+        or counts.n_negative + counts.n_zero >= k
+    )
 
 
 def _delta_preimage_base(g: UniPoly) -> UniPoly:
@@ -262,8 +263,10 @@ def _delta_preimage_base(g: UniPoly) -> UniPoly:
 
 
 def _one_sign_real_rooted(f: UniPoly) -> bool:
-    prof = root_profile(f)
-    return prof.n_nonreal == 0 and (prof.n_positive == 0 or prof.n_negative == 0)
+    counts = root_counts(f)
+    return counts.n_nonreal == 0 and (
+        counts.n_positive == 0 or counts.n_negative == 0
+    )
 
 
 def _disc_in_lambda(h0: UniPoly, slot: int, big_degree: int) -> UniPoly:

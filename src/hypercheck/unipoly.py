@@ -5,10 +5,15 @@ vector: a polynomial of lower actual degree is treated as a limit with
 "roots at infinity" (degree drop), which is what makes diagonal maps on
 R[t]_n well behaved under continuity.
 
-Real roots are isolated exactly: Yun square-free decomposition, Sturm
-sequences on the square-free factors, and interval bisection with
-rational endpoints.  Isolated roots are first run through a
-simplest-rational reconstruction so that rational roots come out exact.
+Questions about real roots are answered by counting wherever the answer
+is a count: Yun square-free decomposition, then the sign variations of a
+Sturm sequence of each square-free factor at -infinity, 0 and +infinity,
+read off leading and constant coefficients (root_counts).  Interlacing is
+decided by one Cauchy index, from the variations at +-infinity of a
+signed remainder sequence (interlaces).  Roots are isolated, by interval
+bisection with rational endpoints followed by a simplest-rational
+reconstruction so that rational roots come out exact, only where a root
+value is output (root_profile).
 """
 
 from __future__ import annotations
@@ -275,21 +280,25 @@ def yun_decomposition(p: UniPoly):
 # -- Sturm machinery ---------------------------------------------------
 
 
-def sturm_chain(p: UniPoly):
-    """Sturm sequence of a square-free polynomial, primitively normalized."""
+def signed_remainder_sequence(p: UniPoly, q: UniPoly):
+    """p, q, -rem(p, q), ... down to the last nonzero term, each scaled
+    by a positive constant to a primitive integer polynomial."""
     chain = [UniPoly(_int_primitive(p.trimmed().coeffs))]
-    d = chain[0].derivative()
-    if d.is_zero():
+    if q.is_zero():
         return chain
-    chain.append(UniPoly(_int_primitive(d.coeffs)))
-    while True:
+    chain.append(UniPoly(_int_primitive(q.trimmed().coeffs)))
+    while chain[-1].degree() > 0:
         _, r = divmod_poly(chain[-2], chain[-1])
         if r.is_zero():
             break
         chain.append(-UniPoly(_int_primitive(r.coeffs)))
-        if chain[-1].degree() == 0:
-            break
     return chain
+
+
+def sturm_chain(p: UniPoly):
+    """Sturm sequence of a square-free polynomial, primitively normalized."""
+    p = p.trimmed()
+    return signed_remainder_sequence(p, p.derivative())
 
 
 def _variations(signs):
@@ -522,7 +531,48 @@ def isolate_real_roots(p: UniPoly):
     return out
 
 
-# -- root profiles -----------------------------------------------------
+# -- root counts and profiles --------------------------------------------
+
+
+@dataclass(frozen=True)
+class RootCounts:
+    """Real roots by sign, with multiplicity, plus non-real roots and
+    degree drop."""
+
+    n_positive: int
+    n_negative: int
+    n_zero: int
+    n_nonreal: int
+    degree_drop: int
+
+
+def root_counts(p: UniPoly) -> RootCounts:
+    """The counts of root_profile without isolating any root.
+
+    After the root at 0 is divided out, each Yun factor is square free and
+    nonzero at 0, so the variations of its Sturm sequence at -infinity, 0
+    and +infinity count its negative and positive roots.  Degree drop is
+    reported separately and never counts toward the real/non-real tallies.
+    """
+    if p.is_zero():
+        raise ZeroPolynomial("root_counts of the zero polynomial")
+    q = p.trimmed()
+    v = q.valuation()
+    if v:
+        q = UniPoly(q.coeffs[v:])
+    n_pos = n_neg = 0
+    for factor, mult in yun_decomposition(q):
+        chain = sturm_chain(factor)
+        at_zero = _variations([qsign(c.coeffs[0]) for c in chain])
+        n_neg += mult * (sturm_variations_at_inf(chain, False) - at_zero)
+        n_pos += mult * (at_zero - sturm_variations_at_inf(chain, True))
+    return RootCounts(
+        n_positive=n_pos,
+        n_negative=n_neg,
+        n_zero=v,
+        n_nonreal=q.degree() - n_pos - n_neg,
+        degree_drop=p.degree_drop(),
+    )
 
 
 @dataclass
@@ -582,7 +632,7 @@ def root_profile(p: UniPoly) -> RootProfile:
 
 def is_real_rooted(p: UniPoly) -> bool:
     """True iff every finite root is real (degree drop is forgiven)."""
-    return root_profile(p).n_nonreal == 0
+    return root_counts(p).n_nonreal == 0
 
 
 def same_sign_count(p: UniPoly, k: int) -> bool:
@@ -591,10 +641,13 @@ def same_sign_count(p: UniPoly, k: int) -> bool:
     Zero roots count toward either side (weak-inequality convention).
     Degree drop is excluded.  Raises NotRealRooted on non-real input.
     """
-    prof = root_profile(p)
-    if prof.n_nonreal:
+    counts = root_counts(p)
+    if counts.n_nonreal:
         raise NotRealRooted("same_sign_count requires a real-rooted polynomial")
-    return prof.n_positive + prof.n_zero >= k or prof.n_negative + prof.n_zero >= k
+    return (
+        counts.n_positive + counts.n_zero >= k
+        or counts.n_negative + counts.n_zero >= k
+    )
 
 
 # -- resultants and discriminants ---------------------------------------
@@ -737,22 +790,27 @@ def interlaces(q: UniPoly, p: UniPoly) -> bool:
     r_1 <= s_1 <= r_2 <= ... <= s_{m-1} <= r_m (with multiplicity).
 
     q must be real rooted of actual degree exactly deg(p) - 1.
+
+    Weak interlacing with multiplicity holds iff, after the common roots
+    are divided out, p1 = p/gcd and q1 = q/gcd interlace strictly, and by
+    Hermite-Kakeya-Obreschkoff that holds iff the Cauchy index of q1/p1
+    over R is +-deg p1 (every root of p1 real, simple, and a pole of the
+    same sign).  The index is the difference of the variations of the
+    signed remainder sequence of p1, q1 at -infinity and +infinity.
     """
-    prof_p = root_profile(p)
-    if prof_p.n_nonreal:
+    if root_counts(p).n_nonreal:
         raise NotRealRooted("p is not real rooted")
-    prof_q = root_profile(q)
-    if prof_q.n_nonreal:
+    if root_counts(q).n_nonreal:
         raise NotRealRooted("q is not real rooted")
     if q.degree() != p.degree() - 1:
         raise DegreeMismatch(
             f"deg q = {q.degree()} but deg p - 1 = {p.degree() - 1}"
         )
-    r = prof_p.roots_with_multiplicity()
-    s = prof_q.roots_with_multiplicity()
-    for i, si in enumerate(s):
-        if r[i].compare(si) > 0:
-            return False
-        if si.compare(r[i + 1]) > 0:
-            return False
-    return True
+    g = poly_gcd(p, q)
+    p1, _ = divmod_poly(p.trimmed(), g)
+    q1, _ = divmod_poly(q.trimmed(), g)
+    chain = signed_remainder_sequence(p1, q1)
+    index = sturm_variations_at_inf(chain, False) - sturm_variations_at_inf(
+        chain, True
+    )
+    return abs(index) == p1.degree()

@@ -196,6 +196,27 @@ def test_negative_width_bits_rejected(capsys):
     assert code == 1 and doc["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("budget", ["1", "0", "-3"])
+def test_budget_below_two_rejected(capsys, budget):
+    hook = json.dumps({"n": 4, "d": 4, "a": ["1", "0", "0", "1"]})
+    code, doc = _capture(capsys, ["falsify", "--hook", hook, "--budget", budget])
+    assert code == 1 and doc["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--roots", "1/2,1/4,1/4", "--width-bits", "1025"],
+        ["phi", "--roots", "1/2,1/4,1/4", "--width-bits", "100000000"],
+        ["g0", "--n", "1001"],
+        ["g0", "--n", "100000000"],
+    ],
+)
+def test_oversized_inputs_rejected(capsys, argv):
+    code, doc = _capture(capsys, argv)
+    assert code == 1 and doc["error"] == "InvalidInput"
+
+
 def test_bad_rational_rejected(capsys):
     code, doc = _capture(
         capsys, ["check-cubic", "--a", "1.5", "--b", "0", "--c", "0"]

@@ -21,6 +21,7 @@ from hypercheck.unipoly import (
     isolate_real_roots,
     poly_gcd,
     resultant,
+    root_counts,
     root_profile,
     same_sign_count,
     squarefree_part,
@@ -179,6 +180,61 @@ def test_is_real_rooted_forgives_degree_drop():
     assert not is_real_rooted(UniPoly([1, 0, 1], 4))
 
 
+# planted roots: rationals with multiplicity, zero roots, irreducible
+# quadratics (t + b)^2 + c with c > 0, a leading coefficient, degree drop
+planted_poly = st.tuples(
+    st.lists(
+        st.tuples(small_q.filter(lambda r: r != 0), st.integers(1, 3)),
+        max_size=3,
+    ),
+    st.integers(0, 2),
+    st.lists(
+        st.tuples(small_q, small_q.filter(lambda c: c > 0)), max_size=2
+    ),
+    small_q.filter(lambda c: c != 0),
+    st.integers(0, 2),
+)
+
+
+def _build_planted(spec):
+    rational, zeros, quadratics, lead, drop = spec
+    roots = [r for r, m in rational for _ in range(m)] + [Q(0)] * zeros
+    p = UniPoly.from_roots(roots, lead=lead)
+    for b, c in quadratics:
+        p = p * UniPoly([b * b + c, 2 * b, 1])
+    return p.with_ambient(p.degree() + drop)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_poly)
+def test_root_counts_match_root_profile(spec):
+    p = _build_planted(spec)
+    counts = root_counts(p)
+    prof = root_profile(p)
+    assert (
+        counts.n_positive,
+        counts.n_negative,
+        counts.n_zero,
+        counts.n_nonreal,
+        counts.degree_drop,
+    ) == (
+        prof.n_positive,
+        prof.n_negative,
+        prof.n_zero,
+        prof.n_nonreal,
+        prof.degree_drop,
+    )
+
+
+def test_root_counts_examples():
+    counts = root_counts(UniPoly.from_roots([0, 0, 1, 1, 2, -6]) * UniPoly([1, 0, 1]))
+    assert (counts.n_positive, counts.n_negative, counts.n_zero) == (3, 1, 2)
+    assert counts.n_nonreal == 2 and counts.degree_drop == 0
+    assert root_counts(UniPoly([5], 3)).degree_drop == 3
+    with pytest.raises(ZeroPolynomial):
+        root_counts(UniPoly([0], 3))
+
+
 def test_same_sign_count():
     p = UniPoly.from_roots([0, 0, 3, -1])
     assert same_sign_count(p, 3)  # zeros count toward either side
@@ -329,3 +385,80 @@ def test_interlaces_with_multiplicities():
     q = UniPoly.from_roots([1, Q(3, 2)])
     assert interlaces(q, p)
     assert not interlaces(UniPoly.from_roots([Q(3, 2), Q(3, 2)]), p)
+
+
+def _interlaces_by_isolation(q, p):
+    """Reference: isolate the roots of both and compare them in order."""
+    prof_p = root_profile(p)
+    if prof_p.n_nonreal:
+        raise NotRealRooted("p is not real rooted")
+    prof_q = root_profile(q)
+    if prof_q.n_nonreal:
+        raise NotRealRooted("q is not real rooted")
+    if q.degree() != p.degree() - 1:
+        raise DegreeMismatch(
+            f"deg q = {q.degree()} but deg p - 1 = {p.degree() - 1}"
+        )
+    r = prof_p.roots_with_multiplicity()
+    s = prof_q.roots_with_multiplicity()
+    for i, si in enumerate(s):
+        if r[i].compare(si) > 0:
+            return False
+        if si.compare(r[i + 1]) > 0:
+            return False
+    return True
+
+
+# a small shared pool, so that common and multiple roots occur often
+ROOT_POOL = [Q(-2), Q(-1), Q(0), Q(1, 2), Q(1), Q(3)]
+pool_root = st.sampled_from(ROOT_POOL)
+nonzero_lead = st.sampled_from([Q(1), Q(-1), Q(3), Q(-1, 2)])
+
+
+@st.composite
+def root_pool_pair(draw):
+    """(q, p) with deg q = deg p - 1 from pool roots; half of the draws
+    plant q's roots between consecutive roots of p."""
+    r = sorted(draw(st.lists(pool_root, min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        s = [
+            draw(st.sampled_from([x for x in ROOT_POOL if a <= x <= b]))
+            for a, b in zip(r, r[1:])
+        ]
+    else:
+        s = draw(st.lists(pool_root, min_size=len(r) - 1, max_size=len(r) - 1))
+    p = UniPoly.from_roots(r, lead=draw(nonzero_lead))
+    q = UniPoly.from_roots(s, lead=draw(nonzero_lead))
+    return q.with_ambient(q.degree() + draw(st.integers(0, 1))), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_pool_pair())
+def test_interlaces_agrees_with_isolation(pair):
+    q, p = pair
+    assert interlaces(q, p) == _interlaces_by_isolation(q, p)
+
+
+def _outcome(fn, q, p):
+    try:
+        return fn(q, p)
+    except (NotRealRooted, DegreeMismatch, ZeroPolynomial) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(pool_root, max_size=5),
+    st.lists(pool_root, max_size=5),
+    st.integers(0, 3),
+)
+def test_interlaces_raises_like_isolation(p_roots, q_roots, nonreal):
+    """Non-real factors on p, q or both, and any degrees."""
+    quad = UniPoly([1, 0, 1])
+    p = UniPoly.from_roots(p_roots)
+    q = UniPoly.from_roots(q_roots)
+    if nonreal & 1:
+        p = p * quad
+    if nonreal & 2:
+        q = q * quad
+    assert _outcome(interlaces, q, p) == _outcome(_interlaces_by_isolation, q, p)
