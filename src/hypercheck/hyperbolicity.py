@@ -25,6 +25,7 @@ from .errors import (
     InvalidInput,
     NonInvertibleTransform,
     NotHyperbolicInput,
+    NotRealRooted,
     WrongDegree,
     ZeroPolynomial,
 )
@@ -84,8 +85,15 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid < 2:
-            raise InvalidInput(f"grid must be at least 2, got {self.grid}")
+        for name, value in (("grid", self.grid), ("refine_grid", self.refine_grid)):
+            if value < 2:
+                raise InvalidInput(f"{name} must be at least 2, got {value}")
+        # the largest grid denominator (res-1)*g**rounds (_search_composition)
+        # must keep float64 numerators exact; for g > 1, 53 rounds exceed it
+        res, g = min(self.grid, max(3, self.max_points)), self.refine_grid - 1
+        rounds = max(self.refine_rounds, 0)
+        if (g > 1 and rounds >= 53) or (res - 1) * g**rounds >= 2**53:
+            raise InvalidInput("grid denominators must stay below 2**53")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -251,15 +259,29 @@ def _trim_structural_zeros(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, start:]
 
 
-def _grid_axis(res: int):
-    return [Q(2 * j, res - 1) - 1 for j in range(res)]
+def _product_rows(axes) -> np.ndarray:
+    """Rows of the Cartesian product of integer axes, the first axis
+    varying slowest (the order of nested loops over the axes)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
+def _grid_rows(res: int, free: int):
+    """The slice grid as int64 numerators 2j - (res-1) over res - 1."""
+    axis = 2 * np.arange(res, dtype=np.int64) - (res - 1)
+    return _product_rows([axis] * free), res - 1
+
+
+def _refine_rows(center, den: int, g: int):
+    """One refinement round around `center` (numerators over den): steps
+    2(2j - g) for j = 0..g over den*g on every axis, clipped to [-1, 1]."""
+    den *= g
+    steps = 2 * (2 * np.arange(g + 1, dtype=np.int64) - g)
+    return _product_rows([np.clip(c * g + steps, -den, den) for c in center]), den
 
 
 def _expand_point(mults, v):
-    out = []
-    for m, val in zip(mults, v):
-        out.extend([val] * m)
-    return tuple(out)
+    return tuple(c for m, c in zip(mults, v) for _ in range(m))
 
 
 def _exact_check(p: HookPoly, x):
@@ -277,93 +299,75 @@ def _snap_point(x, den: int):
     return tuple(simplest_between(c - tol, c + tol) for c in x)
 
 
-def _slice_points(mults, w_rows):
-    """Exact slice points from free coordinates: last distinct value from
-    the zero-sum constraint, then rescale to max |v| = 1."""
-    k = len(mults)
-    out = []
-    for w in w_rows:
-        v = list(w)
-        v.append(-sum(m * c for m, c in zip(mults[:-1], w)) / mults[-1])
+def _slice_points(mults, candidates):
+    """Exact slice points from free coordinates given as (numerators,
+    denominator): last distinct value from the zero-sum constraint, then
+    rescale to max |v| = 1 (the zero point has no slice point)."""
+    for nums, den in candidates:
+        v = [Q(int(c), den) for c in nums]
+        v.append(-sum(m * c for m, c in zip(mults[:-1], v)) / mults[-1])
         top = max(abs(c) for c in v)
-        if top == 0:
-            out.append(None)
-            continue
-        out.append(tuple(c / top for c in v))
-    return out
+        if top:
+            yield tuple(c / top for c in v)
 
 
-def _verify_candidates(p: HookPoly, mults, w_rows, budget: SearchBudget):
-    for v in _slice_points(mults, w_rows):
-        if v is None:
-            continue
+def _verify_candidates(p: HookPoly, mults, candidates, budget, seen: set):
+    """Exact checks of the candidates, snapped point first; a point in
+    `seen` already failed to be a witness and is skipped."""
+    for v in _slice_points(mults, candidates):
         snapped = _snap_point(v, budget.snap_denominator)
         for cand in ([snapped] if snapped != v else []) + [v]:
-            witness = _exact_check(p, _expand_point(mults, cand))
+            x = _expand_point(mults, cand)
+            if x in seen:
+                continue
+            seen.add(x)
+            witness = _exact_check(p, x)
             if witness is not None:
                 return witness
     return None
 
 
-def _prescreen(p, a_float, mults, w_rows, budget):
-    """Float defects for a batch of free-coordinate rows; returns indices
-    above threshold sorted by decreasing defect, plus the best row."""
-    k = len(mults)
-    vals = np.empty((len(w_rows), k))
-    for i, w in enumerate(w_rows):
-        row = [float(c) for c in w]
-        row.append(-sum(m * c for m, c in zip(mults[:-1], row)) / mults[-1])
-        top = max(abs(c) for c in row)
-        if top == 0:
-            top = 1.0
-        vals[i] = [c / top for c in row]
-    coeffs = _batch_restriction(a_float, p.n, p.d, vals, mults)
+def _prescreen(p, a_float, mults, nums, den: int, budget):
+    """Float defects for a batch of free-coordinate rows (int64 numerators
+    over den); returns indices above threshold sorted by decreasing
+    defect, plus the best row."""
+    w = nums / den
+    # zero-sum completion summed left to right, then max-norm scaling, as in
+    # _slice_points: with den < 2**53 these floats are float() of its values
+    last = np.zeros(len(w))
+    for m, col in zip(mults[:-1], w.T):
+        last = last + m * col
+    vals = np.column_stack([w, -last / mults[-1]])
+    top = np.abs(vals).max(axis=1)
+    top[top == 0] = 1.0
+    coeffs = _batch_restriction(a_float, p.n, p.d, vals / top[:, None], mults)
     coeffs = _trim_structural_zeros(coeffs)
     if coeffs.shape[1] < 3:
         return [], None
     defects = realness_defects(coeffs)
     order = np.argsort(-defects)
-    hits = [int(i) for i in order if defects[i] > budget.defect_threshold]
+    hits = order[defects[order] > budget.defect_threshold]
     best = int(order[0]) if len(order) and defects[order[0]] > 0 else None
     return hits[: budget.max_candidates], best
 
 
 def _search_composition(p, a_float, mults, budget):
     """Full grid plus local refinement for one multiplicity pattern.
-    Returns candidate w-rows (exact rationals) in priority order."""
-    k = len(mults)
-    free = k - 1
+    Returns candidate rows as (numerators, denominator) in priority order."""
+    free = len(mults) - 1
     res = budget.grid
     if free >= 1 and res**free > budget.max_points and res > 3:
         res = max(3, int(budget.max_points ** (1.0 / free)))
-    axis = _grid_axis(res)
-    w_rows = [()]
-    for _ in range(free):
-        w_rows = [w + (c,) for w in w_rows for c in axis]
-    hits, best = _prescreen(p, a_float, mults, w_rows, budget)
-    candidates = [w_rows[i] for i in hits]
-    # local refinement around the best cell
-    if best is not None and budget.refine_rounds > 0:
-        center = w_rows[best]
-        radius = Q(2, res - 1)
-        for _ in range(budget.refine_rounds):
-            sub_axis = [
-                radius * (Q(2 * j, budget.refine_grid - 1) - 1)
-                for j in range(budget.refine_grid)
-            ]
-            local = [()]
-            for c0 in center:
-                local = [
-                    w + (min(max(c0 + dv, Q(-1)), QONE),)
-                    for w in local
-                    for dv in sub_axis
-                ]
-            hits, best_local = _prescreen(p, a_float, mults, local, budget)
-            candidates.extend(local[i] for i in hits)
-            if best_local is None:
-                break
-            center = local[best_local]
-            radius /= budget.refine_grid - 1
+    rows, den = _grid_rows(res, free)
+    candidates = []
+    # the grid, then local refinement around the best cell of the last pass
+    for r in range(max(budget.refine_rounds, 0) + 1):
+        if r:
+            rows, den = _refine_rows(rows[best], den, budget.refine_grid - 1)
+        hits, best = _prescreen(p, a_float, mults, rows, den, budget)
+        candidates.extend((rows[i], den) for i in hits)
+        if best is None:
+            break
     return candidates
 
 
@@ -375,8 +379,8 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     values are reduced (translation along 1, homogeneity) to the compact
     slice sum(m_i v_i) = 0, max |v_i| = 1, which is gridded, float
     prescreened and locally refined.  Hits are snapped to bounded
-    denominators and re-verified exactly before the next pattern is
-    searched, so the search stops at the first pattern with a witness;
+    denominators and re-verified exactly, each distinct point once, before
+    the next pattern is searched, so the search stops at the first witness;
     only exact verification can produce NotHyperbolic, and the procedure
     never claims hyperbolicity.
     """
@@ -388,9 +392,10 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
         patterns.extend(_compositions(n, k))
     if not patterns:
         return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": 0})
+    seen = set()
     for mults in patterns:
         candidates = _search_composition(p, a_float, mults, budget)
-        witness = _verify_candidates(p, mults, candidates, budget)
+        witness = _verify_candidates(p, mults, candidates, budget, seen)
         if witness is not None:
             return Verdict(
                 NOT_HYPERBOLIC,
@@ -408,11 +413,8 @@ def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     d, n = p.d, p.n
     a_float = [float(c) for c in p.a]
     den = 16
-    points = [
-        tuple(Q(rng.randint(-den, den), den) for _ in range(n))
-        for _ in range(budget.trials)
-    ]
-    vals = np.array([[float(c) for c in x] for x in points])
+    nums = [[rng.randint(-den, den) for _ in range(n)] for _ in range(budget.trials)]
+    vals = np.array(nums) / den
     coeffs = _trim_structural_zeros(
         _batch_restriction(a_float, n, d, vals, [1] * n)
     )
@@ -423,7 +425,7 @@ def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     for i in order[: budget.max_candidates]:
         if defects[i] <= budget.defect_threshold:
             break
-        x = points[int(i)]
+        x = tuple(Q(c, den) for c in nums[int(i)])
         snapped = _snap_point(x, budget.snap_denominator)
         for cand in ([snapped] if snapped != x else []) + [x]:
             witness = _exact_check(p, cand)
@@ -549,9 +551,14 @@ def ek_plus_linear_check(
         qkm1 = elementary_restriction(x, k - 1, n)
         ell_line = UniPoly([sum(li * xi for li, xi in zip(ell, x)), big_l])
         total = qk + ell_line * qkm1
-        ok = is_real_rooted(total)
-        if ok and total.degree() >= 1 and qkm1.degree() == total.degree() - 1:
-            ok = interlaces(qkm1, total)
+        if total.degree() >= 1 and qkm1.degree() == total.degree() - 1:
+            # e_{k-1} is hyperbolic, so only `total` can be non-real rooted
+            try:
+                ok = interlaces(qkm1, total)
+            except NotRealRooted:
+                ok = False
+        else:
+            ok = is_real_rooted(total)
         if ok:
             passed += 1
         else:
@@ -595,21 +602,12 @@ def cubic_normal_form(a, b, c, n: int) -> CubicNormalForm:
     if a == 0 and qsign(b) * qsign(c) >= 0:
         # already in normal form (u = 1 is a root of A exactly when a = 0)
         return CubicNormalForm(
-            c1=c,
-            c2=b,
-            c2_interval=(b, b),
-            c2_sign=qsign(b),
-            u=QONE,
-            u_interval=(QONE, QONE),
-            shift=QZERO,
-        )
-    # expanded: A(u) = (a+b+c) u^3 - (b+3c) u + 2c
-    A = UniPoly([2 * c, -b - 3 * c, QZERO, a + b + c])
-    if A.is_zero():
-        return CubicNormalForm(
             c1=c, c2=b, c2_interval=(b, b), c2_sign=qsign(b),
             u=QONE, u_interval=(QONE, QONE), shift=QZERO,
         )
+    # expanded: A(u) = (a+b+c) u^3 - (b+3c) u + 2c, never zero since
+    # decide_cubic rejects a = b = c = 0
+    A = UniPoly([2 * c, -b - 3 * c, QZERO, a + b + c])
     sf = squarefree_part(A)
     roots = isolate_real_roots(sf)
     if not roots:

@@ -21,9 +21,11 @@ QONE = Q(1)
 
 def to_q(value) -> Q:
     """Coerce an int, string "num/den" or rational-like value to Q."""
-    if isinstance(value, (int, str)):
-        return parse_rational(str(value)) if isinstance(value, str) else Q(value)
-    return Q(value.numerator, value.denominator)
+    if type(value) is Q:
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    return Q(value) if isinstance(value, int) else Q(value.numerator, value.denominator)
 
 
 def parse_rational(text: str) -> Q:

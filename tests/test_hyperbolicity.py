@@ -1,8 +1,11 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
-from hypercheck import hyperbolicity
+from hypercheck import hyperbolicity, unipoly
+from hypercheck.cli import run
 from hypercheck.errors import (
     HypothesisViolated,
     InvalidInput,
@@ -204,6 +207,150 @@ def test_falsifier_stops_at_first_witness_pattern(monkeypatch):
     assert calls == patterns[: position + 1]
 
 
+def _fraction_grid(res, free):
+    """The slice grid as exact rationals, built coordinate by coordinate."""
+    axis = [Q(2 * j, res - 1) - 1 for j in range(res)]
+    rows = [()]
+    for _ in range(free):
+        rows = [w + (c,) for w in rows for c in axis]
+    return rows
+
+
+def _fraction_refinement(center, res, refine_grid, rnd, clip=True):
+    """Refinement round rnd (from 0) around an exact center, built coordinate
+    by coordinate and clipped to [-1, 1]."""
+    radius = Q(2, res - 1) / (refine_grid - 1) ** rnd
+    sub_axis = [radius * (Q(2 * j, refine_grid - 1) - 1) for j in range(refine_grid)]
+    bound = (lambda c: min(max(c, Q(-1)), Q(1))) if clip else (lambda c: c)
+    rows = [()]
+    for c0 in center:
+        rows = [w + (bound(c0 + dv),) for w in rows for dv in sub_axis]
+    return rows
+
+
+def _exact_rows(nums, den):
+    return [tuple(Q(int(c), den) for c in row) for row in nums]
+
+
+def _float_slice_rows(mults, rows):
+    """Slice coordinates in float, one element at a time from the exact
+    rows: zero-sum completion, then max-norm scaling."""
+    out = []
+    for w in rows:
+        row = [float(c) for c in w]
+        row.append(-sum(m * c for m, c in zip(mults[:-1], row)) / mults[-1])
+        top = max(abs(c) for c in row) or 1.0
+        out.append([c / top for c in row])
+    return out
+
+
+@pytest.mark.parametrize("mults", [(1, 3), (2, 1, 2), (1, 1, 2, 1)])
+@pytest.mark.parametrize("res, refine_grid", [(8, 9), (7, 4), (5, 2)])
+def test_integer_grid_rows_match_fraction_rows(monkeypatch, mults, res, refine_grid):
+    """Grid and refinement rows as int64 numerators equal the rationals built
+    one coordinate at a time, on every round and around centers whose
+    neighbourhoods are clipped at -1 and +1; their floats for the prescreen
+    equal float() of those rationals bit for bit."""
+    free = len(mults) - 1
+    p = HookPoly(sum(mults), 4, (1, 0, -4, 1))
+    a_float = [float(c) for c in p.a]
+    seen_vals = []
+    batch = hyperbolicity._batch_restriction
+
+    def capture(a, n, d, values, m):
+        seen_vals.append(values)
+        return batch(a, n, d, values, m)
+
+    monkeypatch.setattr(hyperbolicity, "_batch_restriction", capture)
+    grid, den = hyperbolicity._grid_rows(res, free)
+    assert grid.dtype == np.int64
+    assert _exact_rows(grid, den) == _fraction_grid(res, free)
+    clipped = 0
+    for start in (0, len(grid) // 2, len(grid) - 1):
+        rows, row_den, center = grid, den, start
+        for rnd in range(3):
+            exact_center = _exact_rows([rows[center]], row_den)[0]
+            expected = _fraction_refinement(exact_center, res, refine_grid, rnd)
+            clipped += expected != _fraction_refinement(
+                exact_center, res, refine_grid, rnd, clip=False
+            )
+            rows, row_den = hyperbolicity._refine_rows(
+                rows[center], row_den, refine_grid - 1
+            )
+            assert row_den == (res - 1) * (refine_grid - 1) ** (rnd + 1)
+            assert _exact_rows(rows, row_den) == expected
+            hyperbolicity._prescreen(p, a_float, mults, rows, row_den, FAST)
+            assert seen_vals.pop().tolist() == _float_slice_rows(mults, expected)
+            center = (3 * center + 1) % len(rows)
+    assert clipped
+
+
+def _falsify_stdout(capsys, hook, *args):
+    run(["falsify", "--hook", json.dumps(hook), *args])
+    return capsys.readouterr().out
+
+
+def test_falsify_output_pinned(capsys):
+    """Byte-exact falsify documents, recorded with the Fraction grid layer."""
+    hook = {"n": 5, "d": 4, "a": ["1", "0", "-4", "1"]}
+    out = _falsify_stdout(capsys, hook, "--seed", "0")
+    assert out == (
+        '{"detail":{"pattern":[2,3]},"status":"NotHyperbolic","witness":'
+        '{"nonreal_roots":2,"x":["-1/1","-1/1","2/3","2/3","2/3"]}}\n'
+    )
+    hook = {"n": 6, "d": 5, "a": ["1", "-2", "3", "5", "-7"]}
+    out = _falsify_stdout(capsys, hook, "--seed", "3", "--budget", "24")
+    assert out == (
+        '{"detail":{"pattern":[1,5]},"status":"NotHyperbolic","witness":'
+        '{"nonreal_roots":2,"x":["-1/1","1/5","1/5","1/5","1/5","1/5"]}}\n'
+    )
+    hook = {"n": 4, "d": 4, "a": ["9/1", "8/1", "3/1", "5/1"]}
+    out = _falsify_stdout(capsys, hook, "--seed", "0", "--budget", "8")
+    assert out == (
+        '{"detail":{"pattern":[1,3]},"status":"NotHyperbolic","witness":'
+        '{"nonreal_roots":2,"x":["1/1","-1/3","-1/3","-1/3"]}}\n'
+    )
+
+
+def test_one_exact_check_per_distinct_point(monkeypatch):
+    """Prescreen false alarms on the hyperbolic m_4 hook are checked exactly
+    once per distinct point, across all patterns."""
+    checked = []
+    check = hyperbolicity._exact_check
+
+    def counting(p, x):
+        checked.append(x)
+        return check(p, x)
+
+    monkeypatch.setattr(hyperbolicity, "_exact_check", counting)
+    v = falsify_hyperbolicity(HookPoly(4, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8))
+    assert v.status == NO_COUNTEREXAMPLE
+    assert len(checked) == len(set(checked)) == 28
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"refine_grid": 1},
+        {"refine_grid": 0},
+        {"grid": 2**26 + 1, "max_points": 2**27, "refine_rounds": 1,
+         "refine_grid": 2**27 + 1},
+        {"refine_grid": 2**20},
+        {"refine_rounds": 10**9},
+    ],
+)
+def test_budget_rejects_inexact_grids(kwargs):
+    with pytest.raises(InvalidInput):
+        SearchBudget(**kwargs)
+
+
+def test_budget_accepts_largest_exact_grid():
+    # denominator 2**26 * (2**27 - 1) < 2**53; the capped grid is what counts
+    SearchBudget(grid=2**26 + 1, max_points=2**27, refine_rounds=1, refine_grid=2**27)
+    SearchBudget(grid=2**40, max_points=64, refine_rounds=3, refine_grid=2**10)
+    SearchBudget(refine_grid=2, refine_rounds=10**9)
+
+
 def test_restricted_and_unrestricted_agree():
     rng = random.Random(3)
     for _ in range(15):
@@ -276,6 +423,22 @@ def test_ek_plus_linear_all_pass():
 def test_ek_plus_linear_zero_linear_form():
     report = ek_plus_linear_check(3, 4, [0, 0, 0, 0], trials=40, seed=6)
     assert report.passed == report.trials
+
+
+def test_ek_plus_linear_counts_roots_once_per_polynomial(monkeypatch):
+    """Each line counts the roots of e_k + ell*e_{k-1} once, and those of
+    e_{k-1} once, inside the interlacing test."""
+    calls = []
+    counts = unipoly.root_counts
+
+    def counting(p):
+        calls.append(p)
+        return counts(p)
+
+    monkeypatch.setattr(unipoly, "root_counts", counting)
+    report = ek_plus_linear_check(3, 5, [1, 0, 2, 0, 0], trials=25, seed=4)
+    assert report.passed == 25
+    assert len(calls) == 50
 
 
 def test_ek_plus_linear_guards():
