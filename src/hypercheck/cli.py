@@ -11,6 +11,7 @@ human reading.  Exit codes: 0 = decided / no counterexample found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,8 @@ from .sympoly import HookPoly
 from .unipoly import UniPoly, ZeroSumPoly
 
 # input-size bounds: phi at 1024 bits takes under a second and g0 at
-# n = 1000 several seconds; both grow much faster than linearly beyond
+# n = 1000 several seconds; both grow much faster than linearly beyond.
+# extend and conjecture build g0 at their --n, so they share its bound.
 MAX_WIDTH_BITS = 1024
 MAX_G0_N = 1000
 
@@ -237,14 +239,19 @@ def _cmd_hook_of(args) -> int:
     return 0
 
 
-def _cmd_g0(args) -> int:
-    if args.n > MAX_G0_N:
+def _check_n(n) -> None:
+    if n is not None and n > MAX_G0_N:
         raise InvalidInput(f"--n must be at most {MAX_G0_N}")
+
+
+def _cmd_g0(args) -> int:
+    _check_n(args.n)
     _emit(poly_to_json(g0(args.n).inner), args.pretty)
     return 0
 
 
 def _cmd_extend(args) -> int:
+    _check_n(args.n)
     if (args.map is None) == (args.target is None):
         raise InvalidInput("provide exactly one of --map or --target")
     if args.map is not None:
@@ -294,6 +301,7 @@ def _cmd_cone_member(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    _check_n(args.n)
     target = poly_from_json(_load_payload(args.target))
     report = conjecture_case(
         ZeroSumPoly(target),
@@ -344,8 +352,18 @@ def _cmd_demo_quintic(args) -> int:
     return _status_exit(report.falsifier.status)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInput, so that they print one JSON error
+    document and exit 1 like every other bad input."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built once per process on first use and then shared."""
+    parser = _Parser(
         prog="hypercheck",
         description=(
             "Exact decision procedures for symmetric hyperbolic polynomials "
@@ -422,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HypercheckError as exc:
         print(

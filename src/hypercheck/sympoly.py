@@ -10,7 +10,7 @@ coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from .errors import DegreeTooHigh, DegreeTooLow, ShrinkNotAllowed, ZeroPolynomial
 from .rationals import Q, QONE, QZERO, to_q
@@ -148,65 +148,54 @@ def dir_derivative_one(p: HookPoly) -> HookPoly:
     return HookPoly(p.n, d - 1, tuple(b))
 
 
-class _Trunc2:
-    """Bivariate polynomials truncated to degree <= 1 in s and in t:
-    c00 + c10*s + c01*t + c11*s*t.  Enough for one mixed derivative."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c00=QZERO, c10=QZERO, c01=QZERO, c11=QZERO):
-        self.c = (c00, c10, c01, c11)
-
-    def __add__(self, other):
-        a, b = self.c, other.c
-        return _Trunc2(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-    def __mul__(self, other):
-        a, b = self.c, other.c
-        return _Trunc2(
-            a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[2] * b[0],
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
-        )
-
-    def scale(self, q):
-        a = self.c
-        return _Trunc2(a[0] * q, a[1] * q, a[2] * q, a[3] * q)
-
-    def pow(self, k):
-        out = _Trunc2(QONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+def _mul4(a, b):
+    """Product of c00 + c10*s + c01*t + c11*s*t polynomials, as 4-tuples,
+    truncated past first order in s and in t."""
+    return (
+        a[0] * b[0],
+        a[0] * b[1] + a[1] * b[0],
+        a[0] * b[2] + a[2] * b[0],
+        a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
+    )
 
 
 def mixed_derivative_eval(p: HookPoly, u, w, x) -> Q:
     """Exact value of D_u p * D_w p - p * D_{uw} p at x.
 
     Evaluated through the bivariate restriction (s, t) -> p(x + s*u + t*w)
-    truncated past first order in each direction.
+    truncated past first order in each direction, on int 4-tuples: the
+    value is homogeneous of degree 2d in (x, u, w), so their common
+    denominator L is cleared, the weights a_i / (n^(d-i) binom(n, i)) of
+    e_1^(d-i) e_i are taken over their common denominator M, and the
+    result is divided by M^2 L^(2d) at the end.
     """
-    ux = u.x if isinstance(u, SymPoint) else [to_q(c) for c in u]
-    wx = w.x if isinstance(w, SymPoint) else [to_q(c) for c in w]
-    xx = x.x if isinstance(x, SymPoint) else [to_q(c) for c in x]
+    vecs = [
+        v.x if isinstance(v, SymPoint) else [to_q(c) for c in v] for v in (x, u, w)
+    ]
     n, d = p.n, p.d
-    e = [_Trunc2(QONE)] + [_Trunc2() for _ in range(d)]
-    for xi, ui, wi in zip(xx, ux, wx):
-        lin = _Trunc2(xi, ui, wi)
-        for k in range(d, 0, -1):
-            e[k] = e[k] + lin * e[k - 1]
-    m = [e[k].scale(Q(1, comb(n, k))) for k in range(d + 1)]
-    val = _Trunc2()
-    for i, a in enumerate(p.a, start=1):
-        if a != 0:
-            val = val + (m[1].pow(d - i) * m[i]).scale(a)
-    c00, c10, c01, c11 = val.c
-    return c10 * c01 - c00 * c11
+    L = lcm(*(c.denominator for v in vecs for c in v))
+    X, U, W = ([c.numerator * (L // c.denominator) for c in v] for v in vecs)
+    e = [(1, 0, 0, 0)] + [(0, 0, 0, 0)] * d
+    for xi, ui, wi in zip(X, U, W):
+        for k in range(d, 0, -1):  # e_k += (x_i + u_i s + w_i t) e_(k-1)
+            b, c = e[k - 1], e[k]
+            e[k] = (
+                c[0] + xi * b[0],
+                c[1] + xi * b[1] + ui * b[0],
+                c[2] + xi * b[2] + wi * b[0],
+                c[3] + xi * b[3] + ui * b[2] + wi * b[1],
+            )
+    weights = {i: a / (n ** (d - i) * comb(n, i)) for i, a in enumerate(p.a, 1) if a}
+    M = lcm(*(c.denominator for c in weights.values()))
+    powers = [(1, 0, 0, 0)]
+    for _ in range(d - 1):
+        powers.append(_mul4(powers[-1], e[1]))
+    val = (0, 0, 0, 0)
+    for i, c in weights.items():
+        scale = c.numerator * (M // c.denominator)
+        val = [v + scale * t for v, t in zip(val, _mul4(powers[d - i], e[i]))]
+    c00, c10, c01, c11 = val
+    return Q(c10 * c01 - c00 * c11, M * M * L ** (2 * d))
 
 
 def lift_variables(p: HookPoly, m: int) -> HookPoly:

@@ -14,13 +14,18 @@ signed remainder sequence (interlaces).  Roots are isolated, by interval
 bisection with rational endpoints followed by a simplest-rational
 reconstruction so that rational roots come out exact, only where a root
 value is output (root_profile).
+
+Sign queries at rational points run on primitive integer coefficients
+(Sturm chains are kept as such lists) by integer Horner (_sign_at), so no
+Fraction is built to evaluate, and bisection evaluates the polynomial once
+per step, since a RealRoot caches its sign at the lower endpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from math import gcd as int_gcd
+from math import gcd, lcm
 
 from .errors import (
     DegreeMismatch,
@@ -207,18 +212,10 @@ def _int_primitive(coeffs):
     The scaling factor is positive, so signs (and thus Sturm counts)
     are preserved.  Returns a list of ints.
     """
-    from math import lcm
-
-    den = 1
-    for c in coeffs:
-        den = lcm(den, int(c.denominator))
-    ints = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -282,16 +279,17 @@ def yun_decomposition(p: UniPoly):
 
 def signed_remainder_sequence(p: UniPoly, q: UniPoly):
     """p, q, -rem(p, q), ... down to the last nonzero term, each scaled
-    by a positive constant to a primitive integer polynomial."""
-    chain = [UniPoly(_int_primitive(p.trimmed().coeffs))]
+    by a positive constant to a primitive integer coefficient list
+    (ascending, trimmed)."""
+    chain = [_int_primitive(p.trimmed().coeffs)]
     if q.is_zero():
         return chain
-    chain.append(UniPoly(_int_primitive(q.trimmed().coeffs)))
-    while chain[-1].degree() > 0:
-        _, r = divmod_poly(chain[-2], chain[-1])
+    chain.append(_int_primitive(q.trimmed().coeffs))
+    while len(chain[-1]) > 1:
+        _, r = divmod_poly(UniPoly(chain[-2]), UniPoly(chain[-1]))
         if r.is_zero():
             break
-        chain.append(-UniPoly(_int_primitive(r.coeffs)))
+        chain.append([-c for c in _int_primitive(r.trimmed().coeffs)])
     return chain
 
 
@@ -299,6 +297,18 @@ def sturm_chain(p: UniPoly):
     """Sturm sequence of a square-free polynomial, primitively normalized."""
     p = p.trimmed()
     return signed_remainder_sequence(p, p.derivative())
+
+
+def _sign_at(ints, x) -> int:
+    """Sign of the integer polynomial `ints` (ascending) at the rational
+    x = N/D, D > 0: the sign of D^m * p(N/D) by integer Horner, where m
+    is the formal degree, with the powers of D accumulated on the way."""
+    num, den = x.numerator, x.denominator
+    acc, scale = ints[-1], den
+    for c in reversed(ints[:-1]):
+        acc = acc * num + c * scale
+        scale *= den
+    return qsign(acc)
 
 
 def _variations(signs):
@@ -314,15 +324,14 @@ def _variations(signs):
 
 
 def sturm_variations_at(chain, x) -> int:
-    return _variations([qsign(q.evaluate(x)) for q in chain])
+    return _variations([_sign_at(q, x) for q in chain])
 
 
 def sturm_variations_at_inf(chain, positive: bool) -> int:
     signs = []
     for q in chain:
-        d = q.degree()
-        s = qsign(q.coeffs[d]) if d >= 0 else 0
-        if not positive and d % 2 == 1:
+        s = qsign(q[-1])
+        if not positive and len(q) % 2 == 0:
             s = -s
         signs.append(s)
     return _variations(signs)
@@ -345,16 +354,19 @@ def cauchy_bound(p: UniPoly):
 class RealRoot:
     """One real algebraic number: a square-free defining polynomial plus
     either an exact rational value or an open isolating interval (lo, hi)
-    with a sign change and non-root endpoints."""
+    with a sign change and non-root endpoints.  The sign of the polynomial
+    at lo is cached: lo only ever moves to a point of that same sign."""
 
-    __slots__ = ("poly", "lo", "hi", "exact", "_chain")
+    __slots__ = ("poly", "lo", "hi", "exact", "_ints", "_lo_sign")
 
     def __init__(self, poly, lo=None, hi=None, exact=None):
         self.poly = poly
         self.lo = lo
         self.hi = hi
         self.exact = exact
-        self._chain = None
+        if exact is None:
+            self._ints = _int_primitive(poly.trimmed().coeffs)
+            self._lo_sign = _sign_at(self._ints, lo)
 
     @staticmethod
     def from_rational(value) -> "RealRoot":
@@ -369,47 +381,39 @@ class RealRoot:
             return (self.exact, self.exact)
         return (self.lo, self.hi)
 
-    def width(self):
-        if self.exact is not None:
-            return QZERO
-        return self.hi - self.lo
-
     def refine(self):
         """One bisection step; may discover an exact rational value."""
-        if self.exact is not None:
-            return
-        mid = (self.lo + self.hi) / 2
-        v = self.poly.evaluate(mid)
-        if v == 0:
-            self.exact = mid
-            return
-        if qsign(self.poly.evaluate(self.lo)) != qsign(v):
-            self.hi = mid
-        else:
-            self.lo = mid
+        if self.exact is None:
+            self.split_at((self.lo + self.hi) / 2)
 
     def refine_below(self, width):
         while self.exact is None and self.hi - self.lo > width:
             self.refine()
 
     def try_rational(self, extra_bits: int = 24) -> bool:
-        """Attempt exact reconstruction of a rational root."""
-        if self.exact is not None:
-            return True
-        target = self.width() / (1 << extra_bits)
-        self.refine_below(target)
+        """Attempt exact reconstruction of a rational root after
+        extra_bits bisection steps (each halves the width exactly)."""
+        for _ in range(extra_bits):
+            if self.exact is not None:
+                return True
+            self.refine()
         if self.exact is not None:
             return True
         cand = simplest_between(self.lo, self.hi)
-        if self.poly.evaluate(cand) == 0:
+        if _sign_at(self._ints, cand) == 0:
             self.exact = cand
             return True
         return False
 
     def split_at(self, x) -> int:
-        """Position of the root relative to a non-root rational x inside
-        the interval: -1 if root < x, +1 if root > x.  Refines in place."""
-        if qsign(self.poly.evaluate(self.lo)) != qsign(self.poly.evaluate(x)):
+        """Position of the root relative to a rational x inside the
+        interval: -1 if root < x, +1 if root > x, 0 if x is the root.
+        Refines in place."""
+        s = _sign_at(self._ints, x)
+        if s == 0:
+            self.exact = x
+            return 0
+        if s != self._lo_sign:
             self.hi = x
             return -1
         self.lo = x
@@ -422,10 +426,6 @@ class RealRoot:
             return 1
         if self.hi <= 0:
             return -1
-        v = self.poly.evaluate(QZERO)
-        if v == 0:
-            self.exact = QZERO
-            return 0
         return self.split_at(QZERO)
 
     def compare(self, other: "RealRoot") -> int:
@@ -454,9 +454,6 @@ class RealRoot:
             return 1
         if x >= self.hi:
             return -1
-        if self.poly.evaluate(x) == 0:
-            self.exact = x
-            return 0
         return self.split_at(x)
 
     def _equals_overlapping(self, other) -> bool:
@@ -489,37 +486,38 @@ def isolate_real_roots(p: UniPoly):
     if p.degree() == 1:
         return [RealRoot.from_rational(-p.coeffs[0] / p.coeffs[1])]
     chain = sturm_chain(p)
+    ints = chain[0]
     bound = cauchy_bound(p)
     roots = []
 
-    def recurse(a, b, count):
-        if count == 0:
-            return
-        if count == 1:
+    def recurse(a, b, va, vb):
+        # va, vb: Sturm variations at a and b; (a, b] holds va - vb roots
+        if va - vb == 1:
             roots.append(RealRoot(p, lo=a, hi=b))
+        if va - vb <= 1:
             return
         mid = (a + b) / 2
-        if p.evaluate(mid) == 0:
+        signs = [_sign_at(q, mid) for q in chain]
+        if signs[0] == 0:
             # exact root found mid-bisection: carve a pivot gap around it
             roots.append(("exact", mid))
             eps = (b - a) / 4
             while True:
                 left, right = mid - eps, mid + eps
-                if (
-                    p.evaluate(left) != 0
-                    and p.evaluate(right) != 0
-                    and count_roots_halfopen(chain, left, right) == 1
-                ):
-                    break
+                if _sign_at(ints, left) != 0 and _sign_at(ints, right) != 0:
+                    vl = sturm_variations_at(chain, left)
+                    vr = sturm_variations_at(chain, right)
+                    if vl - vr == 1:
+                        break
                 eps /= 2
-            recurse(a, left, count_roots_halfopen(chain, a, left))
-            recurse(right, b, count_roots_halfopen(chain, right, b))
+            recurse(a, left, va, vl)
+            recurse(right, b, vr, vb)
             return
-        recurse(a, mid, count_roots_halfopen(chain, a, mid))
-        recurse(mid, b, count_roots_halfopen(chain, mid, b))
+        vm = _variations(signs)
+        recurse(a, mid, va, vm)
+        recurse(mid, b, vm, vb)
 
-    total = count_roots_halfopen(chain, -bound, bound)
-    recurse(-bound, bound, total)
+    recurse(-bound, bound, *(sturm_variations_at(chain, x) for x in (-bound, bound)))
     out = []
     for r in roots:
         if isinstance(r, tuple):
@@ -563,7 +561,7 @@ def root_counts(p: UniPoly) -> RootCounts:
     n_pos = n_neg = 0
     for factor, mult in yun_decomposition(q):
         chain = sturm_chain(factor)
-        at_zero = _variations([qsign(c.coeffs[0]) for c in chain])
+        at_zero = _variations([qsign(c[0]) for c in chain])
         n_neg += mult * (sturm_variations_at_inf(chain, False) - at_zero)
         n_pos += mult * (at_zero - sturm_variations_at_inf(chain, True))
     return RootCounts(
@@ -723,16 +721,10 @@ def resultant(p: UniPoly, q: UniPoly):
     p, q = p.trimmed(), q.trimmed()
     if p.is_zero() or q.is_zero():
         return QZERO
-    from math import lcm
-
-    dp = 1
-    for c in p.coeffs:
-        dp = lcm(dp, int(c.denominator))
-    dq = 1
-    for c in q.coeffs:
-        dq = lcm(dq, int(c.denominator))
-    A = [int(c.numerator) * (dp // int(c.denominator)) for c in p.coeffs]
-    B = [int(c.numerator) * (dq // int(c.denominator)) for c in q.coeffs]
+    dp = lcm(*(c.denominator for c in p.coeffs))
+    dq = lcm(*(c.denominator for c in q.coeffs))
+    A = [c.numerator * (dp // c.denominator) for c in p.coeffs]
+    B = [c.numerator * (dq // c.denominator) for c in q.coeffs]
     r = _subresultant_resultant_int(A, B)
     return Q(r) / (Q(dp) ** q.degree() * Q(dq) ** p.degree())
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from hypercheck.cli import run
+from hypercheck import cli
+from hypercheck.cli import MAX_G0_N, run
 
 
 def _capture(capsys, argv):
@@ -215,6 +216,45 @@ def test_budget_below_two_rejected(capsys, budget):
 def test_oversized_inputs_rejected(capsys, argv):
     code, doc = _capture(capsys, argv)
     assert code == 1 and doc["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["falsify", "--hook", "{}", "--budget", "x"],
+        ["no-such-command"],
+        ["falsify", "--budget", "8"],
+    ],
+)
+def test_usage_errors_are_json(capsys, argv):
+    """A bad flag value, an unknown subcommand and a missing required flag
+    give one JSON error document and exit 1, not argparse's usage and 2."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("command", ["extend", "conjecture"])
+def test_source_degree_bounded(capsys, command):
+    target = json.dumps({"n": 4, "coeffs": ["0", "0", "0", "0", "1"]})
+    argv = [command, "--target", target, "--n", str(MAX_G0_N + 1)]
+    code, doc = _capture(capsys, argv)
+    assert code == 1 and doc["error"] == "InvalidInput"
+
+
+def test_shared_parser_matches_fresh_parser(capsys):
+    """Requests parsed back to back by the one shared parser print what a
+    newly built parser prints; subcommand defaults do not leak."""
+    cubic = ["check-cubic", "--a", "1", "--b", "0", "--c", "1"]
+    phi = ["phi", "--roots", "1/2,1/4,1/4"]
+    fresh = []
+    for argv in (cubic, phi):
+        cli.build_parser.cache_clear()
+        fresh.append(_capture(capsys, argv))
+    assert cli.build_parser() is cli.build_parser()
+    shared = [_capture(capsys, argv) for argv in (cubic, phi, cubic)]
+    assert shared == fresh + fresh[:1]
 
 
 def test_bad_rational_rejected(capsys):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,63 @@ def test_mixed_derivative_symmetry():
         w = rand_point(rng, p.n)
         assert mixed_derivative_eval(p, u, w, x) == mixed_derivative_eval(
             p, w, u, x
+        )
+
+
+class _Trunc2:
+    """Reference: c00 + c10*s + c01*t + c11*s*t over Fraction, truncated
+    past first order in s and in t (the evaluator before integer tuples)."""
+
+    def __init__(self, c00=Q(0), c10=Q(0), c01=Q(0), c11=Q(0)):
+        self.c = (c00, c10, c01, c11)
+
+    def __add__(self, other):
+        return _Trunc2(*(a + b for a, b in zip(self.c, other.c)))
+
+    def __mul__(self, other):
+        a, b = self.c, other.c
+        return _Trunc2(
+            a[0] * b[0],
+            a[0] * b[1] + a[1] * b[0],
+            a[0] * b[2] + a[2] * b[0],
+            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
+        )
+
+    def scale(self, q):
+        return _Trunc2(*(a * q for a in self.c))
+
+
+def _mixed_derivative_by_fractions(p, u, w, x):
+    n, d = p.n, p.d
+    e = [_Trunc2(Q(1))] + [_Trunc2() for _ in range(d)]
+    for xi, ui, wi in zip(x, u, w):
+        lin = _Trunc2(xi, ui, wi)
+        for k in range(d, 0, -1):
+            e[k] = e[k] + lin * e[k - 1]
+    m = [e[k].scale(Q(1, comb(n, k))) for k in range(d + 1)]
+    val = _Trunc2()
+    for i, a in enumerate(p.a, start=1):
+        power = _Trunc2(Q(1))
+        for _ in range(d - i):
+            power = power * m[1]
+        val = val + (power * m[i]).scale(a)
+    c00, c10, c01, c11 = val.c
+    return c10 * c01 - c00 * c11
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_mixed_derivative_matches_fraction_reference(d):
+    """Integer tuples over one cleared denominator give the Fraction value,
+    for arbitrary directions u, w with negative entries and denominators."""
+    rng = random.Random(10 + d)
+    for _ in range(25):
+        p = rand_hook(rng, n=rng.randint(d, d + 2), d=d)
+        x, u, w = (
+            [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(p.n)]
+            for _ in range(3)
+        )
+        assert mixed_derivative_eval(p, u, w, x) == _mixed_derivative_by_fractions(
+            p, u, w, x
         )
 
 

@@ -1,15 +1,18 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercheck.cli import run
 from hypercheck.errors import DegreeMismatch, NotRealRooted, ZeroPolynomial
-from hypercheck.rationals import Q, qsign
+from hypercheck.rationals import Q, qsign, simplest_between
 from hypercheck.unipoly import (
     RealRoot,
     UniPoly,
     ZeroSumPoly,
+    _sign_at,
     cauchy_bound,
     count_roots_halfopen,
     dee,
@@ -462,3 +465,258 @@ def test_interlaces_raises_like_isolation(p_roots, q_roots, nonreal):
     if nonreal & 2:
         q = q * quad
     assert _outcome(interlaces, q, p) == _outcome(_interlaces_by_isolation, q, p)
+
+
+# -- integer sign queries against the Fraction root layer ---------------------
+
+
+def _int_poly(factors):
+    """Ascending integer coefficients of the product of integer factors."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_q, min_size=1, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any),
+    st.data(),
+)
+def test_sign_at_matches_fraction_evaluation(roots, extra, data):
+    """Planted rational roots times an arbitrary integer factor, at the
+    planted roots and off them."""
+    ints = _int_poly([[-r.numerator, r.denominator] for r in roots] + [extra])
+    x = data.draw(st.one_of(st.sampled_from(roots), small_q))
+    assert _sign_at(ints, x) == qsign(UniPoly(ints).evaluate(x))
+
+
+class _FractionRealRoot:
+    """Reference: RealRoot as it was before sign queries moved to integers,
+    evaluating its polynomial in Fraction arithmetic at every query."""
+
+    def __init__(self, poly, lo=None, hi=None, exact=None):
+        self.poly, self.lo, self.hi, self.exact = poly, lo, hi, exact
+
+    def refine(self):
+        if self.exact is not None:
+            return
+        mid = (self.lo + self.hi) / 2
+        v = self.poly.evaluate(mid)
+        if v == 0:
+            self.exact = mid
+            return
+        if qsign(self.poly.evaluate(self.lo)) != qsign(v):
+            self.hi = mid
+        else:
+            self.lo = mid
+
+    def try_rational(self, extra_bits=24):
+        if self.exact is not None:
+            return True
+        target = (self.hi - self.lo) / (1 << extra_bits)
+        while self.exact is None and self.hi - self.lo > target:
+            self.refine()
+        if self.exact is not None:
+            return True
+        cand = simplest_between(self.lo, self.hi)
+        if self.poly.evaluate(cand) == 0:
+            self.exact = cand
+            return True
+        return False
+
+    def compare(self, other):
+        if self is other:
+            return 0
+        while True:
+            if self.exact is not None and other.exact is not None:
+                return (self.exact > other.exact) - (self.exact < other.exact)
+            if self.exact is not None:
+                return -other._compare_with_rational(self.exact)
+            if other.exact is not None:
+                return self._compare_with_rational(other.exact)
+            if self.hi <= other.lo:
+                return -1
+            if other.hi <= self.lo:
+                return 1
+            h = poly_gcd(self.poly, other.poly)
+            a, b = max(self.lo, other.lo), min(self.hi, other.hi)
+            if h.degree() >= 1 and a < b and _fraction_count(h, a, b) >= 1:
+                return 0
+            self.refine()
+            other.refine()
+
+    def _compare_with_rational(self, x):
+        if self.exact is not None:
+            return (self.exact > x) - (self.exact < x)
+        if x <= self.lo:
+            return 1
+        if x >= self.hi:
+            return -1
+        if self.poly.evaluate(x) == 0:
+            self.exact = x
+            return 0
+        if qsign(self.poly.evaluate(self.lo)) != qsign(self.poly.evaluate(x)):
+            self.hi = x
+            return -1
+        self.lo = x
+        return 1
+
+
+def _fraction_count(p, a, b):
+    """Distinct roots in (a, b] from Fraction evaluations of the chain."""
+    chain = [UniPoly(q) for q in sturm_chain(p)]
+
+    def variations(x):
+        signs = [s for s in (qsign(q.evaluate(x)) for q in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
+
+
+def _fraction_isolate(p):
+    p = p.trimmed()
+    if p.degree() == 1:
+        value = -p.coeffs[0] / p.coeffs[1]
+        return [_FractionRealRoot(UniPoly([-value, 1]), exact=value)]
+    bound = cauchy_bound(p)
+    roots = []
+
+    def recurse(a, b, count):
+        if count == 1:
+            roots.append(_FractionRealRoot(p, lo=a, hi=b))
+        if count <= 1:
+            return
+        mid = (a + b) / 2
+        if p.evaluate(mid) == 0:
+            roots.append(_FractionRealRoot(p, exact=mid))
+            eps = (b - a) / 4
+            while True:
+                left, right = mid - eps, mid + eps
+                if (
+                    p.evaluate(left) != 0
+                    and p.evaluate(right) != 0
+                    and _fraction_count(p, left, right) == 1
+                ):
+                    break
+                eps /= 2
+            recurse(a, left, _fraction_count(p, a, left))
+            recurse(right, b, _fraction_count(p, right, b))
+            return
+        recurse(a, mid, _fraction_count(p, a, mid))
+        recurse(mid, b, _fraction_count(p, mid, b))
+
+    recurse(-bound, bound, _fraction_count(p, -bound, bound))
+    for r in roots:
+        r.try_rational()
+    return sorted(roots, key=cmp_to_key(lambda x, y: x.compare(y)))
+
+
+def _states(roots):
+    return [(r.lo, r.hi, r.exact) for r in roots]
+
+
+# square-free products of distinct rational roots and t^2 - c, c not a
+# rational square, so that irrational roots occur; t^4 - 4 shares sqrt(2)
+# with t^2 - 2, so that equal roots of different polynomials are compared
+NON_SQUARES = [Q(2), Q(3), Q(5), Q(1, 2), Q(3, 4), Q(7, 9)]
+isolation_poly = st.tuples(
+    st.lists(small_q, max_size=4, unique=True),
+    st.lists(st.sampled_from(NON_SQUARES), max_size=2, unique=True),
+    st.sampled_from([Q(1), Q(-3), Q(2, 5)]),
+).filter(lambda spec: len(spec[0]) + 2 * len(spec[1]) >= 1)
+
+
+def _isolation_poly(spec):
+    roots, squares, lead = spec
+    p = UniPoly.from_roots(roots, lead=lead)
+    for c in squares:
+        p = p * UniPoly([-c, 0, 1])
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(isolation_poly, min_size=1, max_size=3))
+def test_isolation_matches_fraction_reference(specs):
+    """Same (lo, hi, exact) as the Fraction root layer after isolation,
+    after try_rational, after sorting roots of several polynomials with
+    compare, and after 30 refine steps."""
+    polys = [_isolation_poly(spec) for spec in specs] + [UniPoly([-4, 0, 0, 0, 1])]
+    new = [isolate_real_roots(p) for p in polys]
+    old = [_fraction_isolate(p) for p in polys]
+    assert [_states(r) for r in new] == [_states(r) for r in old]
+    new = [r for roots in new for r in roots]
+    old = [r for roots in old for r in roots]
+    assert [r.try_rational() for r in new] == [r.try_rational() for r in old]
+    assert _states(new) == _states(old)
+    def order(roots):
+        by_root = cmp_to_key(lambda i, j: roots[i].compare(roots[j]))
+        return sorted(range(len(roots)), key=by_root)
+
+    assert order(new) == order(old)
+    assert _states(new) == _states(old)
+    for _ in range(30):
+        for r in new + old:
+            r.refine()
+    assert _states(new) == _states(old)
+
+
+# -- outputs that print isolated roots, pinned byte for byte ------------------
+
+PHI_ROOTS = "9/20,1/4,3/20,1/10,1/20"
+PINNED = [
+    (
+        ["extend", "--target", '{"n": 5, "coeffs": ["8763/40", "-406379/400", '
+         '"11247/8", "-235289/400", "0/1", "1/1"]}', "--n", "5"],
+        '{"certificate":{"f":{"coeffs":["-8763/160","406379/1200","-11247/16",'
+        '"235289/400","-42766829/253125","1/1"],"n":5},"kind":"Extension"},'
+        '"extendable":true}',
+    ),
+    (
+        ["extend", "--target", '{"n": 5, "coeffs": ["5120/1", "-6144/1", '
+         '"2320/1", "-268/1", "0/1", "1/1"]}', "--n", "6"],
+        '{"certificate":{"kind":"MultiplicityObstruction","obstruction":'
+        '[["2/1",3],["8/1",3]]},"extendable":false}',
+    ),
+    (
+        ["phi", "--roots", PHI_ROOTS],
+        '{"enclosures":[["295341362973099/601821777424768",'
+        '"73835340743275/150455444356191"],["319849333622793/1203643554849536",'
+        '"159924666811397/601821777424764"],["389359272430005/2407287109699072",'
+        '"194679636215003/1203643554849528"],["98431859065535/1203643554849536",'
+        '"196863718131071/2407287109699056"]],"width":"1/1099511627776"}',
+    ),
+    (
+        ["phi", "--roots", PHI_ROOTS, "--width-bits", "200"],
+        '{"enclosures":[["562033705151986300827818395191488816440589771533612571'
+        '626345/1145264990999594631686942597862169291024781928888930742933784",'
+        '"3372202230911917804966910371148932898643538629201675429758071/'
+        '6871589945997567790121655587173015746148691573333584457602700"],'
+        '["1217344595804455507600653479357544798080043296299808695272417/'
+        '4581059963998378526747770391448677164099127715555722971735136",'
+        '"913008446853341630700490109518158598560032472224856521454313/'
+        '3435794972998783895060827793586507873074345786666792228801350"],'
+        '["4445696985675174103710562143202001647123737368816124554660273/'
+        '27486359783990271160486622348692062984594766293334337830410816",'
+        '"2222848492837587051855281071601000823561868684408062277330137/'
+        '13743179891995135580243311174346031492297383146667168915205400"],'
+        '["1123893149920346395652248922374530477208307314956329692541875/'
+        '13743179891995135580243311174346031492297383146667168915205408",'
+        '"2247786299840692791304497844749060954416614629912659385083751/'
+        '27486359783990271160486622348692062984594766293334337830410800"]],'
+        '"width":"1/1606938044258990275541962092341162602522202993782792835301376"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED)
+def test_root_outputs_pinned(capsys, argv, expected):
+    """extend and phi documents print isolated roots; these were recorded
+    with the Fraction root layer and must not move by a byte."""
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
