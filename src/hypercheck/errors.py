@@ -51,3 +51,11 @@ class NonInvertibleTransform(HypercheckError):
 
 class InvalidInput(HypercheckError):
     """Malformed CLI or JSON payload."""
+
+
+class WitnessSearchExhausted(HypercheckError):
+    """No witness found for an input already decided non-hyperbolic."""
+
+
+class InterlacingLawViolated(HypercheckError):
+    """delta_d of a one-signed real-rooted polynomial broke its sign law."""

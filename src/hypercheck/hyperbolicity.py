@@ -26,6 +26,7 @@ from .errors import (
     NonInvertibleTransform,
     NotHyperbolicInput,
     NotRealRooted,
+    WitnessSearchExhausted,
     WrongDegree,
     ZeroPolynomial,
 )
@@ -37,7 +38,7 @@ from .operators import (
     operator_to_hook,
 )
 from .rationals import Q, QONE, QZERO, qsign, simplest_between, to_q
-from .sympoly import HookPoly, SymPoint, mixed_derivative_eval, restrict_line
+from .sympoly import HookPoly, SymPoint, elem_ints, mixed_derivative_eval, restrict_line
 from .unipoly import (
     UniPoly,
     ZeroSumPoly,
@@ -185,14 +186,13 @@ def _find_witness(p: HookPoly, budget: SearchBudget = None):
         )
         if v.status == NOT_HYPERBOLIC:
             return v.witness
-    raise AssertionError("witness search exhausted for a non-hyperbolic input")
+    raise WitnessSearchExhausted("witness search exhausted for a non-hyperbolic input")
 
 
 def cone_member(p: HookPoly, x) -> bool:
     """True iff p(x + t*1) has no root with t > 0 (Sturm count on the
     open positive ray)."""
-    xs = x.x if isinstance(x, SymPoint) else [to_q(c) for c in x]
-    q = restrict_line(p, xs)
+    q = restrict_line(p, x)
     if q.is_zero():
         return False
     return root_counts(q).n_positive == 0
@@ -516,15 +516,10 @@ class EkLinearReport:
 def elementary_restriction(x, k: int, n: int) -> UniPoly:
     """The univariate polynomial e_k(x + t*1): coefficient of t^(k-i) is
     binom(n-i, k-i) e_i(x)."""
-    xs = [to_q(c) for c in x]
-    e = [QONE] + [QZERO] * k
-    for c in xs:
-        for j in range(k, 0, -1):
-            e[j] += c * e[j - 1]
-    coeffs = [QZERO] * (k + 1)
-    for i in range(k + 1):
-        coeffs[k - i] = comb(n - i, k - i) * e[i]
-    return UniPoly(coeffs, k)
+    e, L = elem_ints([to_q(c) for c in x], k)
+    return UniPoly(
+        [Q(comb(n - k + j, j) * e[k - j], L ** (k - j)) for j in range(k + 1)], k
+    )
 
 
 def ek_plus_linear_check(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import DegreeMismatch, DegreeTooLow, NotInSimplex
+from .errors import DegreeMismatch, DegreeTooLow, InterlacingLawViolated, NotInSimplex
 from .rationals import Q, QONE, QZERO, to_q
 from .sympoly import HookPoly
 from .unipoly import (
@@ -453,7 +453,7 @@ def phi(r, width=DEFAULT_ENCLOSURE_WIDTH):
     image = delta_n(p).inner
     prof = root_profile(image)
     if prof.n_nonreal or prof.n_negative > 1:
-        raise AssertionError("delta_d image violated the interlacing law")
+        raise InterlacingLawViolated("delta_d image violated the interlacing law")
     roots = prof.roots_with_multiplicity()  # ascending, length d
     for root in roots:
         root.try_rational()

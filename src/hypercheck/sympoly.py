@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, lcm
 
 from .errors import DegreeTooHigh, DegreeTooLow, ShrinkNotAllowed, ZeroPolynomial
-from .rationals import Q, QONE, QZERO, to_q
+from .rationals import Q, QZERO, to_q
 from .unipoly import UniPoly
 
 
@@ -80,18 +80,31 @@ class SymPoint:
         return len(self.x)
 
 
-def elem_means(x, d: int):
-    """(m_0(x)=1, m_1(x), ..., m_d(x)) by the product recurrence on the
-    elementary symmetric polynomials followed by binomial normalization."""
+def _coords(x, d: int):
+    """The coordinates of a point as rationals; at least d of them."""
     coords = x.x if isinstance(x, SymPoint) else [to_q(c) for c in x]
-    n = len(coords)
-    if d > n:
-        raise DegreeTooHigh(f"d={d} exceeds variable count n={n}")
-    e = [QONE] + [QZERO] * d
+    if d > len(coords):
+        raise DegreeTooHigh(f"d={d} exceeds variable count n={len(coords)}")
+    return coords
+
+
+def elem_ints(coords, d: int):
+    """(E, L): the common denominator L of the rationals `coords` and the
+    ints E_k = L^k e_k(coords), k = 0..d, by the product recurrence."""
+    L = lcm(*(c.denominator for c in coords))
+    e = [1] + [0] * d
     for c in coords:
+        v = c.numerator * (L // c.denominator)
         for k in range(d, 0, -1):
-            e[k] += c * e[k - 1]
-    return tuple(e[k] / comb(n, k) for k in range(d + 1))
+            e[k] += v * e[k - 1]
+    return e, L
+
+
+def elem_means(x, d: int):
+    """(m_0(x)=1, m_1(x), ..., m_d(x)): the e_k(x) / binom(n, k)."""
+    coords = _coords(x, d)
+    e, L = elem_ints(coords, d)
+    return tuple(Q(e[k], L**k * comb(len(coords), k)) for k in range(d + 1))
 
 
 def eval_hook(p: HookPoly, x) -> Q:
@@ -103,24 +116,33 @@ def eval_hook(p: HookPoly, x) -> Q:
     return acc
 
 
+def _int_weights(a, n: int, d: int):
+    """The weights w_i = a_i / (n^(d-i) binom(n, i)) of e_1^(d-i) e_i, as
+    ({i: M w_i}, M) over their common denominator M; zero weights dropped."""
+    w = {i: c / (n ** (d - i) * comb(n, i)) for i, c in enumerate(a, 1) if c}
+    M = lcm(*(c.denominator for c in w.values()))
+    return {i: c.numerator * (M // c.denominator) for i, c in w.items()}, M
+
+
 def restrict_line(p: HookPoly, x) -> UniPoly:
     """The univariate polynomial t -> p(x + t*1), expanded exactly.
 
-    Uses m_k(x + t*1) = sum_i binom(k, i) m_i(x) t^(k-i) factor by factor.
+    With n = len(x), p = sum_i w_i e_1^(d-i) e_i, e_1(x + t*1) = e_1(x) + n t
+    and e_i(x + t*1) = sum_s binom(n-i+s, s) e_(i-s)(x) t^s.  On ints: with
+    x over its common denominator L and the weights over theirs, M, the
+    coefficient of t^j is c_j / (M L^(d-j)) for an integer c_j.
     """
-    m = elem_means(x, p.d)
-    # m1(x + t) = m1 + t
-    m1_line = UniPoly([m[1], QONE])
-    powers = [UniPoly([QONE])]
-    for _ in range(p.d - 1):
-        powers.append(powers[-1] * m1_line)
-    out = UniPoly([QZERO], p.d)
-    for i, a in enumerate(p.a, start=1):
-        if a == 0:
-            continue
-        mk_line = UniPoly([comb(i, j) * m[j] for j in range(i, -1, -1)])
-        out = out + (powers[p.d - i] * mk_line) * a
-    return out.with_ambient(p.d)
+    coords, d = _coords(x, p.d), p.d
+    n = len(coords)
+    e, L = elem_ints(coords, d)
+    weights, M = _int_weights(p.a, n, d)
+    out = [0] * (d + 1)
+    for i, w in weights.items():
+        for j in range(d - i + 1):
+            c = w * comb(d - i, j) * e[1] ** (d - i - j) * n**j
+            for s in range(i + 1):
+                out[j + s] += c * comb(n - i + s, s) * e[i - s]
+    return UniPoly([Q(c, M * L ** (d - j)) for j, c in enumerate(out)], d)
 
 
 def dir_derivative_one(p: HookPoly) -> HookPoly:
@@ -169,9 +191,7 @@ def mixed_derivative_eval(p: HookPoly, u, w, x) -> Q:
     e_1^(d-i) e_i are taken over their common denominator M, and the
     result is divided by M^2 L^(2d) at the end.
     """
-    vecs = [
-        v.x if isinstance(v, SymPoint) else [to_q(c) for c in v] for v in (x, u, w)
-    ]
+    vecs = [_coords(v, 0) for v in (x, u, w)]
     n, d = p.n, p.d
     L = lcm(*(c.denominator for v in vecs for c in v))
     X, U, W = ([c.numerator * (L // c.denominator) for c in v] for v in vecs)
@@ -185,15 +205,13 @@ def mixed_derivative_eval(p: HookPoly, u, w, x) -> Q:
                 c[2] + xi * b[2] + wi * b[0],
                 c[3] + xi * b[3] + ui * b[2] + wi * b[1],
             )
-    weights = {i: a / (n ** (d - i) * comb(n, i)) for i, a in enumerate(p.a, 1) if a}
-    M = lcm(*(c.denominator for c in weights.values()))
+    weights, M = _int_weights(p.a, n, d)
     powers = [(1, 0, 0, 0)]
     for _ in range(d - 1):
         powers.append(_mul4(powers[-1], e[1]))
     val = (0, 0, 0, 0)
     for i, c in weights.items():
-        scale = c.numerator * (M // c.denominator)
-        val = [v + scale * t for v, t in zip(val, _mul4(powers[d - i], e[i]))]
+        val = [v + c * t for v, t in zip(val, _mul4(powers[d - i], e[i]))]
     c00, c10, c01, c11 = val
     return Q(c10 * c01 - c00 * c11, M * M * L ** (2 * d))
 

@@ -15,16 +15,18 @@ bisection with rational endpoints followed by a simplest-rational
 reconstruction so that rational roots come out exact, only where a root
 value is output (root_profile).
 
-Sign queries at rational points run on primitive integer coefficients
-(Sturm chains are kept as such lists) by integer Horner (_sign_at), so no
-Fraction is built to evaluate, and bisection evaluates the polynomial once
-per step, since a RealRoot caches its sign at the lower endpoint.
+Sturm chains, gcds and Yun decompositions run on primitive integer lists
+by pseudo-remainders (Basu-Pollack-Roy, ch. 8) and exact integer division.
+Sign queries at rational points run on such lists by integer Horner
+(_sign_at), and bisection evaluates the polynomial once per step, since a
+RealRoot caches its sign at the lower endpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import (
@@ -167,10 +169,6 @@ class UniPoly:
         """R_n: t^n p(1/t) at the ambient degree n."""
         return UniPoly(list(reversed(self.coeffs)), self.ambient_degree)
 
-    def monic(self) -> "UniPoly":
-        lead = self.leading()
-        return UniPoly([c / lead for c in self.coeffs], self.ambient_degree)
-
     def valuation(self) -> int:
         """Multiplicity of the root at 0 (ambient degree for the zero poly)."""
         for j, c in enumerate(self.coeffs):
@@ -207,11 +205,8 @@ def divmod_poly(a: UniPoly, b: UniPoly):
 
 
 def _int_primitive(coeffs):
-    """Scale rational coefficients to a primitive integer vector.
-
-    The scaling factor is positive, so signs (and thus Sturm counts)
-    are preserved.  Returns a list of ints.
-    """
+    """Scale rational coefficients by a positive constant (so signs and
+    Sturm counts are kept) to a primitive list of ints."""
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = gcd(*ints)
@@ -219,20 +214,33 @@ def _int_primitive(coeffs):
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """GCD over Q, returned primitive with positive leading coefficient."""
-    a, b = a.trimmed(), b.trimmed()
-    if a.is_zero():
-        a, b = b, a
-    if b.is_zero():
-        if a.is_zero():
-            return UniPoly([QZERO])
-        r = UniPoly(_int_primitive(a.coeffs))
-        return r if r.leading() > 0 else -r
-    while not b.is_zero():
-        _, r = divmod_poly(a, b)
-        a, b = b, UniPoly(_int_primitive(r.coeffs)) if not r.is_zero() else r
-    g = UniPoly(_int_primitive(a.coeffs))
-    return g if g.leading() > 0 else -g
+    """GCD over Q, trimmed, primitive, with positive leading coefficient."""
+    return UniPoly(_int_gcd(*(_int_primitive(c.trimmed().coeffs) for c in (a, b))))
+
+
+def _int_gcd(a, b):
+    """Primitive gcd, leading coefficient >= 0, of trimmed integer lists by
+    pseudo-remainders, which differ from remainders by a constant factor."""
+    while b != [0]:
+        a, b = b, _int_primitive(_prem(a, b))
+    a = _int_primitive(a)
+    return a if a[-1] >= 0 else [-c for c in a]
+
+
+def _int_quo(a, b):
+    """a / b for integer lists where b divides a: integral when b is
+    primitive (Gauss's lemma), so every leading division is exact."""
+    r, quo = list(a), []
+    for j in range(len(a) - len(b), -1, -1):
+        q = r[j + len(b) - 1] // b[-1]
+        quo.append(q)
+        for i, c in enumerate(b):
+            r[j + i] -= q * c
+    return quo[::-1] or [0]
+
+
+def _int_derivative(a):
+    return [j * a[j] for j in range(1, len(a))] or [0]
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -253,23 +261,22 @@ def yun_decomposition(p: UniPoly):
     p = p.trimmed()
     if p.degree() <= 0:
         return []
-    out = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
+    # on the primitive multiple of p: w, y and z share its positive scale
+    a = _int_primitive(p.coeffs)
+    da = _int_derivative(a)
+    g = _int_gcd(a, da)
+    if len(g) == 1:
         return [(p, 1)]
-    w, _ = divmod_poly(p, g)
-    y, _ = divmod_poly(p.derivative(), g)
-    z = y - w.derivative()
+    out = []
+    w, y = _int_quo(a, g), _int_quo(da, g)
     i = 1
-    while w.degree() > 0:
-        f = poly_gcd(w, z)
-        if f.degree() > 0:
-            out.append((f, i))
-            w, _ = divmod_poly(w, f)
-            y, _ = divmod_poly(z, f)
-        else:
-            y = z
-        z = y - w.derivative()
+    while len(w) > 1:
+        dw = _int_derivative(w)
+        z = _int_trim([c - d for c, d in zip_longest(y, dw, fillvalue=0)])
+        f = _int_gcd(w, z)
+        if len(f) > 1:
+            out.append((UniPoly(f), i))
+        w, y = _int_quo(w, f), _int_quo(z, f)
         i += 1
     return out
 
@@ -277,26 +284,28 @@ def yun_decomposition(p: UniPoly):
 # -- Sturm machinery ---------------------------------------------------
 
 
-def signed_remainder_sequence(p: UniPoly, q: UniPoly):
-    """p, q, -rem(p, q), ... down to the last nonzero term, each scaled
-    by a positive constant to a primitive integer coefficient list
-    (ascending, trimmed)."""
-    chain = [_int_primitive(p.trimmed().coeffs)]
-    if q.is_zero():
-        return chain
-    chain.append(_int_primitive(q.trimmed().coeffs))
-    while len(chain[-1]) > 1:
-        _, r = divmod_poly(UniPoly(chain[-2]), UniPoly(chain[-1]))
-        if r.is_zero():
+def signed_remainder_sequence(a, b):
+    """a, b, -rem(a, b), ... to the last nonzero term (just a if b = 0), for
+    primitive trimmed int lists, each term as its primitive positive multiple.
+    prem(a, b) = lc(b)^(da-db+1) rem(a, b) (a itself if da < db): its sign
+    is flipped back when that power is negative, its content divided out."""
+    chain = [a, b] if any(b) else [a]
+    while len(b) > 1:
+        r = _prem(a, b)
+        if r == [0]:
             break
-        chain.append([-c for c in _int_primitive(r.trimmed().coeffs)])
+        g = gcd(*r)
+        if len(a) >= len(b) and b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+            g = -g
+        a, b = b, [-c // g for c in r]
+        chain.append(b)
     return chain
 
 
 def sturm_chain(p: UniPoly):
     """Sturm sequence of a square-free polynomial, primitively normalized."""
-    p = p.trimmed()
-    return signed_remainder_sequence(p, p.derivative())
+    a = _int_primitive(p.trimmed().coeffs)
+    return signed_remainder_sequence(a, _int_primitive(_int_derivative(a)))
 
 
 def _sign_at(ints, x) -> int:
@@ -798,11 +807,11 @@ def interlaces(q: UniPoly, p: UniPoly) -> bool:
         raise DegreeMismatch(
             f"deg q = {q.degree()} but deg p - 1 = {p.degree() - 1}"
         )
-    g = poly_gcd(p, q)
-    p1, _ = divmod_poly(p.trimmed(), g)
-    q1, _ = divmod_poly(q.trimmed(), g)
-    chain = signed_remainder_sequence(p1, q1)
+    a, b = (_int_primitive(c.trimmed().coeffs) for c in (p, q))
+    g = _int_gcd(a, b)
+    # quotients of primitive lists by a primitive gcd are primitive again
+    chain = signed_remainder_sequence(_int_quo(a, g), _int_quo(b, g))
     index = sturm_variations_at_inf(chain, False) - sturm_variations_at_inf(
         chain, True
     )
-    return abs(index) == p1.degree()
+    return abs(index) == len(chain[0]) - 1

@@ -1,8 +1,13 @@
+import contextlib
+import dataclasses
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypercheck import cli
+from hypercheck import cli, hyperbolicity, operators
 from hypercheck.cli import MAX_G0_N, run
 
 
@@ -275,3 +280,124 @@ def test_console_script_entry_point():
         [exe, "g0", "--n", "3"], capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout)["n"] == 3
+
+
+# -- internal failures still give one JSON document -----------------------------
+
+
+def test_exhausted_witness_search_is_json(capsys, monkeypatch):
+    """A quartic that fails only the sign condition, with a real-rooted
+    coordinate restriction, sends _find_witness to the falsifier; if that
+    never finds a witness the CLI reports a typed error."""
+    monkeypatch.setattr(
+        hyperbolicity, "falsify_hyperbolicity",
+        lambda p, budget=None: hyperbolicity.Verdict(hyperbolicity.NO_COUNTEREXAMPLE),
+    )
+    hook = json.dumps({"n": 4, "d": 4, "a": ["-3", "2", "3", "-1"]})
+    code = run(["check-quartic", "--hook", hook])
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "WitnessSearchExhausted"
+
+
+def test_interlacing_law_violation_is_json(capsys, monkeypatch):
+    real = operators.root_profile
+    monkeypatch.setattr(
+        operators, "root_profile",
+        lambda p: dataclasses.replace(real(p), n_nonreal=1),
+    )
+    code = run(["phi", "--roots", "1/2,1/4,1/4"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "InterlacingLawViolated"
+
+
+# -- fuzzing the cheap subcommands ------------------------------------------------
+
+valid_rational = st.fractions(min_value=-20, max_value=20, max_denominator=6).map(
+    lambda f: f"{f.numerator}/{f.denominator}"
+)
+fuzz_rational = st.one_of(valid_rational, st.integers(-9, 9).map(str), st.text(max_size=8))
+fuzz_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "d", "a", "x", "coeffs", "basis"]), inner),
+    max_leaves=8,
+)
+
+
+def _rationals(size):
+    """Lists of `size` rationals, or of any length with junk entries."""
+    return st.one_of(
+        st.lists(valid_rational, min_size=size, max_size=size),
+        st.lists(fuzz_rational, max_size=6),
+    )
+
+
+@st.composite
+def _hook_payload(draw, n, d):
+    n, d = draw(n), draw(d)
+    hook = {"n": n, "d": d, "a": draw(_rationals(d))}
+    if draw(st.booleans()):
+        hook["basis"] = draw(st.sampled_from(["e", "etilde", "x"]))
+    return draw(st.sampled_from([json.dumps(hook), draw(fuzz_json.map(json.dumps))]))
+
+
+@st.composite
+def _extend_target(draw):
+    d = draw(st.integers(0, 6))
+    coeffs = draw(_rationals(d + 1))
+    if d and len(coeffs) == d + 1 and draw(st.booleans()):
+        coeffs[d - 1] = "0"  # zero-sum, so that the sweep runs
+    target = {"coeffs": coeffs}
+    if draw(st.booleans()):
+        target["n"] = draw(st.integers(-1, 6))
+    return draw(st.sampled_from([json.dumps(target), draw(fuzz_json.map(json.dumps))]))
+
+
+simplex_point = st.lists(st.integers(0, 6), min_size=2, max_size=5).map(
+    lambda parts: ",".join(
+        f"{p}/{sum(parts) or 1}" for p in sorted(parts, reverse=True)
+    )
+)
+fuzz_argv = st.one_of(
+    st.tuples(
+        st.just("check-cubic"), st.just("--a"), fuzz_rational, st.just("--b"),
+        fuzz_rational, st.just("--c"), fuzz_rational, st.just("--n"),
+        st.sampled_from(["3", "4", "5", "2", "x"]),
+    ),
+    st.tuples(
+        st.just("check-quartic"), st.just("--hook"),
+        _hook_payload(st.integers(3, 5), st.just(4)),
+    ),
+    st.tuples(
+        st.just("cone-member"), st.just("--hook"),
+        _hook_payload(st.integers(1, 5), st.integers(1, 5)), st.just("--point"),
+        st.one_of(
+            st.integers(0, 6).flatmap(_rationals).map(lambda x: json.dumps({"x": x})),
+            fuzz_json.map(json.dumps),
+        ),
+    ),
+    st.tuples(
+        st.just("phi"), st.just("--roots"),
+        st.one_of(simplex_point, st.lists(fuzz_rational, max_size=4).map(",".join)),
+    ),
+    st.tuples(st.just("g0"), st.just("--n"), st.sampled_from(["-1", "0", "1", "7", "x"])),
+    st.tuples(
+        st.just("extend"), st.just("--target"), _extend_target(),
+        st.just("--n"), st.integers(-1, 6).map(str),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv)
+def test_cli_fuzz_prints_one_json_document(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(list(argv))
+    out = buf.getvalue()
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert code in (0, 1, 2)
+    assert (code == 2) == (doc.get("status") == "NotHyperbolic")

@@ -11,7 +11,9 @@ from hypercheck.errors import (
     ShrinkNotAllowed,
     ZeroPolynomial,
 )
-from hypercheck.rationals import Q
+from hypercheck.cli import run
+from hypercheck.hyperbolicity import elementary_restriction
+from hypercheck.rationals import Q, QONE, QZERO
 from hypercheck.sympoly import (
     HookPoly,
     SymPoint,
@@ -116,6 +118,89 @@ def test_restrict_line_ambient_degree():
     p = HookPoly(5, 3, (1, 0, -1))
     q = restrict_line(p, [0, 0, 0, 0, 0])
     assert q.ambient_degree == 3
+
+
+def _fraction_means(x, d):
+    """m_k(x) = e_k(x) / binom(len(x), k) by the Fraction recurrence."""
+    e = [QONE] + [QZERO] * d
+    for c in x:
+        for k in range(d, 0, -1):
+            e[k] += c * e[k - 1]
+    return [e[k] / comb(len(x), k) for k in range(d + 1)]
+
+
+def _fraction_restrict_line(p, x):
+    """restrict_line by Fraction UniPoly products over the means."""
+    m = _fraction_means(x, p.d)
+    m1_line = UniPoly([m[1], QONE])
+    powers = [UniPoly([QONE])]
+    for _ in range(p.d - 1):
+        powers.append(powers[-1] * m1_line)
+    out = UniPoly([QZERO], p.d)
+    for i, a in enumerate(p.a, start=1):
+        if a != 0:
+            mk_line = UniPoly([comb(i, j) * m[j] for j in range(i, -1, -1)])
+            out = out + (powers[p.d - i] * mk_line) * a
+    return out.with_ambient(p.d)
+
+
+def _fraction_elementary_restriction(x, k, n):
+    e = [QONE] + [QZERO] * k
+    for c in x:
+        for j in range(k, 0, -1):
+            e[j] += c * e[j - 1]
+    return UniPoly([comb(n - k + j, j) * e[k - j] for j in range(k + 1)], k)
+
+
+# non-unit denominators, negative entries, and points with more coordinates
+# than the hook has variables
+restriction_case = st.integers(1, 5).flatmap(
+    lambda d: st.tuples(
+        st.integers(d, 7),
+        st.lists(small_q, min_size=d, max_size=d).filter(any),
+        st.lists(small_q, min_size=d, max_size=8),
+        st.integers(0, d),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(restriction_case)
+def test_restrictions_match_fraction_reference(case):
+    n, a, x, k = case
+    p = HookPoly(n, len(a), tuple(a))
+    assert restrict_line(p, x).coeffs == _fraction_restrict_line(p, x).coeffs
+    assert elem_means(x, p.d) == tuple(_fraction_means(x, p.d))
+    n_e = max(n, len(x))
+    assert (
+        elementary_restriction(x, k, n_e).coeffs
+        == _fraction_elementary_restriction(x, k, n_e).coeffs
+    )
+
+
+QUARTIC_PINNED = [
+    (
+        '{"n": 5, "d": 4, "a": ["0/1", "875/8", "-1695/8", "207/2"]}',
+        0,
+        '{"detail":{"shifted_restriction":{"coeffs":["-621/1250","1617/500",'
+        '"-379/100","0/1","1/1"],"n":4}},"status":"Hyperbolic"}',
+    ),
+    (
+        '{"n": 5, "d": 4, "a": ["-5/1", "6/1", "-5/1", "6/1"]}',
+        2,
+        '{"detail":{"real_rooted":false,"shifted_restriction":{"coeffs":'
+        '["-18/625","38/125","-27/25","0/1","2/1"],"n":4}},'
+        '"status":"NotHyperbolic","witness":{"nonreal_roots":2,'
+        '"x":["1/1","0/1","0/1","0/1","0/1"]}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("hook, code, expected", QUARTIC_PINNED)
+def test_check_quartic_pinned(capsys, hook, code, expected):
+    """check-quartic documents recorded with the Fraction restriction."""
+    assert run(["check-quartic", "--hook", hook]) == code
+    assert capsys.readouterr().out == expected + "\n"
 
 
 # -- directional derivative along the all-ones vector -------------------------

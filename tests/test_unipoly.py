@@ -1,5 +1,6 @@
 import random
 from functools import cmp_to_key
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from hypercheck.unipoly import (
     root_counts,
     root_profile,
     same_sign_count,
+    signed_remainder_sequence,
     squarefree_part,
     sturm_chain,
     yun_decomposition,
@@ -664,6 +666,116 @@ def test_isolation_matches_fraction_reference(specs):
         for r in new + old:
             r.refine()
     assert _states(new) == _states(old)
+
+
+# -- integer remainder sequences against the Fraction reference ---------------
+
+
+def _fraction_primitive(p):
+    """The primitive integer multiple of p by a positive constant."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*ints) or 1
+    return UniPoly([v // g for v in ints])
+
+
+def _ints(p):
+    return [int(c) for c in _fraction_primitive(p.trimmed()).coeffs]
+
+
+def _fraction_remainder_sequence(p, q):
+    """signed_remainder_sequence by Fraction division with remainder."""
+    chain = [_fraction_primitive(p.trimmed()), _fraction_primitive(q.trimmed())]
+    while chain[-1].degree() > 0:
+        _, r = divmod_poly(chain[-2], chain[-1])
+        if r.is_zero():
+            break
+        chain.append(-_fraction_primitive(r.trimmed()))
+    return [list(c.coeffs) for c in chain]
+
+
+def _fraction_gcd(a, b):
+    """Euclid's gcd over Q, primitive with positive leading coefficient."""
+    a, b = a.trimmed(), b.trimmed()
+    while not b.is_zero():
+        a, b = b, divmod_poly(a, b)[1].trimmed()
+    if a.is_zero():
+        return a
+    g = _fraction_primitive(a)
+    return g if g.leading() > 0 else -g
+
+
+def _fraction_yun(p):
+    """Yun's decomposition by Fraction division, factors as _fraction_gcd."""
+    p = p.trimmed()
+    if p.degree() <= 0:
+        return []
+    g = _fraction_gcd(p, p.derivative())
+    if g.degree() == 0:
+        return [(p, 1)]
+    w, y = divmod_poly(p, g)[0], divmod_poly(p.derivative(), g)[0]
+    z = y - w.derivative()
+    out, i = [], 1
+    while w.degree() > 0:
+        f = _fraction_gcd(w, z)
+        if f.degree() > 0:
+            out.append((f, i))
+            w, y = divmod_poly(w, f)[0], divmod_poly(z, f)[0]
+        else:
+            y = z
+        z = y - w.derivative()
+        i += 1
+    return out
+
+
+# planted repeated rational roots times a random cofactor, with a leading
+# coefficient of either sign and degree slack
+remainder_poly = st.tuples(
+    st.lists(st.tuples(small_q, st.integers(1, 3)), max_size=3),
+    st.lists(small_q, min_size=1, max_size=3),
+    st.sampled_from([Q(1), Q(-1), Q(-3, 2), Q(5, 7)]),
+    st.integers(0, 2),
+)
+
+
+def _remainder_poly(spec):
+    roots, cofactor, lead, drop = spec
+    p = UniPoly.from_roots([r for r, m in roots for _ in range(m)], lead=lead)
+    p = p * UniPoly(cofactor)
+    return p.with_ambient(p.ambient_degree + drop)
+
+
+@settings(max_examples=300, deadline=None)
+@given(remainder_poly, remainder_poly)
+def test_remainder_sequences_match_fraction_reference(spec_a, spec_b):
+    """Identical chains, trimmed gcds, Yun factors and root counts, in both
+    argument orders (so deg a < deg b occurs)."""
+    a, b = _remainder_poly(spec_a), _remainder_poly(spec_b)
+    for p, q in ((a, b), (b, a)):
+        if not q.is_zero():
+            expected = _fraction_remainder_sequence(p, q)
+            assert signed_remainder_sequence(_ints(p), _ints(q)) == expected
+        assert poly_gcd(p, q) == _fraction_gcd(p, q).trimmed()
+    for p in (a, b):
+        if p.is_zero():
+            continue
+        assert yun_decomposition(p) == _fraction_yun(p)
+        if p.degree() > 0:
+            expected = _fraction_remainder_sequence(p, p.trimmed().derivative())
+            assert sturm_chain(p) == expected
+
+
+def test_gcd_is_trimmed():
+    """The last nonzero remainder can drop more than one degree; the gcd
+    comes back at its actual degree."""
+    g = poly_gcd(UniPoly([-7]), UniPoly(["0", "2", "-4", "5/2", "-1/2"]))
+    assert g == UniPoly([1]) and g.ambient_degree == 0
+    p = UniPoly.from_roots([1, 1, Q(-1, 2)], lead=-3)
+    q = UniPoly.from_roots([1, 3], lead=Q(1, 2)).with_ambient(5)
+    g = poly_gcd(p, q)
+    assert g == UniPoly([-1, 1]) and g.ambient_degree == 1
+    (f1, m1), (f2, m2) = yun_decomposition(p)
+    assert (f1, m1, f2, m2) == (UniPoly([1, 2]), 1, UniPoly([-1, 1]), 2)
 
 
 # -- outputs that print isolated roots, pinned byte for byte ------------------
