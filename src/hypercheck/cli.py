@@ -41,7 +41,9 @@ from .unipoly import UniPoly, ZeroSumPoly
 
 # input-size bounds: phi at 1024 bits takes under a second and g0 at
 # n = 1000 several seconds; both grow much faster than linearly beyond.
-# extend and conjecture build g0 at their --n, so they share its bound.
+# extend and conjecture build g0 at their --n, so they share its bound,
+# and so does the "n" of a hook payload, from which check-quartic,
+# cone-member and falsify build n-long points.
 MAX_WIDTH_BITS = 1024
 MAX_G0_N = 1000
 
@@ -101,6 +103,8 @@ def hook_from_json(payload: dict) -> HookPoly:
     n, d = payload["n"], payload["d"]
     if not isinstance(n, int) or not isinstance(d, int):
         raise InvalidInput('"n" and "d" must be integers')
+    if n > MAX_G0_N:
+        raise InvalidInput(f'"n" must be at most {MAX_G0_N}')
     a = _rat_list(payload["a"], "a")
     basis = payload.get("basis", "etilde")
     if basis == "e":

@@ -99,6 +99,10 @@ class SearchBudget:
 
 DEFAULT_BUDGET = SearchBudget()
 
+# multiplicity patterns falsify_hyperbolicity accepts; the benchmark's and
+# the tests' hooks have at most 63 (n = 8, d = 5)
+MAX_PATTERNS = 1000
+
 
 def max_threads() -> int:
     """Threads the falsifier uses; it runs on the caller's thread.  Kept
@@ -386,6 +390,12 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     """
     budget = budget or DEFAULT_BUDGET
     d, n = p.d, p.n
+    # compositions of n into k parts, 2 <= k <= d - 1
+    count = sum(comb(n - 1, k - 1) for k in range(2, min(d - 1, n) + 1))
+    if count > MAX_PATTERNS:
+        raise InvalidInput(
+            f"{count} multiplicity patterns exceed the bound {MAX_PATTERNS}"
+        )
     a_float = [float(c) for c in p.a]
     patterns = []
     for k in range(2, min(d - 1, n) + 1):

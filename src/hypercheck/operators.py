@@ -274,7 +274,7 @@ def _disc_in_lambda(h0: UniPoly, slot: int, big_degree: int) -> UniPoly:
     exact polynomial in lambda.
 
     The discriminant of a degree-N polynomial has degree <= 2N - 2 in any
-    single coefficient, so exact Lagrange interpolation at integer sample
+    single coefficient, so exact interpolation at integer sample
     points (avoiding the degree-dropping one when slot == N) recovers it
     from the univariate subresultant discriminant.
     """
@@ -286,23 +286,29 @@ def _disc_in_lambda(h0: UniPoly, slot: int, big_degree: int) -> UniPoly:
         fl[slot] += lam
         p = UniPoly(fl)
         if p.degree() == big_degree:
-            samples.append((Q(lam), discriminant(p)))
+            samples.append((lam, discriminant(p)))
         lam = -lam + 1 if lam <= 0 else -lam
     return _lagrange_interpolate(samples)
 
 
 def _lagrange_interpolate(samples) -> UniPoly:
-    out = UniPoly([QZERO])
-    for i, (xi, yi) in enumerate(samples):
-        if yi == 0:
-            continue
-        term = UniPoly([yi])
-        for j, (xj, _) in enumerate(samples):
-            if i == j:
-                continue
-            term = term * UniPoly([-xj / (xi - xj), Q(1) / (xi - xj)])
-        out = out + term
-    return out
+    """The interpolating polynomial of the (x, y) samples, distinct x, at
+    ambient degree len(samples) - 1: Newton's divided differences, then
+    Horner's rule in the monomial basis."""
+    xs = [x for x, _ in samples]
+    c = [y for _, y in samples]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out = [c[-1]]
+    for x, ck in zip(reversed(xs[:-1]), reversed(c[:-1])):
+        # out <- out * (t - x) + ck
+        out = (
+            [ck - x * out[0]]
+            + [low - x * high for low, high in zip(out, out[1:])]
+            + [out[-1]]
+        )
+    return UniPoly(out)
 
 
 def _sweep_candidates(crit_poly: UniPoly):

@@ -4,6 +4,9 @@ All algebraic predicates in this package are sign conditions, so every
 computation that feeds a verdict runs on exact rationals.  gmpy2.mpq is
 used when available (it is an order of magnitude faster than
 fractions.Fraction); the stdlib Fraction is a drop-in fallback.
+simplest_between, which turns isolating intervals back into exact
+rational roots, walks the continued fraction of its interval on integer
+numerators and denominators.
 """
 
 from __future__ import annotations
@@ -56,10 +59,6 @@ def qsign(q) -> int:
     return 0
 
 
-def qfloor(q) -> int:
-    return q.numerator // q.denominator
-
-
 def qabs(q):
     return -q if q < 0 else q
 
@@ -69,6 +68,8 @@ def simplest_between(lo, hi) -> Q:
 
     Ties on denominator are broken by smallest |numerator|.  Used to
     reconstruct exact rational roots from shrinking isolating intervals.
+    Found by one continued-fraction walk on integer numerators and
+    denominators (_simplest_pos); the result is built as Q once.
     """
     lo, hi = Q(lo), Q(hi)
     if lo > hi:
@@ -76,17 +77,28 @@ def simplest_between(lo, hi) -> Q:
     if lo <= 0 <= hi:
         return QZERO
     if hi < 0:
-        return -_simplest_pos(-hi, -lo)
-    return _simplest_pos(lo, hi)
+        num, den = _simplest_pos(
+            -hi.numerator, hi.denominator, -lo.numerator, lo.denominator
+        )
+        return Q(-num, den)
+    return Q(*_simplest_pos(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
 
 
-def _simplest_pos(lo, hi):
-    # 0 < lo <= hi
-    f = qfloor(lo)
-    if f + 1 <= hi:
-        # an integer lies in [lo, hi]; smallest one wins
-        return Q(f if f >= lo else f + 1)
-    frac_lo = lo - f
-    if frac_lo == 0:
-        return Q(f)
-    return f + 1 / _simplest_pos(1 / (hi - f), 1 / frac_lo)
+def _simplest_pos(ln, ld, hn, hd):
+    """(num, den) of the simplest rational in [ln/ld, hn/hd], 0 < lo <= hi:
+    while no integer lies in [lo, hi], the answer is f + 1/x with
+    f = floor(lo) and x the simplest rational in [1/(hi - f), 1/(lo - f)];
+    the first interval holding an integer ends the walk with its smallest
+    one, and folding the continued fraction back gives num/den in lowest
+    terms."""
+    quotients = []
+    while True:
+        f, r = divmod(ln, ld)
+        if r == 0 or (f + 1) * hd <= hn:
+            num, den = (f if r == 0 else f + 1), 1
+            break
+        quotients.append(f)
+        ln, ld, hn, hd = hd, hn - f * hd, ld, r
+    for f in reversed(quotients):
+        num, den = f * num + den, num
+    return num, den

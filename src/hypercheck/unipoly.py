@@ -18,8 +18,10 @@ value is output (root_profile).
 Sturm chains, gcds and Yun decompositions run on primitive integer lists
 by pseudo-remainders (Basu-Pollack-Roy, ch. 8) and exact integer division.
 Sign queries at rational points run on such lists by integer Horner
-(_sign_at), and bisection evaluates the polynomial once per step, since a
-RealRoot caches its sign at the lower endpoint.
+(_sign_at).  RealRoot bisection runs on integer numerators over one common
+denominator and evaluates the polynomial once per step, since a RealRoot
+caches its sign at the lower endpoint; its endpoints become rationals again
+only when the steps are done.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import zip_longest
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 from .errors import (
     DegreeMismatch,
@@ -309,10 +311,14 @@ def sturm_chain(p: UniPoly):
 
 
 def _sign_at(ints, x) -> int:
-    """Sign of the integer polynomial `ints` (ascending) at the rational
-    x = N/D, D > 0: the sign of D^m * p(N/D) by integer Horner, where m
-    is the formal degree, with the powers of D accumulated on the way."""
-    num, den = x.numerator, x.denominator
+    """Sign of the integer polynomial `ints` (ascending) at the rational x."""
+    return _sign_at_ratio(ints, x.numerator, x.denominator)
+
+
+def _sign_at_ratio(ints, num, den) -> int:
+    """Sign of `ints` at num/den, den > 0, not necessarily in lowest terms:
+    the sign of den^m * p(num/den) by integer Horner, where m is the
+    formal degree, with the powers of den accumulated on the way."""
     acc, scale = ints[-1], den
     for c in reversed(ints[:-1]):
         acc = acc * num + c * scale
@@ -392,20 +398,19 @@ class RealRoot:
 
     def refine(self):
         """One bisection step; may discover an exact rational value."""
-        if self.exact is None:
-            self.split_at((self.lo + self.hi) / 2)
+        self._bisect(1)
 
     def refine_below(self, width):
-        while self.exact is None and self.hi - self.lo > width:
-            self.refine()
+        """Bisect until the width is at most `width`: each step halves it
+        exactly, so the number of steps is known in advance."""
+        if self.exact is None:
+            # the least k >= 0 with (hi - lo) / 2^k <= width
+            self._bisect((ceil((self.hi - self.lo) / width) - 1).bit_length())
 
     def try_rational(self, extra_bits: int = 24) -> bool:
         """Attempt exact reconstruction of a rational root after
         extra_bits bisection steps (each halves the width exactly)."""
-        for _ in range(extra_bits):
-            if self.exact is not None:
-                return True
-            self.refine()
+        self._bisect(extra_bits)
         if self.exact is not None:
             return True
         cand = simplest_between(self.lo, self.hi)
@@ -413,6 +418,27 @@ class RealRoot:
             self.exact = cand
             return True
         return False
+
+    def _bisect(self, steps: int):
+        """`steps` bisection steps, fewer if one hits the root exactly.
+        The endpoints run as integer numerators a < c over one common
+        denominator den, the midpoint is (a + c) / (2 den), and lo, hi (or
+        exact) are written back as Q once."""
+        if self.exact is not None or steps <= 0:
+            return
+        lo, hi = self.lo, self.hi
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        c = hi.numerator * (den // hi.denominator)
+        ints, lo_sign = self._ints, self._lo_sign
+        for _ in range(steps):
+            mid = a + c
+            s = _sign_at_ratio(ints, mid, 2 * den)
+            if s == 0:
+                self.exact = Q(mid, 2 * den)
+                break
+            (a, c), den = (2 * a, mid) if s != lo_sign else (mid, 2 * c), 2 * den
+        self.lo, self.hi = Q(a, den), Q(c, den)
 
     def split_at(self, x) -> int:
         """Position of the root relative to a rational x inside the
@@ -798,12 +824,16 @@ def interlaces(q: UniPoly, p: UniPoly) -> bool:
     over R is +-deg p1 (every root of p1 real, simple, and a pole of the
     same sign).  The index is the difference of the variations of the
     signed remainder sequence of p1, q1 at -infinity and +infinity.
+
+    A passing index with p real rooted and q nonzero makes q real rooted
+    too: q = gcd * q1, the gcd divides p, and q1 has deg p1 - 1 real roots
+    between those of p1.  So q's roots are counted only on the paths that
+    end in DegreeMismatch or False, where a non-real q raises first.
     """
     if root_counts(p).n_nonreal:
         raise NotRealRooted("p is not real rooted")
-    if root_counts(q).n_nonreal:
-        raise NotRealRooted("q is not real rooted")
-    if q.degree() != p.degree() - 1:
+    if q.degree() != p.degree() - 1 or q.is_zero():
+        _require_real_rooted(q)  # raises ZeroPolynomial for a zero q
         raise DegreeMismatch(
             f"deg q = {q.degree()} but deg p - 1 = {p.degree() - 1}"
         )
@@ -814,4 +844,12 @@ def interlaces(q: UniPoly, p: UniPoly) -> bool:
     index = sturm_variations_at_inf(chain, False) - sturm_variations_at_inf(
         chain, True
     )
-    return abs(index) == len(chain[0]) - 1
+    if abs(index) == len(chain[0]) - 1:
+        return True
+    _require_real_rooted(q)
+    return False
+
+
+def _require_real_rooted(q: UniPoly):
+    if root_counts(q).n_nonreal:
+        raise NotRealRooted("q is not real rooted")

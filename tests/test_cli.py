@@ -209,6 +209,10 @@ def test_budget_below_two_rejected(capsys, budget):
     assert code == 1 and doc["error"] == "InvalidInput"
 
 
+BIG_HOOK = json.dumps({"n": MAX_G0_N + 1, "d": 4, "a": ["1", "0", "0", "0"]})
+BIG_POINT = json.dumps({"x": ["1"] * (MAX_G0_N + 1)})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -216,6 +220,12 @@ def test_budget_below_two_rejected(capsys, budget):
         ["phi", "--roots", "1/2,1/4,1/4", "--width-bits", "100000000"],
         ["g0", "--n", "1001"],
         ["g0", "--n", "100000000"],
+        ["check-quartic", "--hook", BIG_HOOK],
+        ["cone-member", "--hook", BIG_HOOK, "--point", BIG_POINT],
+        # n = MAX_G0_N, d = 5: 166,167,999 multiplicity patterns
+        ["falsify", "--hook", '{"n":1000,"d":5,"a":["1","0","0","0","0"]}'],
+        # n = 50, d = 4: 1,225 patterns
+        ["falsify", "--hook", '{"n":50,"d":4,"a":["1","0","0","1"]}'],
     ],
 )
 def test_oversized_inputs_rejected(capsys, argv):
@@ -260,6 +270,60 @@ def test_shared_parser_matches_fresh_parser(capsys):
     assert cli.build_parser() is cli.build_parser()
     shared = [_capture(capsys, argv) for argv in (cubic, phi, cubic)]
     assert shared == fresh + fresh[:1]
+
+
+# -- lambda-sweep and phi documents, pinned byte for byte ---------------------
+
+SWEEP_AND_PHI_PINNED = [
+    # the lambda of the certificate is a midpoint probe between two critical
+    # values that needed extra refinement to separate
+    (
+        ["extend", "--target", '{"n": 6, "coeffs": ["-56693/200", "13562857/18000", '
+         '"-7596441/10000", "421729/1200", "-47681/720", "0/1", "1/1"]}', "--n", "7"],
+        '{"certificate":{"f":{"coeffs":["56693/1000","-13562857/72000",'
+        '"2532147/10000","-421729/2400","47681/720","-423899165102715823008047300'
+        '8424596357090285997461593874954136217043/33027878007073866493770533503235'
+        '7081232567173120000000000000000000","1/1"],"n":6},"kind":"Extension"},'
+        '"extendable":true}',
+    ),
+    (
+        ["extend", "--target", '{"n": 6, "coeffs": ["-1099917/50", "1186847/40", '
+         '"-54012727/3600", "1236797/360", "-1133449/3600", "0/1", "1/1"]}',
+         "--n", "6"],
+        '{"certificate":{"f":{"coeffs":["1099917/250","-1186847/160",'
+        '"54012727/10800","-1236797/720","1133449/3600","-1820329958143/63172362240",'
+        '"1/1"],"n":6},"kind":"Extension"},"extendable":true}',
+    ),
+    # irrational coordinates beside an exact zero
+    (
+        ["phi", "--roots", "9/20,1/4,1/5,1/10,0/1"],
+        '{"enclosures":[["301004272537551/588448174841308",'
+        '"37625534067194/73556021855163"],["186191673200705/588448174841308",'
+        '"372383346401411/1176896349682608"],["202504458206099/1176896349682616",'
+        '"16875371517175/98074695806884"],["0/1","0/1"]],"width":"1/1099511627776"}',
+    ),
+    # a tripled coordinate: equal roots of the image refine in step
+    (
+        ["phi", "--roots", "17/57,4/19,4/19,4/19,4/57", "--width-bits", "64"],
+        '{"enclosures":[["5658167398495404369/16133180283012289568",'
+        '"14145418496238510923/40332950707530723916"],'
+        '["18446744073709551616/68061854318958096615",'
+        '"73786976294838206464/272247417275832386433"],'
+        '["18446744073709551616/68061854318958096615",'
+        '"73786976294838206464/272247417275832386433"],'
+        '["432472442022904071/4033295070753072392",'
+        '"8649448840458081421/80665901415061447832"]],'
+        '"width":"1/18446744073709551616"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SWEEP_AND_PHI_PINNED)
+def test_sweep_and_phi_outputs_pinned(capsys, argv, expected):
+    """Recorded with the per-step Fraction bisection and the Lagrange
+    interpolation of the lambda sweep; must not move by a byte."""
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_bad_rational_rejected(capsys):

@@ -2,12 +2,14 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypercheck.errors import DegreeMismatch, DegreeTooLow, NotInSimplex
 from hypercheck.operators import (
     DiagonalMap,
+    _disc_in_lambda,
+    _lagrange_interpolate,
     FullDiagonalMap,
     apply,
     associated_operator,
@@ -27,6 +29,7 @@ from hypercheck.unipoly import (
     UniPoly,
     ZeroSumPoly,
     delta_n,
+    discriminant,
     root_profile,
 )
 
@@ -346,3 +349,92 @@ def test_phi_image_in_simplex():
         lo_sum = sum(lo for lo, _ in out)
         hi_sum = sum(hi for _, hi in out)
         assert lo_sum <= 1 <= hi_sum + (d - 1) * width
+
+
+# -- Newton interpolation against the Lagrange products ----------------------
+
+
+def _fraction_lagrange(samples):
+    """Reference: _lagrange_interpolate as it was, a sum of products of
+    Fraction UniPolys."""
+    out = UniPoly([0])
+    for i, (xi, yi) in enumerate(samples):
+        if yi == 0:
+            continue
+        term = UniPoly([yi])
+        for j, (xj, _) in enumerate(samples):
+            if i != j:
+                term = term * UniPoly([-xj / (xi - xj), Q(1) / (xi - xj)])
+        out = out + term
+    return out
+
+
+def _fraction_disc_in_lambda(h0, slot, big_degree):
+    """Reference: the samples of _disc_in_lambda, interpolated as before."""
+    samples = []
+    lam = 0
+    while len(samples) < 2 * big_degree - 1:
+        fl = list(h0.coeffs) + [Q(0)] * max(0, slot + 1 - len(h0.coeffs))
+        fl[slot] += lam
+        p = UniPoly(fl)
+        if p.degree() == big_degree:
+            samples.append((Q(lam), discriminant(p)))
+        lam = -lam + 1 if lam <= 0 else -lam
+    return _fraction_lagrange(samples)
+
+
+def _lambda_order(count, skip):
+    """The sample points 0, 1, -1, 2, -2, ... of _disc_in_lambda, without
+    `skip` (the value where the degree drops)."""
+    xs, lam = [], 0
+    while len(xs) < count:
+        if lam != skip:
+            xs.append(lam)
+        lam = -lam + 1 if lam <= 0 else -lam
+    return xs
+
+
+sample_value = st.one_of(
+    st.just(Q(0)),
+    st.fractions(max_denominator=10**6, min_value=-(10**9), max_value=10**9).map(
+        lambda f: Q(f.numerator, f.denominator)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(sample_value, min_size=1, max_size=11), st.integers(-6, 6))
+def test_newton_interpolation_matches_lagrange(ys, skip):
+    """Same coefficients and ambient degree, on the sample points of the
+    lambda sweep with one of them dropped, and with zero values (all zero
+    only up to the ambient degree)."""
+    samples = list(zip(_lambda_order(len(ys), skip), ys))
+    new = _lagrange_interpolate(samples)
+    old = _fraction_lagrange([(Q(x), y) for x, y in samples])
+    if any(ys):
+        assert new.coeffs == old.coeffs
+    assert new.trimmed() == old.trimmed()
+    assert all(new.evaluate(x) == y for x, y in samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=6),
+    st.integers(-5, 5),
+    st.booleans(),
+)
+def test_disc_in_lambda_matches_reference(coeffs, top, drop):
+    """disc(h0 + lambda t^slot) equals the Lagrange reference; with slot at
+    the top degree and an integer leading coefficient, the sample at
+    lambda = -lead drops the degree and is skipped."""
+    h0 = UniPoly([Q(c, 1 + i % 3) for i, c in enumerate(coeffs)] + [Q(top)])
+    big_degree = len(coeffs)
+    slot = big_degree if drop else 0
+    assume(h0.degree() == big_degree or slot == big_degree)
+    new = _disc_in_lambda(h0, slot, big_degree)
+    old = _fraction_disc_in_lambda(h0, slot, big_degree)
+    # a family that is degenerate for every lambda (h0 = 0) gives the zero
+    # polynomial at ambient degree 2N - 2, where the Lagrange sum kept 0
+    assert new.trimmed() == old.trimmed()
+    if not old.is_zero():
+        assert new.coeffs == old.coeffs

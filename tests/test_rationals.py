@@ -1,3 +1,5 @@
+from math import ceil, floor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from hypercheck.rationals import (
     format_rational,
     parse_rational,
     qabs,
-    qfloor,
     qsign,
     simplest_between,
     to_q,
@@ -47,7 +48,6 @@ def test_to_q_accepts_ints_strings_and_fractions():
 
 def test_helpers():
     assert qsign(Q(-2, 3)) == -1 and qsign(Q(0)) == 0 and qsign(Q(5)) == 1
-    assert qfloor(Q(-1, 2)) == -1 and qfloor(Q(7, 2)) == 3
     assert qabs(Q(-3, 4)) == Q(3, 4)
 
 
@@ -67,5 +67,46 @@ def test_simplest_between_is_in_interval_and_minimal(a, b):
     # no rational with a smaller denominator fits in [lo, hi]
     den = int(best.denominator)
     for smaller in range(1, min(den, 50)):
-        first = -qfloor(-(lo * smaller))  # ceil(lo * smaller)
+        first = ceil(lo * smaller)
         assert first > hi * smaller
+
+
+# -- the integer continued-fraction walk against the Fraction recursion -------
+
+
+def _fraction_simplest_between(lo, hi):
+    """Reference: simplest_between as it was, recursing on Fractions."""
+    lo, hi = Q(lo), Q(hi)
+    if lo <= 0 <= hi:
+        return Q(0)
+    if hi < 0:
+        return -_fraction_simplest_pos(-hi, -lo)
+    return _fraction_simplest_pos(lo, hi)
+
+
+def _fraction_simplest_pos(lo, hi):
+    f = floor(lo)
+    if f + 1 <= hi:
+        return Q(f if f >= lo else f + 1)
+    if lo - f == 0:
+        return Q(f)
+    return f + 1 / _fraction_simplest_pos(1 / (hi - f), 1 / (lo - f))
+
+
+# endpoints of both signs with denominators up to 10^12, and integers and 0
+# with a small offset on either side, so that intervals contain or just
+# miss an integer or 0; lo == hi when both draws agree
+endpoint = st.one_of(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**12),
+    st.tuples(
+        st.integers(-20, 20), st.sampled_from([0, 1, -1]), st.integers(1, 10**9)
+    ).map(lambda t: t[0] + Q(t[1], t[2])),
+).map(lambda f: Q(f.numerator, f.denominator))
+
+
+@settings(max_examples=500, deadline=None)
+@given(endpoint, st.one_of(endpoint, st.just(None)))
+def test_simplest_between_matches_fraction_reference(a, b):
+    lo, hi = (a, a) if b is None else (min(a, b), max(a, b))
+    assert simplest_between(lo, hi) == _fraction_simplest_between(lo, hi)
+    assert simplest_between(-hi, -lo) == -_fraction_simplest_between(lo, hi)

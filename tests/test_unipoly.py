@@ -448,7 +448,7 @@ def _outcome(fn, q, p):
     try:
         return fn(q, p)
     except (NotRealRooted, DegreeMismatch, ZeroPolynomial) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @settings(max_examples=150, deadline=None)
@@ -458,15 +458,29 @@ def _outcome(fn, q, p):
     st.integers(0, 3),
 )
 def test_interlaces_raises_like_isolation(p_roots, q_roots, nonreal):
-    """Non-real factors on p, q or both, and any degrees."""
+    """Non-real factors on p, q or both, and any degrees; a non-real factor
+    replaces two of q's roots, so that q can be non-real at deg p - 1."""
     quad = UniPoly([1, 0, 1])
     p = UniPoly.from_roots(p_roots)
     q = UniPoly.from_roots(q_roots)
     if nonreal & 1:
         p = p * quad
     if nonreal & 2:
-        q = q * quad
+        q = UniPoly.from_roots(q_roots[2:]) * quad
     assert _outcome(interlaces, q, p) == _outcome(_interlaces_by_isolation, q, p)
+
+
+def test_interlaces_checks_q_when_the_index_fails():
+    p = UniPoly.from_roots([1, 2, 3])
+    with pytest.raises(NotRealRooted, match="q is not real rooted"):
+        interlaces(UniPoly([1, 0, 1]), p)
+    assert not interlaces(UniPoly.from_roots([0, 4]), p)
+
+
+def test_interlaces_zero_q_raises():
+    """deg 0 - 1 = deg of the zero polynomial, which has no roots to count."""
+    with pytest.raises(ZeroPolynomial):
+        interlaces(UniPoly([0]), UniPoly([3]))
 
 
 # -- integer sign queries against the Fraction root layer ---------------------
@@ -666,6 +680,98 @@ def test_isolation_matches_fraction_reference(specs):
         for r in new + old:
             r.refine()
     assert _states(new) == _states(old)
+
+
+# -- integer bisection against the per-step Fraction bisection ----------------
+
+
+def _stepwise_refine(root):
+    """Reference: refine as it was, one Fraction midpoint per step."""
+    if root.exact is None:
+        root.split_at((root.lo + root.hi) / 2)
+
+
+def _stepwise_try_rational(root, extra_bits):
+    for _ in range(extra_bits):
+        if root.exact is not None:
+            return True
+        _stepwise_refine(root)
+    if root.exact is not None:
+        return True
+    cand = simplest_between(root.lo, root.hi)
+    if root.poly.evaluate(cand) == 0:
+        root.exact = cand
+        return True
+    return False
+
+
+def _stepwise_refine_below(root, width):
+    while root.exact is None and root.hi - root.lo > width:
+        _stepwise_refine(root)
+
+
+big_q = st.fractions(min_value=-50, max_value=50, max_denominator=10**12).map(
+    lambda f: Q(f.numerator, f.denominator)
+)
+
+
+@st.composite
+def planted_root(draw):
+    """(poly, lo, hi): one root in (lo, hi), either a rational with a large
+    denominator or lo + (hi - lo) * j / 2^m for odd j, which the m-th
+    bisection step hits exactly; the other factor has no root there."""
+    lo, hi = sorted(draw(st.lists(big_q, min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 40))
+        j = 2 * draw(st.integers(0, 2 ** (m - 1) - 1)) + 1
+        r = lo + (hi - lo) * Q(j, 2**m)
+    else:
+        r = draw(big_q.filter(lambda x: lo < x < hi))
+    others = [UniPoly([1, 0, 1]), UniPoly.from_roots([hi + 1]),
+              UniPoly.from_roots([lo - 1, hi + 2])]
+    lead = draw(st.sampled_from([Q(1), Q(-7, 3)]))
+    return UniPoly.from_roots([r], lead=lead) * draw(st.sampled_from(others)), lo, hi
+
+
+bisection_op = st.one_of(
+    st.just(("refine",)),
+    st.tuples(st.just("try_rational"), st.integers(0, 40)),
+    st.tuples(
+        st.just("refine_below"),
+        st.builds(lambda k, odd, e: Q(k, odd << e), st.integers(1, 5),
+                  st.sampled_from([1, 3, 7]), st.integers(0, 70)),
+    ),
+)
+
+
+STEPWISE = {
+    "refine": _stepwise_refine,
+    "try_rational": _stepwise_try_rational,
+    "refine_below": _stepwise_refine_below,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(planted_root(), isolation_poly.map(lambda spec: (spec,))),
+    st.lists(bisection_op, min_size=1, max_size=5),
+)
+def test_bisection_matches_stepwise_reference(spec, ops):
+    """refine, try_rational and refine_below on integer numerators leave
+    the same (lo, hi, exact) and return the same as the per-step Fraction
+    bisection, on planted roots with large denominators or hit exactly by
+    bisection, and on isolated rational and irrational roots."""
+    if len(spec) == 3:
+        poly, lo, hi = spec
+        new, old = (RealRoot(poly, lo=lo, hi=hi) for _ in range(2))
+        pairs = [(new, old)]
+    else:
+        p = _isolation_poly(spec[0])
+        pairs = list(zip(isolate_real_roots(p), isolate_real_roots(p)))
+    for op in ops:
+        for new, old in pairs:
+            assert getattr(new, op[0])(*op[1:]) == STEPWISE[op[0]](old, *op[1:])
+            assert _states([new]) == _states([old])
 
 
 # -- integer remainder sequences against the Fraction reference ---------------
