@@ -37,7 +37,7 @@ from .operators import (
     map_sending_g0_to,
     operator_to_hook,
 )
-from .rationals import Q, QONE, QZERO, qsign, simplest_between, to_q
+from .rationals import Q, QONE, QZERO, _simplest_pos, qsign, to_q
 from .sympoly import HookPoly, SymPoint, elem_ints, mixed_derivative_eval, restrict_line
 from .unipoly import (
     UniPoly,
@@ -299,20 +299,33 @@ def _exact_check(p: HookPoly, x):
 
 
 def _snap_point(x, den: int):
-    tol = Q(1, den)
-    return tuple(simplest_between(c - tol, c + tol) for c in x)
+    """Each coordinate a/b replaced by the simplest rational within 1/den
+    of it, [(a*den - b)/(b*den), (a*den + b)/(b*den)], found on integers;
+    the interval is symmetric, so a negative coordinate snaps to the
+    negated snap of |a|/b."""
+    snapped = []
+    for c in x:
+        a, b = abs(c.numerator), c.denominator
+        if a * den <= b:
+            snapped.append(QZERO)
+            continue
+        num, d = _simplest_pos(a * den - b, b * den, a * den + b, b * den)
+        snapped.append(Q(num if c.numerator > 0 else -num, d))
+    return tuple(snapped)
 
 
 def _slice_points(mults, candidates):
     """Exact slice points from free coordinates given as (numerators,
     denominator): last distinct value from the zero-sum constraint, then
-    rescale to max |v| = 1 (the zero point has no slice point)."""
-    for nums, den in candidates:
-        v = [Q(int(c), den) for c in nums]
-        v.append(-sum(m * c for m, c in zip(mults[:-1], v)) / mults[-1])
-        top = max(abs(c) for c in v)
+    rescale to max |v| = 1 (the zero point has no slice point).  On the
+    integers N_i = c_i * m_last, N_last = -sum m_i * c_i (the values times
+    den * m_last) the slice point is N / max |N|."""
+    for nums, _ in candidates:
+        scaled = [int(c) * mults[-1] for c in nums]
+        scaled.append(-sum(m * int(c) for m, c in zip(mults[:-1], nums)))
+        top = max(abs(c) for c in scaled)
         if top:
-            yield tuple(c / top for c in v)
+            yield tuple(Q(c, top) for c in scaled)
 
 
 def _verify_candidates(p: HookPoly, mults, candidates, budget, seen: set):

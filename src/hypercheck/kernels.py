@@ -9,7 +9,9 @@ the companion-matrix eigenvalue "realness defect"
 
 which is 0 (up to rounding) for real-rooted q and bounded away from 0
 when q has a genuinely non-real root.  The defects of a whole stack of
-polynomials come from one batched numpy eigvals call.
+polynomials come from one batched numpy eigvals call, with one matrix per
+distinct row: rows are keyed by their exact bytes, so a row that repeats
+within the stack is solved once and its defect copied, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,10 +43,21 @@ def realness_defects(coeffs: np.ndarray) -> np.ndarray:
     if not ok.any():
         return out
     sub = coeffs[ok]
+    # key each row by its bytes, so equal keys give equal eigenvalues and
+    # 0.0 and -0.0 stay apart; a dict costs less than np.unique on the
+    # falsifier's many small batches and as much on its large ones
+    raw, width = sub.tobytes(), sub.itemsize * m
+    slot = {}
+    inverse = [
+        slot.setdefault(raw[i : i + width], len(slot))
+        for i in range(0, len(raw), width)
+    ]
+    sub = np.frombuffer(b"".join(slot), dtype=np.float64).reshape(len(slot), m)
     comp = np.zeros((sub.shape[0], d, d))
     comp[:, 0, :] = -sub[:, 1:] / sub[:, :1]
     idx = np.arange(1, d)
     comp[:, idx, idx - 1] = 1.0
     eig = np.linalg.eigvals(comp)
-    out[ok] = np.abs(eig.imag).max(axis=1) / (1.0 + np.abs(eig).max(axis=1))
+    defects = np.abs(eig.imag).max(axis=1) / (1.0 + np.abs(eig).max(axis=1))
+    out[ok] = defects[inverse]
     return out

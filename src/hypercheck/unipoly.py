@@ -180,12 +180,21 @@ class UniPoly:
 
     @staticmethod
     def from_roots(roots, ambient=None, lead=1) -> "UniPoly":
-        p = UniPoly([to_q(lead)])
+        """lead * prod(t - r_i), expanded on integers: with L a common
+        denominator of the roots and lead, lead*L*prod(s - L*r_i) is an
+        integer polynomial sum c_j s^j, and at s = L*t the coefficient of
+        t^j is c_j / L^(k+1-j) for k roots."""
+        roots = [to_q(r) for r in roots]
+        lead = to_q(lead)
+        den = lcm(lead.denominator, *(r.denominator for r in roots))
+        c = [lead.numerator * (den // lead.denominator)]
         for r in roots:
-            p = p * UniPoly([-to_q(r), QONE])
-        if ambient is not None:
-            p = p.with_ambient(ambient)
-        return p
+            root = r.numerator * (den // r.denominator)
+            c = [0] + c
+            for j in range(len(c) - 1):
+                c[j] -= root * c[j + 1]
+        k = len(roots)
+        return UniPoly([Q(cj, den ** (k + 1 - j)) for j, cj in enumerate(c)], ambient)
 
 
 def divmod_poly(a: UniPoly, b: UniPoly):

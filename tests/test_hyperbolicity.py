@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercheck import hyperbolicity, unipoly
 from hypercheck.cli import run
@@ -29,7 +31,7 @@ from hypercheck.hyperbolicity import (
     falsify_hyperbolicity,
     falsify_unrestricted,
 )
-from hypercheck.rationals import Q, qsign
+from hypercheck.rationals import Q, qsign, simplest_between
 from hypercheck.sympoly import HookPoly, lift_variables, restrict_line
 from hypercheck.unipoly import (
     UniPoly,
@@ -326,6 +328,112 @@ def test_one_exact_check_per_distinct_point(monkeypatch):
     v = falsify_hyperbolicity(HookPoly(4, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8))
     assert v.status == NO_COUNTEREXAMPLE
     assert len(checked) == len(set(checked)) == 28
+
+
+# -- integer slice points and snapping against the Fraction versions --------
+
+
+def _fraction_snap_point(x, den):
+    """Reference: _snap_point as it was, on Fraction endpoints c -+ 1/den."""
+    tol = Q(1, den)
+    return tuple(simplest_between(c - tol, c + tol) for c in x)
+
+
+def _fraction_slice_points(mults, candidates):
+    """Reference: _slice_points as it was, one Fraction operation a step."""
+    for nums, den in candidates:
+        v = [Q(int(c), den) for c in nums]
+        v.append(-sum(m * c for m, c in zip(mults[:-1], v)) / mults[-1])
+        top = max(abs(c) for c in v)
+        if top:
+            yield tuple(c / top for c in v)
+
+
+def _parts(points):
+    """Points as (type, numerator, denominator) triples, so that equal
+    values of another type or in other terms would not compare equal."""
+    return [[(type(c), c.numerator, c.denominator) for c in v] for v in points]
+
+
+@st.composite
+def _slice_candidates(draw):
+    mults = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=5)))
+    den = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**52)))
+    coordinate = st.one_of(st.just(0), st.sampled_from([den, -den]),
+                           st.integers(-den, den))
+    rows = draw(st.lists(st.lists(coordinate, min_size=len(mults) - 1,
+                                  max_size=len(mults) - 1), min_size=1, max_size=4))
+    return mults, [(np.array(row, dtype=np.int64), den) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slice_candidates())
+def test_integer_slice_points_match_fractions(case):
+    mults, candidates = case
+    got = list(hyperbolicity._slice_points(mults, candidates))
+    assert _parts(got) == _parts(_fraction_slice_points(mults, candidates))
+
+
+@st.composite
+def _snap_case(draw):
+    """Coordinates of both signs with denominators up to 10^12, zeros, and
+    coordinates c with c - 1/den or c + 1/den an integer (0 included)."""
+    den = draw(st.one_of(st.integers(1, 64), st.just(4096), st.integers(1, 10**12)))
+    near_integer = st.tuples(st.integers(-5, 5), st.sampled_from([-1, 1])).map(
+        lambda t: t[0] + Q(t[1], den)
+    )
+    coordinate = st.one_of(
+        st.just(Q(0)),
+        near_integer,
+        st.fractions(min_value=-3, max_value=3, max_denominator=10**12),
+    ).map(lambda f: Q(f.numerator, f.denominator))
+    return draw(st.lists(coordinate, min_size=1, max_size=6)), den
+
+
+@settings(max_examples=500, deadline=None)
+@given(_snap_case())
+def test_integer_snap_matches_fractions(case):
+    x, den = case
+    got = hyperbolicity._snap_point(tuple(x), den)
+    assert _parts([got]) == _parts([_fraction_snap_point(x, den)])
+
+
+@pytest.mark.parametrize("falsifier", [falsify_hyperbolicity, falsify_unrestricted])
+@pytest.mark.parametrize(
+    "a, budget",
+    [
+        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8)),
+        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8, trials=400, snap_denominator=3)),
+        ((3, -1, -3, 1), FAST),
+        ((1, 0, -4, 1), SearchBudget(grid=8, trials=400, snap_denominator=5)),
+    ],
+)
+def test_falsifiers_check_the_fraction_path_points(monkeypatch, falsifier, a, budget):
+    """Both falsifiers check exactly the points, in the same order, that
+    they checked with the Fraction slice and snap: the same `seen` keys,
+    the same verdicts."""
+    check = hyperbolicity._exact_check
+
+    def run(slice_points, snap_point):
+        checked = []
+
+        def counting(p, x):
+            checked.append(x)
+            return check(p, x)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(hyperbolicity, "_exact_check", counting)
+            mp.setattr(hyperbolicity, "_slice_points", slice_points)
+            mp.setattr(hyperbolicity, "_snap_point", snap_point)
+            verdict = falsifier(HookPoly(4, 4, a), budget)
+        return verdict, checked
+
+    verdict, checked = run(hyperbolicity._slice_points, hyperbolicity._snap_point)
+    ref_verdict, ref_checked = run(_fraction_slice_points, _fraction_snap_point)
+    assert checked
+    assert _parts(checked) == _parts(ref_checked)
+    assert (verdict.status, verdict.detail) == (ref_verdict.status, ref_verdict.detail)
+    assert verdict.witness == ref_verdict.witness
 
 
 @pytest.mark.parametrize(

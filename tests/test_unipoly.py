@@ -70,6 +70,47 @@ def test_from_roots_and_evaluate():
     assert p.leading() == 1
 
 
+def _product_from_roots(roots, ambient=None, lead=1):
+    """Reference: from_roots as it was, one UniPoly product per root."""
+    p = UniPoly([lead])
+    for r in roots:
+        p = p * UniPoly([-Q(r), Q(1)])
+    return p if ambient is None else p.with_ambient(ambient)
+
+
+wide_q = st.fractions(
+    min_value=-50, max_value=50, max_denominator=10**6
+).map(lambda f: Q(f.numerator, f.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(small_q, wide_q, st.integers(-5, 5)), max_size=7),
+    st.integers(0, 3),
+    st.one_of(st.just(1), st.just(0), small_q, wide_q),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_from_roots_matches_product(roots, repeat, lead, extra):
+    """The integer expansion gives the coefficients of the Fraction
+    product: empty and repeated roots, rational and zero leads, and an
+    ambient degree above the degree."""
+    roots = roots + roots[:1] * repeat
+    ambient = None if extra is None else len(roots) + extra
+    got = UniPoly.from_roots(roots, ambient=ambient, lead=lead)
+    want = _product_from_roots(roots, ambient, lead)
+    assert [(type(c), c.numerator, c.denominator) for c in got.coeffs] == [
+        (type(c), c.numerator, c.denominator) for c in want.coeffs
+    ]
+
+
+def test_from_roots_edge_cases():
+    assert UniPoly.from_roots([]).coeffs == (1,)
+    assert UniPoly.from_roots([], ambient=2, lead=Q(3, 4)).coeffs == (Q(3, 4), 0, 0)
+    assert UniPoly.from_roots([Q(1, 2)] * 3, lead=8) == UniPoly([-1, 6, -12, 8])
+    with pytest.raises(DegreeMismatch):
+        UniPoly.from_roots([1, 2, 3], ambient=2)
+
+
 def test_divmod_exact():
     rng = random.Random(0)
     for _ in range(50):
