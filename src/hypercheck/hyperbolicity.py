@@ -15,8 +15,8 @@ therefore never return "Hyperbolic", only "NoCounterexampleFound".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass, field, replace
+from math import comb, lcm
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .unipoly import (
     ZeroSumPoly,
     interlaces,
     isolate_real_roots,
-    is_real_rooted,
     root_counts,
     squarefree_part,
 )
@@ -175,19 +174,14 @@ def _find_witness(p: HookPoly, budget: SearchBudget = None):
         return (SymPoint(tuple(u)), counts)
     base = budget or DEFAULT_BUDGET
     for grid in (base.grid, 2 * base.grid, 4 * base.grid, 8 * base.grid):
-        v = falsify_hyperbolicity(
-            p,
-            SearchBudget(
-                grid=grid,
-                refine_rounds=base.refine_rounds,
-                refine_grid=base.refine_grid,
-                max_points=base.max_points * 4,
-                max_candidates=4 * base.max_candidates,
-                defect_threshold=base.defect_threshold / 10,
-                snap_denominator=base.snap_denominator,
-                seed=base.seed,
-            ),
+        wider = replace(
+            base,
+            grid=grid,
+            max_points=base.max_points * 4,
+            max_candidates=4 * base.max_candidates,
+            defect_threshold=base.defect_threshold / 10,
         )
+        v = falsify_hyperbolicity(p, wider)
         if v.status == NOT_HYPERBOLIC:
             return v.witness
     raise WitnessSearchExhausted("witness search exhausted for a non-hyperbolic input")
@@ -489,10 +483,7 @@ def conjecture_case(
     if inner.is_zero():
         raise HypothesisViolated("zero target")
     counts = root_counts(inner)
-    if counts.n_nonreal or not (
-        counts.n_positive + counts.n_zero >= d - 1
-        or counts.n_negative + counts.n_zero >= d - 1
-    ):
+    if counts.n_nonreal or not counts.one_sided(d - 1):
         raise HypothesisViolated(
             "target must be real rooted with d-1 roots of one sign"
         )
@@ -540,9 +531,13 @@ def elementary_restriction(x, k: int, n: int) -> UniPoly:
     """The univariate polynomial e_k(x + t*1): coefficient of t^(k-i) is
     binom(n-i, k-i) e_i(x)."""
     e, L = elem_ints([to_q(c) for c in x], k)
-    return UniPoly(
-        [Q(comb(n - k + j, j) * e[k - j], L ** (k - j)) for j in range(k + 1)], k
-    )
+    return UniPoly.from_ints(_restriction_ints(e, L, k, n), L**k)
+
+
+def _restriction_ints(e, L: int, k: int, n: int):
+    """L^k e_k(x + t*1) on integers, from E_i = L^i e_i(x), i <= k: the
+    coefficient of t^j is binom(n-k+j, j) E_(k-j) L^j."""
+    return [comb(n - k + j, j) * e[k - j] * L**j for j in range(k + 1)]
 
 
 def ek_plus_linear_check(
@@ -551,13 +546,16 @@ def ek_plus_linear_check(
     """On random rational lines, assert exactly that e_k + ell*e_{k-1}
     restricted to x + t*1 is real rooted and that e_{k-1}'s restriction
     interlaces it.  ell is a linear form given by its n coefficients,
-    required to satisfy ell(1) >= 0."""
+    required to satisfy ell(1) >= 0.  With ell = l / M and x = X / L over
+    common denominators, ell(x + t*1) = (l.X + l.1 L t) / (M L)."""
     if not (1 <= k <= n):
         raise InvalidInput("need 1 <= k <= n")
     ell = [to_q(c) for c in ell]
     if len(ell) != n:
         raise InvalidInput(f"expected {n} linear-form coefficients")
-    big_l = sum(ell, QZERO)
+    M = lcm(*(c.denominator for c in ell))
+    lnum = [c.numerator * (M // c.denominator) for c in ell]
+    big_l = sum(lnum)  # M ell(1)
     if big_l < 0:
         raise InvalidInput("ell(1) must be nonnegative")
     rng = random.Random(seed)
@@ -565,18 +563,18 @@ def ek_plus_linear_check(
     failures = []
     for _ in range(trials):
         x = tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
-        qk = elementary_restriction(x, k, n)
-        qkm1 = elementary_restriction(x, k - 1, n)
-        ell_line = UniPoly([sum(li * xi for li, xi in zip(ell, x)), big_l])
-        total = qk + ell_line * qkm1
-        if total.degree() >= 1 and qkm1.degree() == total.degree() - 1:
-            # e_{k-1} is hyperbolic, so only `total` can be non-real rooted
-            try:
-                ok = interlaces(qkm1, total)
-            except NotRealRooted:
-                ok = False
-        else:
-            ok = is_real_rooted(total)
+        e, L = elem_ints(x, k)
+        qk = UniPoly.from_ints(_restriction_ints(e, L, k, n), L**k)
+        qkm1 = UniPoly.from_ints(_restriction_ints(e, L, k - 1, n), L ** (k - 1))
+        lin = sum(li * c.numerator * (L // c.denominator) for li, c in zip(lnum, x))
+        total = qk + UniPoly.from_ints([lin, big_l * L], M * L) * qkm1
+        # deg total = k and deg qkm1 = k - 1, since the t^k coefficient
+        # binom(n, k) + ell(1) binom(n, k-1) is positive; e_{k-1} is
+        # hyperbolic, so only `total` can be non-real rooted
+        try:
+            ok = interlaces(qkm1, total)
+        except NotRealRooted:
+            ok = False
         if ok:
             passed += 1
         else:

@@ -21,10 +21,10 @@ ignoring it and associated_operator emits gamma_1 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import DegreeMismatch, DegreeTooLow, InterlacingLawViolated, NotInSimplex
-from .rationals import Q, QONE, QZERO, to_q
+from .rationals import Q, QONE, QZERO, proportional, to_q
 from .sympoly import HookPoly
 from .unipoly import (
     UniPoly,
@@ -70,21 +70,9 @@ class DiagonalMap:
         return hash((self.n, self.d) + self.gamma[:1] + self.gamma[2:])
 
     def proportional_to(self, other: "DiagonalMap") -> bool:
-        if (self.n, self.d) != (other.n, other.d):
-            return False
-        ratio = None
-        for k, (a, b) in enumerate(zip(self.gamma, other.gamma)):
-            if k == 1:
-                continue
-            if (a == 0) != (b == 0):
-                return False
-            if a != 0:
-                r = a / b
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-        return True
+        return (self.n, self.d) == (other.n, other.d) and proportional(
+            self.gamma[:1] + self.gamma[2:], other.gamma[:1] + other.gamma[2:]
+        )
 
 
 @dataclass(frozen=True)
@@ -108,7 +96,7 @@ class FullDiagonalMap:
             raise DegreeMismatch("ambient degree of g must equal the source degree")
         out = [QZERO] * (self.d + 1)
         for k in range(self.d + 1):
-            out[self.d - k] = self.gamma_prime[k] * g.coeffs[self.n - k]
+            out[self.d - k] = self.gamma_prime[k] * Q(g.nums[self.n - k], g.den)
         return UniPoly(out, self.d)
 
     def restrict_zero_sum(self) -> DiagonalMap:
@@ -145,7 +133,7 @@ def g0(n: int) -> ZeroSumPoly:
 def binomial_coords(g: UniPoly):
     """c_k with g = sum_k binom(n,k) c_k t^(n-k), k ascending from 0."""
     n = g.ambient_degree
-    return tuple(g.coeffs[n - k] / comb(n, k) for k in range(n + 1))
+    return tuple(Q(g.nums[n - k], g.den * comb(n, k)) for k in range(n + 1))
 
 
 def associated_operator(p: HookPoly) -> DiagonalMap:
@@ -215,20 +203,7 @@ def polya_schur_test(T: FullDiagonalMap) -> bool:
     with all roots of one sign (zeros allowed)."""
     base = UniPoly.from_roots([1] * T.n, ambient=T.n)
     image = T.apply(base)
-    if image.is_zero():
-        return True
-    counts = root_counts(image)
-    if counts.n_nonreal:
-        return False
-    return counts.n_positive == 0 or counts.n_negative == 0
-
-
-def full_map_sending_onesbase_to(f: UniPoly, n: int) -> FullDiagonalMap:
-    """The diagonal map on R[t]_n sending (t-1)^n to f (ambient degree d)."""
-    d = f.ambient_degree
-    base = UniPoly.from_roots([1] * n, ambient=n)
-    gp = [f.coeffs[d - k] / base.coeffs[n - k] for k in range(d + 1)]
-    return FullDiagonalMap(n, d, tuple(gp))
+    return image.is_zero() or _one_sign_real_rooted(image)
 
 
 def necessary_sign_test(T: DiagonalMap) -> bool:
@@ -240,13 +215,7 @@ def necessary_sign_test(T: DiagonalMap) -> bool:
     if image.is_zero():
         return True
     counts = root_counts(image)
-    if counts.n_nonreal:
-        return False
-    k = T.d - 1
-    return (
-        counts.n_positive + counts.n_zero >= k
-        or counts.n_negative + counts.n_zero >= k
-    )
+    return not counts.n_nonreal and counts.one_sided(T.d - 1)
 
 
 def _delta_preimage_base(g: UniPoly) -> UniPoly:
@@ -258,7 +227,7 @@ def _delta_preimage_base(g: UniPoly) -> UniPoly:
         k = d - j
         if k == 1:
             continue
-        coeffs[j] = g.coeffs[j] / (1 - k)
+        coeffs[j] = Q(g.nums[j], g.den * (1 - k))
     return UniPoly(coeffs, d)
 
 
@@ -274,32 +243,44 @@ def _disc_in_lambda(h0: UniPoly, slot: int, big_degree: int) -> UniPoly:
     exact polynomial in lambda.
 
     The discriminant of a degree-N polynomial has degree <= 2N - 2 in any
-    single coefficient, so exact interpolation at integer sample
-    points (avoiding the degree-dropping one when slot == N) recovers it
-    from the univariate subresultant discriminant.
+    single coefficient.  With h0 = H / D on integers, D^(2N-2) times it is
+    disc(H + D*lambda*t^slot), an integer polynomial in lambda, so exact
+    interpolation of integer discriminants at integer sample points
+    (avoiding the degree-dropping one when slot == N) recovers it.
     """
     bound = max(2 * big_degree - 2, 0)
+    H = list(h0.nums) + [0] * max(0, slot + 1 - len(h0.nums))
     samples = []
     lam = 0
     while len(samples) < bound + 1:
-        fl = list(h0.coeffs) + [QZERO] * max(0, slot + 1 - len(h0.coeffs))
-        fl[slot] += lam
-        p = UniPoly(fl)
+        fl = list(H)
+        fl[slot] += h0.den * lam
+        p = UniPoly.from_ints(fl)
         if p.degree() == big_degree:
-            samples.append((lam, discriminant(p)))
+            samples.append((lam, discriminant(p).numerator))
         lam = -lam + 1 if lam <= 0 else -lam
-    return _lagrange_interpolate(samples)
+    crit = _lagrange_interpolate(samples)
+    return UniPoly.from_ints(crit.nums, crit.den * h0.den**bound)
 
 
 def _lagrange_interpolate(samples) -> UniPoly:
-    """The interpolating polynomial of the (x, y) samples, distinct x, at
-    ambient degree len(samples) - 1: Newton's divided differences, then
-    Horner's rule in the monomial basis."""
+    """The interpolating polynomial of the (x, y) samples, distinct
+    integers x, at ambient degree len(samples) - 1: Newton's divided
+    differences on the numerators of the y over one denominator, which
+    grows (the table is linear in the y) only where a difference does not
+    divide, never for the values of an integer polynomial; then Horner's
+    rule in the monomial basis."""
     xs = [x for x, _ in samples]
-    c = [y for _, y in samples]
+    den = lcm(*(y.denominator for _, y in samples))
+    c = [y.numerator * (den // y.denominator) for _, y in samples]
     for j in range(1, len(c)):
         for i in range(len(c) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+            num, step = c[i] - c[i - 1], xs[i] - xs[i - j]
+            if num % step:
+                f = abs(step) // gcd(num, step)
+                c = [v * f for v in c]
+                num, den = num * f, den * f
+            c[i] = num // step
     out = [c[-1]]
     for x, ck in zip(reversed(xs[:-1]), reversed(c[:-1])):
         # out <- out * (t - x) + ck
@@ -308,7 +289,7 @@ def _lagrange_interpolate(samples) -> UniPoly:
             + [low - x * high for low, high in zip(out, out[1:])]
             + [out[-1]]
         )
-    return UniPoly(out)
+    return UniPoly.from_ints(out, den)
 
 
 def _sweep_candidates(crit_poly: UniPoly):
@@ -374,7 +355,7 @@ def decide_extendable(T: DiagonalMap):
     # factor out the common power of t so the discriminant sweep is not
     # identically degenerate; f_lambda = t^m * (h0 + lambda * t^slot)
     m = min(f0.valuation(), d - 1)
-    h0 = UniPoly(f0.coeffs[m:])
+    h0 = UniPoly.from_ints(f0.nums[m:], f0.den)
     slot = d - 1 - m
     big_degree = max(h0.degree(), slot)
     if big_degree <= 1:
@@ -387,15 +368,16 @@ def decide_extendable(T: DiagonalMap):
         # latter two in as linear factors and subdivide at all of them
         crit = _disc_in_lambda(h0, slot, big_degree)
         if slot == big_degree:
-            lead = h0.coeffs[slot] if slot < len(h0.coeffs) else QZERO
-            crit = crit * UniPoly([lead, QONE])
+            lead = h0.nums[slot] if slot < len(h0.nums) else 0
+            crit = crit * UniPoly.from_ints([lead, h0.den], h0.den)
         if slot == 0:
-            crit = crit * UniPoly([h0.coeffs[0], QONE])
+            crit = crit * UniPoly.from_ints([h0.nums[0], h0.den], h0.den)
         cands = _sweep_candidates(crit)
     for lam in cands:
-        coeffs = list(f0.coeffs)
-        coeffs[d - 1] += lam
-        f = UniPoly(coeffs, d)
+        # f0 + lam t^(d-1) over the denominator f0.den * lam.denominator
+        coeffs = [c * lam.denominator for c in f0.nums]
+        coeffs[d - 1] += lam.numerator * f0.den
+        f = UniPoly.from_ints(coeffs, f0.den * lam.denominator)
         if _one_sign_real_rooted(f):
             found = f
             break

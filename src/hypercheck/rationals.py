@@ -51,16 +51,19 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def proportional(xs, ys) -> bool:
+    """True iff xs and ys are nonzero at the same places, with one ratio."""
+    if any((x == 0) != (y == 0) for x, y in zip(xs, ys)):
+        return False
+    return len({x / y for x, y in zip(xs, ys) if x != 0}) <= 1
+
+
 def qsign(q) -> int:
     if q > 0:
         return 1
     if q < 0:
         return -1
     return 0
-
-
-def qabs(q):
-    return -q if q < 0 else q
 
 
 def simplest_between(lo, hi) -> Q:

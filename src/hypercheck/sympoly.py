@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, lcm
 
 from .errors import DegreeTooHigh, DegreeTooLow, ShrinkNotAllowed, ZeroPolynomial
-from .rationals import Q, QZERO, to_q
+from .rationals import Q, QZERO, proportional, to_q
 from .unipoly import UniPoly
 
 
@@ -52,19 +52,7 @@ class HookPoly:
         return HookPoly(self.n, self.d, tuple(ai * c for ai in self.a))
 
     def proportional_to(self, other: "HookPoly") -> bool:
-        if (self.n, self.d) != (other.n, other.d):
-            return False
-        ratio = None
-        for x, y in zip(self.a, other.a):
-            if (x == 0) != (y == 0):
-                return False
-            if x != 0:
-                r = x / y
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-        return True
+        return (self.n, self.d) == (other.n, other.d) and proportional(self.a, other.a)
 
 
 @dataclass(frozen=True)
@@ -108,12 +96,12 @@ def elem_means(x, d: int):
 
 
 def eval_hook(p: HookPoly, x) -> Q:
-    m = elem_means(x, p.d)
-    acc = QZERO
-    for i, a in enumerate(p.a, start=1):
-        if a != 0:
-            acc += a * m[1] ** (p.d - i) * m[i]
-    return acc
+    """p(x) on integers, by homogeneity: with x = X / L and the weights of
+    e_1^(d-i) e_i over M, p(x) = sum_i (M w_i) E_1^(d-i) E_i / (M L^d)."""
+    coords = _coords(x, p.d)
+    e, L = elem_ints(coords, p.d)
+    weights, M = _int_weights(p.a, len(coords), p.d)
+    return Q(sum(w * e[1] ** (p.d - i) * e[i] for i, w in weights.items()), M * L**p.d)
 
 
 def _int_weights(a, n: int, d: int):
@@ -130,7 +118,8 @@ def restrict_line(p: HookPoly, x) -> UniPoly:
     With n = len(x), p = sum_i w_i e_1^(d-i) e_i, e_1(x + t*1) = e_1(x) + n t
     and e_i(x + t*1) = sum_s binom(n-i+s, s) e_(i-s)(x) t^s.  On ints: with
     x over its common denominator L and the weights over theirs, M, the
-    coefficient of t^j is c_j / (M L^(d-j)) for an integer c_j.
+    coefficient of t^j is c_j / (M L^(d-j)) = c_j L^j / (M L^d) for an
+    integer c_j.
     """
     coords, d = _coords(x, p.d), p.d
     n = len(coords)
@@ -142,7 +131,7 @@ def restrict_line(p: HookPoly, x) -> UniPoly:
             c = w * comb(d - i, j) * e[1] ** (d - i - j) * n**j
             for s in range(i + 1):
                 out[j + s] += c * comb(n - i + s, s) * e[i - s]
-    return UniPoly([Q(c, M * L ** (d - j)) for j, c in enumerate(out)], d)
+    return UniPoly.from_ints([c * L**j for j, c in enumerate(out)], M * L**d)
 
 
 def dir_derivative_one(p: HookPoly) -> HookPoly:

@@ -1,5 +1,11 @@
 """Exact univariate polynomial arithmetic and real-root machinery.
 
+A UniPoly is one tuple of integer numerators over one positive common
+denominator, in lowest terms (gcd(den, *nums) = 1), so that equal
+polynomials have equal representations.  Arithmetic runs on these
+integers; the rational coefficients (.coeffs) are built only where a
+caller reads them.
+
 Polynomials carry an *ambient degree* n on top of their coefficient
 vector: a polynomial of lower actual degree is treated as a limit with
 "roots at infinity" (degree drop), which is what makes diagonal maps on
@@ -15,13 +21,13 @@ bisection with rational endpoints followed by a simplest-rational
 reconstruction so that rational roots come out exact, only where a root
 value is output (root_profile).
 
-Sturm chains, gcds and Yun decompositions run on primitive integer lists
-by pseudo-remainders (Basu-Pollack-Roy, ch. 8) and exact integer division.
-Sign queries at rational points run on such lists by integer Horner
-(_sign_at).  RealRoot bisection runs on integer numerators over one common
-denominator and evaluates the polynomial once per step, since a RealRoot
-caches its sign at the lower endpoint; its endpoints become rationals again
-only when the steps are done.
+All of these run on UniPoly.primitive, the integer list of a positive
+multiple of the polynomial: Sturm chains, gcds and Yun decompositions by
+pseudo-remainders (Basu-Pollack-Roy, ch. 8) and exact integer division,
+sign queries at rational points by integer Horner (_sign_at).  RealRoot
+bisection runs on integer numerators over one common denominator and
+evaluates the polynomial once per step, since a RealRoot caches its sign
+at the lower endpoint.
 """
 
 from __future__ import annotations
@@ -31,49 +37,68 @@ from functools import cmp_to_key
 from itertools import zip_longest
 from math import ceil, gcd, lcm
 
-from .errors import (
-    DegreeMismatch,
-    DegreeTooLow,
-    NotRealRooted,
-    ZeroPolynomial,
-)
-from .rationals import Q, QONE, QZERO, qabs, qsign, simplest_between, to_q
+from .errors import DegreeMismatch, DegreeTooLow, NotRealRooted, ZeroPolynomial
+from .rationals import Q, QONE, QZERO, qsign, simplest_between, to_q
+
+
+def _fit(nums, ambient):
+    """nums cut or zero-padded to ambient + 1 entries (at least one)."""
+    if ambient is None:
+        return tuple(nums) or (0,)
+    if any(nums[ambient + 1 :]):
+        raise DegreeMismatch(f"coefficients exceed ambient degree {ambient}")
+    return tuple(nums[: ambient + 1]) + (0,) * (ambient + 1 - len(nums))
 
 
 class UniPoly:
-    """Dense exact-rational polynomial with a declared ambient degree."""
+    """Dense exact-rational polynomial nums / den (ascending) with a
+    declared ambient degree len(nums) - 1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs, ambient=None):
-        coeffs = [to_q(c) for c in coeffs]
-        if ambient is not None:
-            if len(coeffs) > ambient + 1:
-                for c in coeffs[ambient + 1 :]:
-                    if c != 0:
-                        raise DegreeMismatch(
-                            f"coefficients exceed ambient degree {ambient}"
-                        )
-                coeffs = coeffs[: ambient + 1]
-            coeffs += [QZERO] * (ambient + 1 - len(coeffs))
-        elif not coeffs:
-            coeffs = [QZERO]
-        self.coeffs = tuple(coeffs)
+        coeffs = [c if type(c) is int else to_q(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))  # canonical for Q entries
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        self.nums, self.den = _fit(nums, ambient), den
+
+    @staticmethod
+    def from_ints(nums, den=1) -> "UniPoly":
+        """nums / den for integers nums and den != 0, in lowest terms, at
+        ambient degree len(nums) - 1."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        p = object.__new__(UniPoly)
+        p.nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+        p.den = den // g
+        return p
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as rationals, ascending."""
+        return tuple(Q(c, self.den) for c in self.nums)
+
+    def primitive(self) -> list:
+        """The trimmed integer coefficients of the positive multiple of p
+        with content 1."""
+        return _primitive(self.nums[: max(self.degree(), 0) + 1])
 
     # -- basic structure -------------------------------------------------
     @property
     def ambient_degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def degree(self) -> int:
         """Actual degree; -1 for the zero polynomial."""
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[j] != 0:
+        nums = self.nums
+        for j in range(len(nums) - 1, -1, -1):
+            if nums[j]:
                 return j
         return -1
 
     def is_zero(self) -> bool:
-        return self.degree() == -1
+        return not any(self.nums)
 
     def degree_drop(self) -> int:
         return self.ambient_degree - max(self.degree(), 0)
@@ -82,108 +107,96 @@ class UniPoly:
         d = self.degree()
         if d < 0:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[d]
+        return Q(self.nums[d], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"UniPoly({[str(c) for c in self.coeffs]})"
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
-        n = max(self.ambient_degree, other.ambient_degree)
-        a = list(self.coeffs) + [QZERO] * (n + 1 - len(self.coeffs))
-        for j, c in enumerate(other.coeffs):
-            a[j] += c
-        return UniPoly(a, n)
+        den = lcm(self.den, other.den)
+        short, long = sorted((self, other), key=lambda p: len(p.nums))
+        out = [c * (den // long.den) for c in long.nums]
+        for j, c in enumerate(short.nums):
+            out[j] += c * (den // short.den)
+        return UniPoly.from_ints(out, den)
 
     def __sub__(self, other):
-        return self + (other * Q(-1))
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             c = to_q(other)
-            return UniPoly([ci * c for ci in self.coeffs], self.ambient_degree)
-        out = [QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
+            nums = [v * c.numerator for v in self.nums]
+            return UniPoly.from_ints(nums, self.den * c.denominator)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly.from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * Q(-1)
+        return UniPoly.from_ints([-c for c in self.nums], self.den)
 
     def with_ambient(self, n: int) -> "UniPoly":
-        return UniPoly(self.coeffs, n)
+        return UniPoly.from_ints(_fit(self.nums, n), self.den)
 
     def trimmed(self) -> "UniPoly":
         """Drop the degree slack: ambient degree = actual degree."""
-        return UniPoly(self.coeffs[: max(self.degree(), 0) + 1])
+        return UniPoly.from_ints(self.nums[: max(self.degree(), 0) + 1], self.den)
 
     def evaluate(self, x):
+        """p(a/b) = (sum_j nums_j a^j b^(m-j)) / (den b^m), m the ambient
+        degree, by integer Horner."""
         x = to_q(x)
-        acc = QZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * scale
+            scale *= b
+        return Q(acc, self.den * (scale // b))
 
     def derivative(self) -> "UniPoly":
-        if len(self.coeffs) == 1:
-            return UniPoly([QZERO])
-        return UniPoly(
-            [j * self.coeffs[j] for j in range(1, len(self.coeffs))],
-            self.ambient_degree - 1,
-        )
+        nums = [j * c for j, c in enumerate(self.nums)][1:] or [0]
+        return UniPoly.from_ints(nums, self.den)
 
     def shift(self, c) -> "UniPoly":
-        """Compose with the translation t -> t + c, exactly."""
+        """Compose with the translation t -> t + c, exactly: for c = a/b,
+        b^m p(t + a/b) = sum_j nums_j (b t + a)^j b^(m-j) / den, expanded
+        by Horner's rule on integers."""
         c = to_q(c)
-        out = [QZERO] * len(self.coeffs)
-        for coeff in reversed(self.coeffs):
-            # out <- out * (t + c) + coeff
+        a, b = c.numerator, c.denominator
+        out = [0] * len(self.nums)
+        scale = 1
+        for coeff in reversed(self.nums):
+            # out <- out * (b t + a) + coeff * b^(m-j)
             for j in range(len(out) - 1, 0, -1):
-                out[j] = out[j - 1] + out[j] * c
-            out[0] = out[0] * c + coeff
-        return UniPoly(out, self.ambient_degree)
-
-    def dilate(self, c) -> "UniPoly":
-        """Compose with t -> c*t."""
-        c = to_q(c)
-        scale = QONE
-        out = []
-        for coeff in self.coeffs:
-            out.append(coeff * scale)
-            scale *= c
-        return UniPoly(out, self.ambient_degree)
-
-    def reversed_coeffs(self) -> "UniPoly":
-        """R_n: t^n p(1/t) at the ambient degree n."""
-        return UniPoly(list(reversed(self.coeffs)), self.ambient_degree)
+                out[j] = out[j - 1] * b + out[j] * a
+            out[0] = out[0] * a + coeff * scale
+            scale *= b
+        return UniPoly.from_ints(out, self.den * (scale // b))
 
     def valuation(self) -> int:
         """Multiplicity of the root at 0 (ambient degree for the zero poly)."""
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                return j
-        return self.ambient_degree
+        return next((j for j, c in enumerate(self.nums) if c), self.ambient_degree)
 
     @staticmethod
     def from_roots(roots, ambient=None, lead=1) -> "UniPoly":
         """lead * prod(t - r_i), expanded on integers: with L a common
         denominator of the roots and lead, lead*L*prod(s - L*r_i) is an
-        integer polynomial sum c_j s^j, and at s = L*t the coefficient of
-        t^j is c_j / L^(k+1-j) for k roots."""
+        integer polynomial sum c_j s^j, and at s = L*t it is
+        sum c_j L^j t^j / L^(k+1) for k roots."""
         roots = [to_q(r) for r in roots]
         lead = to_q(lead)
         den = lcm(lead.denominator, *(r.denominator for r in roots))
@@ -193,48 +206,43 @@ class UniPoly:
             c = [0] + c
             for j in range(len(c) - 1):
                 c[j] -= root * c[j + 1]
-        k = len(roots)
-        return UniPoly([Q(cj, den ** (k + 1 - j)) for j, cj in enumerate(c)], ambient)
+        nums = _fit([cj * den**j for j, cj in enumerate(c)], ambient)
+        return UniPoly.from_ints(nums, den ** len(c))
 
 
 def divmod_poly(a: UniPoly, b: UniPoly):
-    """Exact rational polynomial division with remainder."""
+    """Exact rational polynomial division with remainder, from the
+    pseudo-division lc(B)^e A = Q B + R of the numerators, e = len(A) - deg B."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     db = b.degree()
-    rem = list(a.coeffs) + [QZERO] * max(0, db - a.ambient_degree)
-    quo = [QZERO] * max(1, len(rem) - db)
-    inv_lead = 1 / b.coeffs[db]
-    for j in range(len(rem) - 1, db - 1, -1):
-        if rem[j] == 0:
-            continue
-        q = rem[j] * inv_lead
-        quo[j - db] = q
-        for i in range(db + 1):
-            rem[j - db + i] -= q * b.coeffs[i]
-    return UniPoly(quo), UniPoly(rem[:db] if db > 0 else [QZERO])
+    B, A = b.nums[: db + 1], _fit(a.nums, max(a.ambient_degree, db))
+    scale, R = B[-1] ** (len(A) - db), _prem(A, B)
+    quo = _int_quo([scale * c - r for c, r in zip_longest(A, R, fillvalue=0)], B)
+    # A / a.den = (quo b.den / (scale a.den)) (B / b.den) + R / (scale a.den)
+    return (
+        UniPoly.from_ints([c * b.den for c in quo], scale * a.den),
+        UniPoly.from_ints(_fit(R, max(db - 1, 0)), scale * a.den),
+    )
 
 
-def _int_primitive(coeffs):
-    """Scale rational coefficients by a positive constant (so signs and
-    Sturm counts are kept) to a primitive list of ints."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+def _primitive(ints):
+    """An integer list divided by the gcd of its entries (sign kept)."""
     g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    return [v // g for v in ints] if g > 1 else list(ints)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """GCD over Q, trimmed, primitive, with positive leading coefficient."""
-    return UniPoly(_int_gcd(*(_int_primitive(c.trimmed().coeffs) for c in (a, b))))
+    return UniPoly.from_ints(_int_gcd(a.primitive(), b.primitive()))
 
 
 def _int_gcd(a, b):
     """Primitive gcd, leading coefficient >= 0, of trimmed integer lists by
     pseudo-remainders, which differ from remainders by a constant factor."""
     while b != [0]:
-        a, b = b, _int_primitive(_prem(a, b))
-    a = _int_primitive(a)
+        a, b = b, _primitive(_prem(a, b))
+    a = _primitive(a)
     return a if a[-1] >= 0 else [-c for c in a]
 
 
@@ -267,26 +275,30 @@ def yun_decomposition(p: UniPoly):
     """Yun's square-free decomposition: list of (factor, multiplicity).
 
     Factors are square free, pairwise coprime and of positive degree;
-    their product with multiplicities is p up to a constant.
+    their product with multiplicities is p up to a constant.  A square-free
+    p is its own only factor.
     """
     p = p.trimmed()
-    if p.degree() <= 0:
-        return []
-    # on the primitive multiple of p: w, y and z share its positive scale
-    a = _int_primitive(p.coeffs)
-    da = _int_derivative(a)
-    g = _int_gcd(a, da)
+    a = p.primitive()
+    g = _sturm(a)[-1]
     if len(g) == 1:
-        return [(p, 1)]
+        return [(p, 1)] if len(a) > 1 else []
+    return [(UniPoly.from_ints(f), i) for f, i in _yun(a, g)]
+
+
+def _yun(a, g):
+    """Yun's decomposition of a primitive integer list a as (primitive
+    factor, multiplicity) pairs, given g = gcd(a, a') of positive degree up
+    to sign (the last term of a's Sturm chain); w, y and z share one scale."""
     out = []
-    w, y = _int_quo(a, g), _int_quo(da, g)
+    w, y = _int_quo(a, g), _int_quo(_int_derivative(a), g)
     i = 1
     while len(w) > 1:
         dw = _int_derivative(w)
         z = _int_trim([c - d for c, d in zip_longest(y, dw, fillvalue=0)])
         f = _int_gcd(w, z)
         if len(f) > 1:
-            out.append((UniPoly(f), i))
+            out.append((f, i))
         w, y = _int_quo(w, f), _int_quo(z, f)
         i += 1
     return out
@@ -315,8 +327,11 @@ def signed_remainder_sequence(a, b):
 
 def sturm_chain(p: UniPoly):
     """Sturm sequence of a square-free polynomial, primitively normalized."""
-    a = _int_primitive(p.trimmed().coeffs)
-    return signed_remainder_sequence(a, _int_primitive(_int_derivative(a)))
+    return _sturm(p.primitive())
+
+
+def _sturm(a):
+    return signed_remainder_sequence(a, _primitive(_int_derivative(a)))
 
 
 def _sign_at(ints, x) -> int:
@@ -352,13 +367,9 @@ def sturm_variations_at(chain, x) -> int:
 
 
 def sturm_variations_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = qsign(q[-1])
-        if not positive and len(q) % 2 == 0:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+    """Variations of the leading signs, flipped at -infinity for odd degree."""
+    flip = 1 if positive else -1
+    return _variations([qsign(q[-1]) * (flip if len(q) % 2 == 0 else 1) for q in chain])
 
 
 def count_roots_halfopen(chain, a, b) -> int:
@@ -367,35 +378,35 @@ def count_roots_halfopen(chain, a, b) -> int:
 
 
 def cauchy_bound(p: UniPoly):
+    """1 + max |c_j| / |lead| over the lower coefficients."""
     d = p.degree()
-    lead = qabs(p.coeffs[d])
-    m = QZERO
-    for c in p.coeffs[:d]:
-        m = max(m, qabs(c) / lead)
-    return 1 + m
+    lead = abs(p.nums[d])
+    return Q(lead + max((abs(c) for c in p.nums[:d]), default=0), lead)
 
 
 class RealRoot:
     """One real algebraic number: a square-free defining polynomial plus
     either an exact rational value or an open isolating interval (lo, hi)
     with a sign change and non-root endpoints.  The sign of the polynomial
-    at lo is cached: lo only ever moves to a point of that same sign."""
+    at lo is cached: lo only ever moves to a point of that same sign.
+    `ints`, the primitive integer list of poly, is taken when the caller
+    already holds it."""
 
     __slots__ = ("poly", "lo", "hi", "exact", "_ints", "_lo_sign")
 
-    def __init__(self, poly, lo=None, hi=None, exact=None):
+    def __init__(self, poly, lo=None, hi=None, exact=None, ints=None):
         self.poly = poly
         self.lo = lo
         self.hi = hi
         self.exact = exact
         if exact is None:
-            self._ints = _int_primitive(poly.trimmed().coeffs)
+            self._ints = poly.primitive() if ints is None else ints
             self._lo_sign = _sign_at(self._ints, lo)
 
     @staticmethod
     def from_rational(value) -> "RealRoot":
         value = to_q(value)
-        return RealRoot(UniPoly([-value, QONE]), exact=value)
+        return RealRoot(UniPoly([-value, 1]), exact=value)
 
     def is_exact(self) -> bool:
         return self.exact is not None
@@ -528,7 +539,7 @@ def isolate_real_roots(p: UniPoly):
     if p.degree() <= 0:
         return []
     if p.degree() == 1:
-        return [RealRoot.from_rational(-p.coeffs[0] / p.coeffs[1])]
+        return [RealRoot.from_rational(Q(-p.nums[0], p.nums[1]))]
     chain = sturm_chain(p)
     ints = chain[0]
     bound = cauchy_bound(p)
@@ -537,14 +548,14 @@ def isolate_real_roots(p: UniPoly):
     def recurse(a, b, va, vb):
         # va, vb: Sturm variations at a and b; (a, b] holds va - vb roots
         if va - vb == 1:
-            roots.append(RealRoot(p, lo=a, hi=b))
+            roots.append(RealRoot(p, lo=a, hi=b, ints=ints))
         if va - vb <= 1:
             return
         mid = (a + b) / 2
         signs = [_sign_at(q, mid) for q in chain]
         if signs[0] == 0:
             # exact root found mid-bisection: carve a pivot gap around it
-            roots.append(("exact", mid))
+            roots.append(RealRoot(p, exact=mid))
             eps = (b - a) / 4
             while True:
                 left, right = mid - eps, mid + eps
@@ -562,15 +573,10 @@ def isolate_real_roots(p: UniPoly):
         recurse(mid, b, vm, vb)
 
     recurse(-bound, bound, *(sturm_variations_at(chain, x) for x in (-bound, bound)))
-    out = []
     for r in roots:
-        if isinstance(r, tuple):
-            out.append(RealRoot(p, exact=r[1]))
-        else:
+        if r.exact is None:
             r.try_rational()
-            out.append(r)
-    out.sort(key=cmp_to_key(lambda x, y: x.compare(y)))
-    return out
+    return sorted(roots, key=cmp_to_key(lambda x, y: x.compare(y)))
 
 
 # -- root counts and profiles --------------------------------------------
@@ -587,6 +593,10 @@ class RootCounts:
     n_nonreal: int
     degree_drop: int
 
+    def one_sided(self, k: int) -> bool:
+        """At least k roots >= 0 or at least k roots <= 0."""
+        return max(self.n_positive, self.n_negative) + self.n_zero >= k
+
 
 def root_counts(p: UniPoly) -> RootCounts:
     """The counts of root_profile without isolating any root.
@@ -598,13 +608,16 @@ def root_counts(p: UniPoly) -> RootCounts:
     """
     if p.is_zero():
         raise ZeroPolynomial("root_counts of the zero polynomial")
-    q = p.trimmed()
-    v = q.valuation()
-    if v:
-        q = UniPoly(q.coeffs[v:])
+    a = p.primitive()
+    v = next(j for j, c in enumerate(a) if c)
+    a = a[v:]
+    # a's Sturm chain ends in gcd(a, a'): a constant for square-free a
+    chain = _sturm(a)
+    parts = [(chain, 1)]
+    if len(chain[-1]) > 1:
+        parts = [(_sturm(f), m) for f, m in _yun(a, chain[-1])]
     n_pos = n_neg = 0
-    for factor, mult in yun_decomposition(q):
-        chain = sturm_chain(factor)
+    for chain, mult in parts:
         at_zero = _variations([qsign(c[0]) for c in chain])
         n_neg += mult * (sturm_variations_at_inf(chain, False) - at_zero)
         n_pos += mult * (at_zero - sturm_variations_at_inf(chain, True))
@@ -612,7 +625,7 @@ def root_counts(p: UniPoly) -> RootCounts:
         n_positive=n_pos,
         n_negative=n_neg,
         n_zero=v,
-        n_nonreal=q.degree() - n_pos - n_neg,
+        n_nonreal=len(a) - 1 - n_pos - n_neg,
         degree_drop=p.degree_drop(),
     )
 
@@ -632,10 +645,7 @@ class RootProfile:
         return self.n_positive + self.n_negative + self.n_zero
 
     def roots_with_multiplicity(self):
-        out = []
-        for root, mult in self.real_roots:
-            out.extend([root] * mult)
-        return out
+        return [root for root, mult in self.real_roots for _ in range(mult)]
 
 
 def root_profile(p: UniPoly) -> RootProfile:
@@ -650,11 +660,12 @@ def root_profile(p: UniPoly) -> RootProfile:
     q = p.trimmed()
     v = q.valuation()
     if v:
-        q = UniPoly(q.coeffs[v:])
-    entries = []  # (RealRoot, mult)
-    for factor, mult in yun_decomposition(q):
-        for root in isolate_real_roots(factor):
-            entries.append((root, mult))
+        q = UniPoly.from_ints(q.nums[v:], q.den)
+    entries = [  # (RealRoot, mult)
+        (root, mult)
+        for factor, mult in yun_decomposition(q)
+        for root in isolate_real_roots(factor)
+    ]
     if v:
         entries.append((RealRoot.from_rational(0), v))
     entries.sort(key=cmp_to_key(lambda a, b: a[0].compare(b[0])))
@@ -667,7 +678,7 @@ def root_profile(p: UniPoly) -> RootProfile:
         n_positive=n_pos,
         n_negative=n_neg,
         n_zero=n_zero,
-        n_nonreal=max(q.degree() + v, 0) - n_real if not p.is_zero() else 0,
+        n_nonreal=q.degree() + v - n_real,
         degree_drop=drop,
     )
 
@@ -686,10 +697,7 @@ def same_sign_count(p: UniPoly, k: int) -> bool:
     counts = root_counts(p)
     if counts.n_nonreal:
         raise NotRealRooted("same_sign_count requires a real-rooted polynomial")
-    return (
-        counts.n_positive + counts.n_zero >= k
-        or counts.n_negative + counts.n_zero >= k
-    )
+    return counts.one_sided(k)
 
 
 # -- resultants and discriminants ---------------------------------------
@@ -697,25 +705,19 @@ def same_sign_count(p: UniPoly, k: int) -> bool:
 
 def _prem(a, b):
     """Pseudo-remainder lc(b)^(da-db+1) * a mod b of integer coefficient
-    lists (ascending degree)."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[db]
-    r = list(a)
-    e = da - db + 1
-    while True:
-        dr = len(r) - 1
-        while dr >= 0 and r[dr] == 0:
-            dr -= 1
-        if dr < db:
-            break
-        lcr = r[dr]
-        r = [lb * c for c in r]
-        for i in range(db + 1):
-            r[dr - db + i] -= lcr * b[i]
+    lists (ascending degree).  Each step cancels the top coefficient of
+    the remainder, which is then dropped."""
+    db, lb = len(b) - 1, b[-1]
+    r = _int_trim(a)
+    e = len(a) - db
+    while len(r) > db and r[-1]:
+        lcr, top = r.pop(), len(r) - db
+        r = [lb * c for c in r[:top]] + [lb * c - lcr * d for c, d in zip(r[top:], b)]
+        while len(r) > 1 and not r[-1]:
+            r.pop()
         e -= 1
-    scale = lb**e if e > 0 else 1
-    r = [scale * c for c in r]
-    return _int_trim(r)
+    r = r or [0]
+    return [lb**e * c for c in r] if e > 0 else r
 
 
 def _int_trim(c):
@@ -761,28 +763,28 @@ def _subresultant_resultant_int(A, B):
 
 
 def resultant(p: UniPoly, q: UniPoly):
-    """Res(p, q) over Q, exact, at the actual degrees."""
+    """Res(p, q) over Q, exact, at the actual degrees:
+    Res(A / a, B / b) = Res(A, B) / (a^deg q * b^deg p)."""
     p, q = p.trimmed(), q.trimmed()
     if p.is_zero() or q.is_zero():
         return QZERO
-    dp = lcm(*(c.denominator for c in p.coeffs))
-    dq = lcm(*(c.denominator for c in q.coeffs))
-    A = [c.numerator * (dp // c.denominator) for c in p.coeffs]
-    B = [c.numerator * (dq // c.denominator) for c in q.coeffs]
-    r = _subresultant_resultant_int(A, B)
-    return Q(r) / (Q(dp) ** q.degree() * Q(dq) ** p.degree())
+    r = _subresultant_resultant_int(p.nums, q.nums)
+    return Q(r, p.den ** q.degree() * q.den ** p.degree())
 
 
 def discriminant(p: UniPoly):
-    """disc(p) at the actual degree, via the subresultant resultant."""
+    """disc(p) at the actual degree m: for p = A / a,
+    (-1)^(m(m-1)/2) Res(A, A') / (lc(A) a^(2m-2)), where lc(A) divides
+    the resultant exactly."""
     m = p.degree()
     if m <= 0:
         raise DegreeTooLow("discriminant needs actual degree >= 1")
     if m == 1:
         return QONE
-    res = resultant(p, p.derivative())
+    a = p.nums[: m + 1]
+    res = _subresultant_resultant_int(a, _int_derivative(a))
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * res / p.leading()
+    return Q(sign * (res // a[m]), p.den ** (2 * m - 2))
 
 
 # -- the diagonal operators D and delta_n --------------------------------
@@ -792,14 +794,14 @@ def dee(p: UniPoly) -> UniPoly:
     """Homogenize to degree n, differentiate in the auxiliary variable,
     evaluate at 1: coefficientwise t^k -> (n-k) t^k."""
     n = p.ambient_degree
-    return UniPoly([(n - j) * c for j, c in enumerate(p.coeffs)], n)
+    return UniPoly.from_ints([(n - j) * c for j, c in enumerate(p.nums)], p.den)
 
 
 def delta_n(p: UniPoly) -> "ZeroSumPoly":
     """The diagonal map t^{n-k} -> -(k-1) t^{n-k}; equals p - dee(p)."""
     n = p.ambient_degree
-    coeffs = [(1 + j - n) * c for j, c in enumerate(p.coeffs)]
-    return ZeroSumPoly(UniPoly(coeffs, n))
+    nums = [(1 + j - n) * c for j, c in enumerate(p.nums)]
+    return ZeroSumPoly(UniPoly.from_ints(nums, p.den))
 
 
 @dataclass(frozen=True)
@@ -810,7 +812,7 @@ class ZeroSumPoly:
 
     def __post_init__(self):
         n = self.inner.ambient_degree
-        if n >= 1 and self.inner.coeffs[n - 1] != 0:
+        if n >= 1 and self.inner.nums[n - 1] != 0:
             raise DegreeMismatch("coefficient of t^{n-1} must vanish")
 
     @property
@@ -846,10 +848,13 @@ def interlaces(q: UniPoly, p: UniPoly) -> bool:
         raise DegreeMismatch(
             f"deg q = {q.degree()} but deg p - 1 = {p.degree() - 1}"
         )
-    a, b = (_int_primitive(c.trimmed().coeffs) for c in (p, q))
-    g = _int_gcd(a, b)
-    # quotients of primitive lists by a primitive gcd are primitive again
-    chain = signed_remainder_sequence(_int_quo(a, g), _int_quo(b, g))
+    a, b = p.primitive(), q.primitive()
+    chain = signed_remainder_sequence(a, b)
+    if len(chain[-1]) > 1:
+        # divide out the gcd, the last term; the primitive quotients' chain
+        # is the same up to one common sign, which the index does not see
+        g = chain[-1]
+        chain = signed_remainder_sequence(_int_quo(a, g), _int_quo(b, g))
     index = sturm_variations_at_inf(chain, False) - sturm_variations_at_inf(
         chain, True
     )

@@ -1,5 +1,6 @@
 import json
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypercheck.errors import (
     InvalidInput,
     NonInvertibleTransform,
     NotHyperbolicInput,
+    NotRealRooted,
     WrongDegree,
     ZeroPolynomial,
 )
@@ -36,6 +38,7 @@ from hypercheck.sympoly import HookPoly, lift_variables, restrict_line
 from hypercheck.unipoly import (
     UniPoly,
     ZeroSumPoly,
+    interlaces,
     is_real_rooted,
     root_profile,
 )
@@ -548,6 +551,88 @@ def test_ek_plus_linear_counts_roots_once_per_polynomial(monkeypatch):
     report = ek_plus_linear_check(3, 5, [1, 0, 2, 0, 0], trials=25, seed=4)
     assert report.passed == 25
     assert len(calls) == 25
+
+
+def _fraction_ek_plus_linear_check(k, n, ell, trials, seed):
+    """Reference: ek_plus_linear_check as it was, every coefficient a
+    Fraction: e_i(x) by the product recurrence, the restrictions, the line
+    of ell and the total in Fraction arithmetic, and the branch on degrees.
+    Also returns the (e_(k-1), total) pair of each line and the branch
+    taken."""
+    ell = [Q(c) for c in ell]
+    big_l = sum(ell, Q(0))
+    rng = random.Random(seed)
+    passed, failures, pairs, branches = 0, [], [], []
+    for _ in range(trials):
+        x = tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        e = [Q(1)] + [Q(0)] * k
+        for c in x:
+            for i in range(k, 0, -1):
+                e[i] += c * e[i - 1]
+        total = [comb(n - k + j, j) * e[k - j] for j in range(k + 1)]
+        qkm1 = [comb(n - k + 1 + j, j) * e[k - 1 - j] for j in range(k)]
+        ell_line = [sum((li * xi for li, xi in zip(ell, x)), Q(0)), big_l]
+        for i, a in enumerate(ell_line):
+            for j, c in enumerate(qkm1):
+                total[i + j] += a * c
+        total, qkm1 = UniPoly(total, k), UniPoly(qkm1, k - 1)
+        pairs.append((qkm1, total))
+        if total.degree() >= 1 and qkm1.degree() == total.degree() - 1:
+            branches.append("interlaces")
+            try:
+                ok = interlaces(qkm1, total)
+            except NotRealRooted:
+                ok = False
+        else:
+            branches.append("is_real_rooted")
+            ok = is_real_rooted(total)
+        if ok:
+            passed += 1
+        else:
+            failures.append(x)
+    return passed, failures, pairs, branches
+
+
+@st.composite
+def ek_case(draw):
+    """(k, n, ell) with k = n, k = 1 and ell(1) = 0 drawn often."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.just(n), st.just(1), st.integers(1, n)))
+    entries = st.sampled_from([Q(0), Q(1), Q(-2), Q(3, 2), Q(-7, 3), Q(5, 4)])
+    ell = draw(st.lists(entries, min_size=n, max_size=n))
+    if sum(ell) < 0 or draw(st.booleans()):
+        ell[0] -= sum(ell)  # ell(1) = 0
+    return k, n, ell
+
+
+@settings(max_examples=120, deadline=None)
+@given(ek_case(), st.integers(0, 10**6))
+def test_ek_plus_linear_matches_fraction_reference(case, seed):
+    """Same passed count and the same failing lines, in order, as the
+    Fraction pipeline, and the same polynomials handed to interlaces on
+    every line (no failing line has been seen with ell(1) >= 0, so the
+    polynomials are what tells the two apart).  The reference's
+    is_real_rooted branch never runs:
+    the t^k coefficient binom(n, k) + ell(1) binom(n, k-1) of the total is
+    positive for ell(1) >= 0, so deg total = k = deg e_(k-1) + 1 on every
+    line, which is why ek_plus_linear_check has no such branch."""
+    k, n, ell = case
+    seen = []
+
+    def recording(q, p):
+        seen.append((q, p))
+        return interlaces(q, p)
+
+    hyperbolicity.interlaces = recording  # a fixture cannot wrap @given
+    try:
+        report = ek_plus_linear_check(k, n, ell, trials=12, seed=seed)
+    finally:
+        hyperbolicity.interlaces = interlaces
+    reference = _fraction_ek_plus_linear_check(k, n, ell, 12, seed)
+    passed, failures, pairs, branches = reference
+    assert (report.passed, report.failures) == (passed, failures)
+    assert seen == pairs
+    assert set(branches) == {"interlaces"}
 
 
 def test_ek_plus_linear_guards():

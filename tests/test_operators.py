@@ -15,7 +15,6 @@ from hypercheck.operators import (
     associated_operator,
     binomial_coords,
     decide_extendable,
-    full_map_sending_onesbase_to,
     g0,
     map_sending_g0_to,
     necessary_sign_test,
@@ -32,6 +31,19 @@ from hypercheck.unipoly import (
     discriminant,
     root_profile,
 )
+
+
+def _dilate(p, c):
+    """p(c t) at the same ambient degree."""
+    return UniPoly([a * c**j for j, a in enumerate(p.coeffs)], p.ambient_degree)
+
+
+def full_map_sending_onesbase_to(f, n):
+    """The diagonal map on R[t]_n sending (t-1)^n to f (ambient degree d)."""
+    d = f.ambient_degree
+    base = UniPoly.from_roots([1] * n, ambient=n)
+    gp = [f.coeffs[d - k] / base.coeffs[n - k] for k in range(d + 1)]
+    return FullDiagonalMap(n, d, tuple(gp))
 
 
 def rand_hook(rng, n=None, d=None):
@@ -118,7 +130,7 @@ def test_defining_oracle(seed):
     T = associated_operator(p)
     g, roots = rand_zero_sum_monic(rng, p.n)
     lhs = apply(T, g).inner
-    rhs = restrict_line(p, roots).dilate(Q(-1)).with_ambient(p.d)
+    rhs = _dilate(restrict_line(p, roots), Q(-1)).with_ambient(p.d)
     assert lhs == rhs
 
 

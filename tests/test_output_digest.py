@@ -1,4 +1,5 @@
-"""The outputs of the exact workloads' seed-1 rounds, pinned by digest.
+"""The outputs of the exact workloads' seed-1 and seed-11 rounds, pinned
+by digest.
 
 tools/output_digest.py runs every request of a benchmark round through
 hypercheck and hashes the requests, exit codes and outputs.  The two
@@ -24,17 +25,21 @@ def _output_digest():
     return module
 
 
-# (requests, sha256) of the seed-1 round
+# workload: {seed: (requests, sha256) of the seeded round}
 PINNED = {
-    "exact-count": (
-        100, "3011ccc332236c5bdce7ad56cac1f3986d7670cd34e28a2a0844ffd438839a58"
-    ),
-    "extend-sweep": (
-        90, "a8a126648d1e4bed47eabd39467e16bc307f0cb85c041c4b6636466f5fabc800"
-    ),
+    "exact-count": {
+        1: (100, "3011ccc332236c5bdce7ad56cac1f3986d7670cd34e28a2a0844ffd438839a58"),
+        11: (100, "73089c58242fd328ba35c548aebdc07560a11b9ff16b657c6c65ab9f3323f671"),
+    },
+    "extend-sweep": {
+        1: (90, "a8a126648d1e4bed47eabd39467e16bc307f0cb85c041c4b6636466f5fabc800"),
+        11: (90, "821730dd2d329e1db8d09c66d3b731d80f6c3cb5fe014817a8ab9066a4ba16c9"),
+    },
 }
 
 
 @pytest.mark.parametrize("workload", sorted(PINNED))
 def test_exact_workload_outputs_pinned(workload):
-    assert _output_digest().digest(workload, 1) == PINNED[workload]
+    digest = _output_digest().digest
+    pinned = PINNED[workload]
+    assert {seed: digest(workload, seed) for seed in pinned} == pinned

@@ -9,7 +9,6 @@ from hypercheck.rationals import (
     Q,
     format_rational,
     parse_rational,
-    qabs,
     qsign,
     simplest_between,
     to_q,
@@ -48,7 +47,6 @@ def test_to_q_accepts_ints_strings_and_fractions():
 
 def test_helpers():
     assert qsign(Q(-2, 3)) == -1 and qsign(Q(0)) == 0 and qsign(Q(5)) == 1
-    assert qabs(Q(-3, 4)) == Q(3, 4)
 
 
 def test_simplest_between_examples():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 
@@ -56,11 +57,21 @@ def test_ambient_degree_and_drop():
         UniPoly([1, 2, 3], 1)
 
 
+def _dilate(p, c):
+    """p(c t) at the same ambient degree."""
+    return UniPoly([a * c**j for j, a in enumerate(p.coeffs)], p.ambient_degree)
+
+
+def _reversed_coeffs(p):
+    """R_n: t^n p(1/t) at the ambient degree n."""
+    return UniPoly(list(reversed(p.coeffs)), p.ambient_degree)
+
+
 def test_shift_dilate_reverse():
     p = UniPoly([1, 2, 1])  # (t+1)^2
     assert p.shift(Q(1)) == UniPoly([4, 4, 1])  # (t+2)^2
-    assert p.dilate(Q(2)) == UniPoly([1, 4, 4])
-    assert UniPoly([1, 2, 3]).reversed_coeffs() == UniPoly([3, 2, 1])
+    assert _dilate(p, Q(2)) == UniPoly([1, 4, 4])
+    assert _reversed_coeffs(UniPoly([1, 2, 3])) == UniPoly([3, 2, 1])
 
 
 def test_from_roots_and_evaluate():
@@ -109,6 +120,147 @@ def test_from_roots_edge_cases():
     assert UniPoly.from_roots([Q(1, 2)] * 3, lead=8) == UniPoly([-1, 6, -12, 8])
     with pytest.raises(DegreeMismatch):
         UniPoly.from_roots([1, 2, 3], ambient=2)
+
+
+# -- the integer representation against a Fraction-tuple reference ------------
+#
+# The reference is UniPoly as it was: a tuple of Fractions, padded or cut to
+# the ambient degree, with the arithmetic written out on those tuples.
+
+
+def _ref_make(coeffs, ambient=None):
+    cs = [Fraction(c) for c in coeffs]
+    if ambient is None:
+        return tuple(cs) or (Fraction(0),)
+    if any(cs[ambient + 1 :]):
+        raise DegreeMismatch("coefficients exceed the ambient degree")
+    return tuple(cs[: ambient + 1]) + (Fraction(0),) * (ambient + 1 - len(cs))
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + (Fraction(0),) * (n - len(a)), b + (Fraction(0),) * (n - len(b))
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _ref_evaluate(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_shift(a, c):
+    out = [Fraction(0)] * len(a)
+    for coeff in reversed(a):
+        for j in range(len(out) - 1, 0, -1):
+            out[j] = out[j - 1] + out[j] * c
+        out[0] = out[0] * c + coeff
+    return tuple(out)
+
+
+def _ref_divmod(a, b):
+    db = max(j for j, c in enumerate(b) if c)
+    rem = list(a) + [Fraction(0)] * max(0, db - (len(a) - 1))
+    quo = [Fraction(0)] * max(1, len(rem) - db)
+    for j in range(len(rem) - 1, db - 1, -1):
+        q = rem[j] / b[db]
+        quo[j - db] = q
+        for i in range(db + 1):
+            rem[j - db + i] -= q * b[i]
+    return tuple(quo), tuple(rem[:db] if db > 0 else [Fraction(0)])
+
+
+def _exact(coeffs):
+    """(type, numerator, denominator) of each coefficient."""
+    return [(type(c), c.numerator, c.denominator) for c in coeffs]
+
+
+rep_q = st.one_of(
+    st.just(Q(0)),
+    small_q,
+    wide_q,
+    st.fractions(max_denominator=10**12).map(lambda f: Q(f.numerator, f.denominator)),
+)
+
+
+@st.composite
+def rep_input(draw):
+    """(coefficients as ints, Qs or "num/den" strings, ambient, reference):
+    the ambient degree is absent, above the length (padding) or below it
+    over trailing zeros (trimming)."""
+    values = draw(st.lists(rep_q, max_size=6))
+    values += [Q(0)] * draw(st.integers(0, 2))
+    forms = [
+        draw(st.sampled_from(["q", "str"] + (["int"] if v.denominator == 1 else [])))
+        for v in values
+    ]
+    coeffs = [
+        int(v) if f == "int" else f"{v.numerator}/{v.denominator}" if f == "str" else v
+        for v, f in zip(values, forms)
+    ]
+    top = max((j for j, v in enumerate(values) if v), default=-1)
+    ambient = draw(st.one_of(st.none(), st.integers(max(top, 0), len(values) + 2)))
+    return coeffs, ambient, _ref_make(values, ambient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rep_input(), rep_input(), rep_q, rep_q)
+def test_representation_matches_fraction_reference(spec_a, spec_b, c, x):
+    """Construction, the Fraction view, equality and hashing, and the
+    arithmetic of the integer representation against Fraction tuples."""
+    (ca, amb_a, ra), (cb, amb_b, rb) = spec_a, spec_b
+    a, b = UniPoly(ca, amb_a), UniPoly(cb, amb_b)
+    for p, ref in ((a, ra), (b, rb)):
+        assert _exact(p.coeffs) == _exact(ref)
+        assert p.den > 0 and gcd(p.den, *p.nums) == 1
+        assert p.ambient_degree == len(ref) - 1
+        # round trips, and equal polynomials built by other routes
+        for same in (
+            UniPoly(p.coeffs, p.ambient_degree),
+            UniPoly([str(v) for v in p.coeffs]),
+            UniPoly.from_ints([-3 * v for v in p.nums], -3 * p.den),
+            (p * c) * (1 / c) if c else p + (p * c),
+            (p + b) - b,
+        ):
+            same = same.with_ambient(p.ambient_degree)
+            assert same == p and hash(same) == hash(p)
+    assert _exact((a + b).coeffs) == _exact(_ref_add(ra, rb))
+    assert _exact((a - b).coeffs) == _exact(_ref_add(ra, tuple(-v for v in rb)))
+    assert _exact((a * b).coeffs) == _exact(_ref_mul(ra, rb))
+    assert _exact((a * c).coeffs) == _exact(tuple(v * c for v in ra))
+    assert _exact((c * a).coeffs) == _exact(tuple(c * v for v in ra))
+    assert _exact((-a).coeffs) == _exact(tuple(-v for v in ra))
+    deriv = tuple(j * ra[j] for j in range(1, len(ra))) or (Fraction(0),)
+    assert _exact(a.derivative().coeffs) == _exact(deriv)
+    assert _exact(a.shift(x).coeffs) == _exact(_ref_shift(ra, x))
+    assert type(a.evaluate(x)) is Q and a.evaluate(x) == _ref_evaluate(ra, x)
+    if any(rb):
+        q, r = divmod_poly(a, b)
+        ref_q, ref_r = _ref_divmod(ra, rb)
+        assert (_exact(q.coeffs), _exact(r.coeffs)) == (_exact(ref_q), _exact(ref_r))
+    roots = [v for v in ra if v][:4]
+    ref_roots = _ref_make([c])
+    for root in roots:
+        ref_roots = _ref_mul(ref_roots, (-root, Fraction(1)))
+    assert _exact(UniPoly.from_roots(roots, lead=c).coeffs) == _exact(ref_roots)
+
+
+def test_representation_is_checked_like_the_reference():
+    with pytest.raises(DegreeMismatch):
+        UniPoly(["1/2", 0, "3"], 1)
+    assert UniPoly([], 2).nums == (0, 0, 0) and UniPoly([]).coeffs == (0,)
+    p = UniPoly(["-4/6", 2, Q(5, 3)], 4)
+    assert (p.nums, p.den) == ((-2, 6, 5, 0, 0), 3)
+    assert UniPoly.from_ints([0, 0], -7) == UniPoly([0, 0]) and UniPoly([0, 0]).den == 1
 
 
 def test_divmod_exact():
