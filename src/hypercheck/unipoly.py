@@ -16,18 +16,24 @@ is a count: Yun square-free decomposition, then the sign variations of a
 Sturm sequence of each square-free factor at -infinity, 0 and +infinity,
 read off leading and constant coefficients (root_counts).  Interlacing is
 decided by one Cauchy index, from the variations at +-infinity of a
-signed remainder sequence (interlaces).  Roots are isolated, by interval
-bisection with rational endpoints followed by a simplest-rational
-reconstruction so that rational roots come out exact, only where a root
-value is output (root_profile).
+signed remainder sequence (interlaces).  Roots are isolated by bisection,
+and rational roots recovered exactly by a simplest-rational
+reconstruction, only where a root value is output (root_profile).
 
 All of these run on UniPoly.primitive, the integer list of a positive
 multiple of the polynomial: Sturm chains, gcds and Yun decompositions by
 pseudo-remainders (Basu-Pollack-Roy, ch. 8) and exact integer division,
-sign queries at rational points by integer Horner (_sign_at).  RealRoot
-bisection runs on integer numerators over one common denominator and
-evaluates the polynomial once per step, since a RealRoot caches its sign
-at the lower endpoint.
+values at rational points by integer Horner (_horner).  An isolating
+interval is integers a < c over one denominator, with the values at both
+ends; isolation bisects it over L 2^depth for the Cauchy bound B / L, and
+RealRoot refines it by quadratic interval refinement (Abbott 2006; Kerber
+and Sagraloff 2011): the secant through the ends guesses which of the 2^b
+cells of depth b holds the root, and the signs at that cell's ends check
+the guess.  Success doubles b and failure halves it, so k steps cost
+O(log k) evaluations once the secant is close.  As the interval holds one
+simple root, a checked cell is the one that b bisection steps reach, and
+a grid point that is the root is one that bisection hits: the output is
+that of bisection.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from itertools import zip_longest
 from math import ceil, gcd, lcm
 
 from .errors import DegreeMismatch, DegreeTooLow, NotRealRooted, ZeroPolynomial
-from .rationals import Q, QONE, QZERO, qsign, simplest_between, to_q
+from .rationals import Q, QONE, QZERO, _simplest_pos, to_q
 
 
 def _fit(nums, ambient):
@@ -334,47 +340,37 @@ def _sturm(a):
     return signed_remainder_sequence(a, _primitive(_int_derivative(a)))
 
 
-def _sign_at(ints, x) -> int:
-    """Sign of the integer polynomial `ints` (ascending) at the rational x."""
-    return _sign_at_ratio(ints, x.numerator, x.denominator)
-
-
-def _sign_at_ratio(ints, num, den) -> int:
-    """Sign of `ints` at num/den, den > 0, not necessarily in lowest terms:
-    the sign of den^m * p(num/den) by integer Horner, where m is the
-    formal degree, with the powers of den accumulated on the way."""
+def _horner(ints, num, den) -> int:
+    """den^m * p(num/den) for the integer polynomial `ints` (ascending) of
+    formal degree m, den > 0 and num/den not necessarily in lowest terms,
+    by integer Horner with the powers of den accumulated on the way."""
     acc, scale = ints[-1], den
     for c in reversed(ints[:-1]):
         acc = acc * num + c * scale
         scale *= den
-    return qsign(acc)
+    return acc
 
 
-def _variations(signs):
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
+def _variations(values):
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    count, prev = 0, 0
+    for v in values:
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                count += 1
+            prev = v
     return count
-
-
-def sturm_variations_at(chain, x) -> int:
-    return _variations([_sign_at(q, x) for q in chain])
 
 
 def sturm_variations_at_inf(chain, positive: bool) -> int:
     """Variations of the leading signs, flipped at -infinity for odd degree."""
-    flip = 1 if positive else -1
-    return _variations([qsign(q[-1]) * (flip if len(q) % 2 == 0 else 1) for q in chain])
+    return _variations([q[-1] if positive or len(q) % 2 else -q[-1] for q in chain])
 
 
 def count_roots_halfopen(chain, a, b) -> int:
     """Number of distinct real roots in (a, b] of the chain's polynomial."""
-    return sturm_variations_at(chain, a) - sturm_variations_at(chain, b)
+    va, vb = ([_horner(q, x.numerator, x.denominator) for q in chain] for x in (a, b))
+    return _variations(va) - _variations(vb)
 
 
 def cauchy_bound(p: UniPoly):
@@ -386,22 +382,34 @@ def cauchy_bound(p: UniPoly):
 
 class RealRoot:
     """One real algebraic number: a square-free defining polynomial plus
-    either an exact rational value or an open isolating interval (lo, hi)
-    with a sign change and non-root endpoints.  The sign of the polynomial
-    at lo is cached: lo only ever moves to a point of that same sign.
-    `ints`, the primitive integer list of poly, is taken when the caller
-    already holds it."""
+    either an exact rational value or an open isolating interval with a
+    sign change and non-root endpoints: integers a < c over one den > 0
+    (lo = a/den, hi = c/den), with fa = den^m p(a/den) and fc likewise, p
+    the primitive integer list `ints` of poly, of degree m.  `_b`, the step
+    of quadratic interval refinement, is carried from call to call."""
 
-    __slots__ = ("poly", "lo", "hi", "exact", "_ints", "_lo_sign")
+    __slots__ = ("poly", "exact", "_ints", "_a", "_c", "_den", "_fa", "_fc", "_b")
 
-    def __init__(self, poly, lo=None, hi=None, exact=None, ints=None):
-        self.poly = poly
-        self.lo = lo
-        self.hi = hi
-        self.exact = exact
-        if exact is None:
-            self._ints = poly.primitive() if ints is None else ints
-            self._lo_sign = _sign_at(self._ints, lo)
+    def __init__(self, poly, lo=None, hi=None, exact=None):
+        self.poly, self.exact, self._den = poly, exact, None
+        if lo is not None:
+            den, ints = lcm(lo.denominator, hi.denominator), poly.primitive()
+            a = lo.numerator * (den // lo.denominator)
+            c = hi.numerator * (den // hi.denominator)
+            self._hold(ints, a, c, den, _horner(ints, a, den), _horner(ints, c, den))
+
+    def _hold(self, ints, a, c, den, fa, fc) -> "RealRoot":
+        self._ints, self._a, self._c, self._den = ints, a, c, den
+        self._fa, self._fc, self._b = fa, fc, 1
+        return self
+
+    @property
+    def lo(self):
+        return None if self._den is None else Q(self._a, self._den)
+
+    @property
+    def hi(self):
+        return None if self._den is None else Q(self._c, self._den)
 
     @staticmethod
     def from_rational(value) -> "RealRoot":
@@ -412,9 +420,7 @@ class RealRoot:
         return self.exact is not None
 
     def interval(self):
-        if self.exact is not None:
-            return (self.exact, self.exact)
-        return (self.lo, self.hi)
+        return (self.lo, self.hi) if self.exact is None else (self.exact, self.exact)
 
     def refine(self):
         """One bisection step; may discover an exact rational value."""
@@ -433,69 +439,90 @@ class RealRoot:
         self._bisect(extra_bits)
         if self.exact is not None:
             return True
-        cand = simplest_between(self.lo, self.hi)
-        if _sign_at(self._ints, cand) == 0:
-            self.exact = cand
+        s = (self._c > 0) - (self._a < 0)  # the sign on all of [lo, hi], or 0
+        left, right = sorted((s * self._a, s * self._c))  # s [lo, hi], over den
+        num, d = _simplest_pos(left, self._den, right, self._den) if s else (0, 1)
+        if _horner(self._ints, s * num, d) == 0:
+            self.exact = Q(s * num, d)
             return True
         return False
 
     def _bisect(self, steps: int):
-        """`steps` bisection steps, fewer if one hits the root exactly.
-        The endpoints run as integer numerators a < c over one common
-        denominator den, the midpoint is (a + c) / (2 den), and lo, hi (or
-        exact) are written back as Q once."""
+        """`steps` bisection steps, fewer if one hits the root exactly, by
+        quadratic interval refinement (see the module docstring).  A cell
+        next to a is checked by the sign at its right end alone, one next
+        to c by its left end; b = 1 is one bisection step.  A grid point
+        that is the root becomes exact, with lo, hi the cell whose midpoint
+        it is, as bisection leaves them."""
         if self.exact is not None or steps <= 0:
             return
-        lo, hi = self.lo, self.hi
-        den = lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        c = hi.numerator * (den // hi.denominator)
-        ints, lo_sign = self._ints, self._lo_sign
-        for _ in range(steps):
-            mid = a + c
-            s = _sign_at_ratio(ints, mid, 2 * den)
-            if s == 0:
-                self.exact = Q(mid, 2 * den)
+        ints, m = self._ints, len(self._ints) - 1
+        a, c, den, fa, fc, b = self._a, self._c, self._den, self._fa, self._fc, self._b
+        while steps:
+            use = min(b, steps)
+            n, w, big, s = 1 << use, c - a, den << use, use * m
+            j = (fa << use) // (fa - fc)  # in [0, n), as fa, fc differ in sign
+            left = (a << use) + j * w
+            fl = fa << s if j == 0 else _horner(ints, left, big)
+            cell = hit = None
+            if fl == 0:
+                hit = j
+            elif (fl > 0) != (fa > 0):  # the root is left of the guess
+                if j == 1:
+                    cell = left - w, left, fa << s, fl
+            else:
+                fr = fc << s if j == n - 1 else _horner(ints, left + w, big)
+                if fr == 0:
+                    hit = j + 1
+                elif (fr > 0) == (fc > 0):
+                    cell = left, left + w, fl, fr
+                elif j == n - 2:  # right of the guess, in the last cell
+                    cell = left + w, left + 2 * w, fr, fc << s
+            if hit is not None:
+                x, half = (a << use) + hit * w, w * (hit & -hit)
+                self.exact = Q(x, big)
+                a, c, den = x - half, x + half, big
                 break
-            (a, c), den = (2 * a, mid) if s != lo_sign else (mid, 2 * c), 2 * den
-        self.lo, self.hi = Q(a, den), Q(c, den)
+            if cell is None:
+                b = use >> 1
+                continue
+            (a, c, fa, fc), den, steps = cell, big, steps - use
+            b = 2 * b if use == b else b
+        self._a, self._c, self._den, self._fa, self._fc, self._b = a, c, den, fa, fc, b
 
     def split_at(self, x) -> int:
         """Position of the root relative to a rational x inside the
         interval: -1 if root < x, +1 if root > x, 0 if x is the root.
         Refines in place."""
-        s = _sign_at(self._ints, x)
-        if s == 0:
+        den = lcm(self._den, x.denominator)
+        k, xn = den // self._den, x.numerator * (den // x.denominator)
+        fx = _horner(self._ints, xn, den)
+        if fx == 0:
             self.exact = x
             return 0
-        if s != self._lo_sign:
-            self.hi = x
+        scale = k ** (len(self._ints) - 1)
+        self._a, self._c, self._den = self._a * k, self._c * k, den
+        self._fa, self._fc = self._fa * scale, self._fc * scale
+        if (fx > 0) != (self._fa > 0):
+            self._c, self._fc = xn, fx
             return -1
-        self.lo = x
+        self._a, self._fa = xn, fx
         return 1
 
     def sign(self) -> int:
-        if self.exact is not None:
-            return qsign(self.exact)
-        if self.lo >= 0:
-            return 1
-        if self.hi <= 0:
-            return -1
-        return self.split_at(QZERO)
+        return self._compare_with_rational(QZERO)
 
     def compare(self, other: "RealRoot") -> int:
         if self is other:
             return 0
         while True:
-            if self.exact is not None and other.exact is not None:
-                return (self.exact > other.exact) - (self.exact < other.exact)
             if self.exact is not None:
                 return -other._compare_with_rational(self.exact)
             if other.exact is not None:
                 return self._compare_with_rational(other.exact)
-            if self.hi <= other.lo:
+            if self._c * other._den <= other._a * self._den:
                 return -1
-            if other.hi <= self.lo:
+            if other._c * self._den <= self._a * other._den:
                 return 1
             if self._equals_overlapping(other):
                 return 0
@@ -503,11 +530,12 @@ class RealRoot:
             other.refine()
 
     def _compare_with_rational(self, x) -> int:
+        """The sign of root - x for a rational x."""
         if self.exact is not None:
             return (self.exact > x) - (self.exact < x)
-        if x <= self.lo:
+        if x.numerator * self._den <= self._a * x.denominator:
             return 1
-        if x >= self.hi:
+        if x.numerator * self._den >= self._c * x.denominator:
             return -1
         return self.split_at(x)
 
@@ -515,14 +543,10 @@ class RealRoot:
         h = poly_gcd(self.poly, other.poly)
         if h.degree() < 1:
             return False
-        a = max(self.lo, other.lo)
-        b = min(self.hi, other.hi)
-        if a >= b:
-            return False
+        a, b = max(self.lo, other.lo), min(self.hi, other.hi)
         # a and b are non-root endpoints of one of the two defining
         # polynomials, hence never roots of their gcd
-        chain = sturm_chain(h)
-        return count_roots_halfopen(chain, a, b) >= 1
+        return a < b and count_roots_halfopen(sturm_chain(h), a, b) >= 1
 
     def __repr__(self):
         if self.exact is not None:
@@ -541,38 +565,43 @@ def isolate_real_roots(p: UniPoly):
     if p.degree() == 1:
         return [RealRoot.from_rational(Q(-p.nums[0], p.nums[1]))]
     chain = sturm_chain(p)
-    ints = chain[0]
-    bound = cauchy_bound(p)
+    ints, m = chain[0], len(chain[0]) - 1
     roots = []
 
-    def recurse(a, b, va, vb):
-        # va, vb: Sturm variations at a and b; (a, b] holds va - vb roots
-        if va - vb == 1:
-            roots.append(RealRoot(p, lo=a, hi=b, ints=ints))
-        if va - vb <= 1:
+    def recurse(a, c, den, va, vc, fa, fc):
+        # (a/den, c/den] holds va - vc roots, va and vc the Sturm variations
+        # at its ends, fa and fc the values of ints there times den^m
+        if va - vc == 1:
+            roots.append(RealRoot(p)._hold(ints, a, c, den, fa, fc))
+        if va - vc <= 1:
             return
-        mid = (a + b) / 2
-        signs = [_sign_at(q, mid) for q in chain]
-        if signs[0] == 0:
-            # exact root found mid-bisection: carve a pivot gap around it
-            roots.append(RealRoot(p, exact=mid))
-            eps = (b - a) / 4
+        mid, den2 = a + c, 2 * den
+        vals = [_horner(q, mid, den2) for q in chain]
+        if vals[0] == 0:
+            # exact root found mid-bisection: carve a pivot gap around it,
+            # (mid -+ e) / den2 for e from (c - a) / 4 down by halves
+            roots.append(RealRoot(p, exact=Q(mid, den2)))
+            mid, e, den2 = 2 * mid, c - a, 2 * den2
             while True:
-                left, right = mid - eps, mid + eps
-                if _sign_at(ints, left) != 0 and _sign_at(ints, right) != 0:
-                    vl = sturm_variations_at(chain, left)
-                    vr = sturm_variations_at(chain, right)
+                fl, fr = _horner(ints, mid - e, den2), _horner(ints, mid + e, den2)
+                if fl and fr:
+                    vl = _variations([_horner(q, mid - e, den2) for q in chain])
+                    vr = _variations([_horner(q, mid + e, den2) for q in chain])
                     if vl - vr == 1:
                         break
-                eps /= 2
-            recurse(a, left, va, vl)
-            recurse(right, b, vr, vb)
+                mid, den2, e = (2 * mid, 2 * den2, e) if e % 2 else (mid, den2, e // 2)
+            t = (den2 // den).bit_length() - 1  # den2 = den 2^t
+            recurse(a << t, mid - e, den2, va, vl, fa << t * m, fl)
+            recurse(mid + e, c << t, den2, vr, vc, fr, fc << t * m)
             return
-        vm = _variations(signs)
-        recurse(a, mid, va, vm)
-        recurse(mid, b, vm, vb)
+        vm = _variations(vals)
+        recurse(2 * a, mid, den2, va, vm, fa << m, vals[0])
+        recurse(mid, 2 * c, den2, vm, vc, vals[0], fc << m)
 
-    recurse(-bound, bound, *(sturm_variations_at(chain, x) for x in (-bound, bound)))
+    bound = cauchy_bound(p)  # B / L
+    B, L = bound.numerator, bound.denominator
+    low, high = ([_horner(q, x, L) for q in chain] for x in (-B, B))
+    recurse(-B, B, L, _variations(low), _variations(high), low[0], high[0])
     for r in roots:
         if r.exact is None:
             r.try_rational()
@@ -618,16 +647,11 @@ def root_counts(p: UniPoly) -> RootCounts:
         parts = [(_sturm(f), m) for f, m in _yun(a, chain[-1])]
     n_pos = n_neg = 0
     for chain, mult in parts:
-        at_zero = _variations([qsign(c[0]) for c in chain])
+        at_zero = _variations([c[0] for c in chain])
         n_neg += mult * (sturm_variations_at_inf(chain, False) - at_zero)
         n_pos += mult * (at_zero - sturm_variations_at_inf(chain, True))
-    return RootCounts(
-        n_positive=n_pos,
-        n_negative=n_neg,
-        n_zero=v,
-        n_nonreal=len(a) - 1 - n_pos - n_neg,
-        degree_drop=p.degree_drop(),
-    )
+    return RootCounts(n_positive=n_pos, n_negative=n_neg, n_zero=v,
+                      n_nonreal=len(a) - 1 - n_pos - n_neg, degree_drop=p.degree_drop())
 
 
 @dataclass
@@ -671,16 +695,8 @@ def root_profile(p: UniPoly) -> RootProfile:
     entries.sort(key=cmp_to_key(lambda a, b: a[0].compare(b[0])))
     n_pos = sum(m for r, m in entries if r.sign() > 0)
     n_neg = sum(m for r, m in entries if r.sign() < 0)
-    n_zero = v
-    n_real = n_pos + n_neg + n_zero
-    return RootProfile(
-        real_roots=entries,
-        n_positive=n_pos,
-        n_negative=n_neg,
-        n_zero=n_zero,
-        n_nonreal=q.degree() + v - n_real,
-        degree_drop=drop,
-    )
+    return RootProfile(real_roots=entries, n_positive=n_pos, n_negative=n_neg, n_zero=v,
+                       n_nonreal=q.degree() - n_pos - n_neg, degree_drop=drop)
 
 
 def is_real_rooted(p: UniPoly) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercheck import unipoly
 from hypercheck.cli import run
 from hypercheck.errors import DegreeMismatch, NotRealRooted, ZeroPolynomial
 from hypercheck.rationals import Q, qsign, simplest_between
@@ -14,7 +15,7 @@ from hypercheck.unipoly import (
     RealRoot,
     UniPoly,
     ZeroSumPoly,
-    _sign_at,
+    _horner,
     cauchy_bound,
     count_roots_halfopen,
     dee,
@@ -698,11 +699,14 @@ def _int_poly(factors):
     st.data(),
 )
 def test_sign_at_matches_fraction_evaluation(roots, extra, data):
-    """Planted rational roots times an arbitrary integer factor, at the
-    planted roots and off them."""
+    """den^m p(num/den) by integer Horner, for planted rational roots times
+    an arbitrary integer factor, at the planted roots and off them, with
+    num/den in lowest terms and not."""
     ints = _int_poly([[-r.numerator, r.denominator] for r in roots] + [extra])
     x = data.draw(st.one_of(st.sampled_from(roots), small_q))
-    assert _sign_at(ints, x) == qsign(UniPoly(ints).evaluate(x))
+    k = data.draw(st.integers(1, 6))
+    num, den = x.numerator * k, x.denominator * k
+    assert _horner(ints, num, den) == UniPoly(ints).evaluate(x) * den ** (len(ints) - 1)
 
 
 class _FractionRealRoot:
@@ -908,18 +912,23 @@ big_q = st.fractions(min_value=-50, max_value=50, max_denominator=10**12).map(
 )
 
 
-@st.composite
-def planted_root(draw):
-    """(poly, lo, hi): one root in (lo, hi), either a rational with a large
+def _draw_planted(draw):
+    """lo < hi and one root r in (lo, hi), either a rational with a large
     denominator or lo + (hi - lo) * j / 2^m for odd j, which the m-th
-    bisection step hits exactly; the other factor has no root there."""
+    bisection step hits exactly."""
     lo, hi = sorted(draw(st.lists(big_q, min_size=2, max_size=2, unique=True)))
     if draw(st.booleans()):
         m = draw(st.integers(1, 40))
         j = 2 * draw(st.integers(0, 2 ** (m - 1) - 1)) + 1
-        r = lo + (hi - lo) * Q(j, 2**m)
-    else:
-        r = draw(big_q.filter(lambda x: lo < x < hi))
+        return lo, hi, lo + (hi - lo) * Q(j, 2**m)
+    return lo, hi, draw(big_q.filter(lambda x: lo < x < hi))
+
+
+@st.composite
+def planted_root(draw):
+    """(poly, lo, hi): one root in (lo, hi), as _draw_planted; the other
+    factor has no root there."""
+    lo, hi, r = _draw_planted(draw)
     others = [UniPoly([1, 0, 1]), UniPoly.from_roots([hi + 1]),
               UniPoly.from_roots([lo - 1, hi + 2])]
     lead = draw(st.sampled_from([Q(1), Q(-7, 3)]))
@@ -965,6 +974,163 @@ def test_bisection_matches_stepwise_reference(spec, ops):
         for new, old in pairs:
             assert getattr(new, op[0])(*op[1:]) == STEPWISE[op[0]](old, *op[1:])
             assert _states([new]) == _states([old])
+
+
+# -- quadratic interval refinement: failed guesses, deep refinement ----------
+
+
+@st.composite
+def secant_trap(draw):
+    """(poly, lo, hi) with one root in (lo, hi), as _draw_planted, and the
+    other factor's roots just outside: (hi - lo) / 2^k beyond one end or
+    both, so that the secant through the ends guesses poorly."""
+    lo, hi, r = _draw_planted(draw)
+    k_hi, k_lo = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    near = [hi + (hi - lo) / 2**k_hi, lo - (hi - lo) / 2**k_lo]
+    near = draw(st.sampled_from([near[:1], near[1:], near]))
+    lead = draw(st.sampled_from([Q(1), Q(-7, 3)]))
+    return UniPoly.from_roots([r, *near], lead=lead), lo, hi
+
+
+def _values_held(root):
+    """An interval root holds den^m p(a/den) and den^m p(c/den)."""
+    return root.exact is not None or (root._fa, root._fc) == (
+        _horner(root._ints, root._a, root._den), _horner(root._ints, root._c, root._den)
+    )
+
+
+deep_op = st.one_of(
+    st.just(("refine",)),
+    st.tuples(st.just("try_rational"), st.integers(0, 96)),
+    st.tuples(
+        st.just("refine_below"),
+        st.builds(lambda k, odd, e: Q(k, odd << e), st.integers(1, 5),
+                  st.sampled_from([1, 3, 7]), st.integers(0, 150)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(secant_trap(), planted_root()),
+    st.lists(deep_op, min_size=1, max_size=4),
+)
+def test_refinement_matches_stepwise_reference_deep(spec, ops):
+    """refine, try_rational up to 96 bits and refine_below down to widths
+    of 2^-150 leave the same (lo, hi, exact) as per-step bisection, also
+    where a root just outside the interval makes the secant guesses fail."""
+    poly, lo, hi = spec
+    new, old = (RealRoot(poly, lo=lo, hi=hi) for _ in range(2))
+    for op in ops:
+        assert getattr(new, op[0])(*op[1:]) == STEPWISE[op[0]](old, *op[1:])
+        assert _states([new]) == _states([old])
+        assert _values_held(new)
+
+
+def test_failed_secant_guess_falls_back_to_bisection():
+    """(t - 7/40)(t - 101/100) on (0, 1): after one bisection step, the
+    secant guess among the four cells of (0, 1/2) misses, so the step
+    size falls back from 2 to 1 (with no failure, three steps leave it at
+    4); the state is still that of per-step bisection, then, after a split
+    at 1/6, off the dyadic grid, and after 20 and 40 more steps, which
+    find the root exactly."""
+    poly = UniPoly.from_roots([Q(7, 40), Q(101, 100)])
+    new, old = (RealRoot(poly, lo=Q(0), hi=Q(1)) for _ in range(2))
+    assert new.try_rational(3) is _stepwise_try_rational(old, 3) is False
+    assert new._b == 2
+    assert _states([new]) == _states([old]) == [(Q(1, 8), Q(1, 4), None)]
+    assert new.split_at(Q(1, 6)) == old.split_at(Q(1, 6)) == 1
+    assert _values_held(new)
+    for bits in (20, 40):
+        assert new.try_rational(bits) == _stepwise_try_rational(old, bits)
+        assert _states([new]) == _states([old])
+    assert new.exact == Q(7, 40)
+
+
+def test_refinement_evaluation_budget(monkeypatch):
+    """sqrt(2) on (0, 3], the interval isolate_real_roots gives it: 24
+    bisection steps and the simplest-rational test make 25 evaluations per
+    try_rational(24); quadratic interval refinement makes at most 18 on
+    the first call and at most 8 on the second, where the step size
+    carried over is already large."""
+    calls = []
+
+    def counting(ints, num, den):
+        calls.append(den)
+        return _horner(ints, num, den)
+
+    poly = UniPoly([-2, 0, 1])
+    new, old = RealRoot(poly, lo=0, hi=3), RealRoot(poly, lo=Q(0), hi=Q(3))
+    monkeypatch.setattr(unipoly, "_horner", counting)
+    budget = []
+    for limit in (18, 8):
+        calls.clear()
+        assert new.try_rational(24) is False
+        budget.append(len(calls))
+        assert len(calls) <= limit, budget
+    monkeypatch.undo()
+    for _ in range(2):
+        _stepwise_try_rational(old, 24)
+    assert _states([new]) == _states([old])
+
+
+# (roots, lead): the isolation of each hits a rational root r at the
+# midpoint of a cell C of depth >= 2 below (-B/L, B/L), the Cauchy bound;
+# a second root lies within |C| / 8 of r, so the pivot gap around r halves
+# at least twice, and B is odd, so the second halving doubles the
+# denominator
+PIVOT_CASES = [
+    ([Q(-11, 16), Q(-9, 16)], Q(1)),
+    ([Q(9, 16), Q(11, 16)], Q(1)),
+    ([Q(-9, 16), Q(-7, 16), Q(-7)], Q(1)),
+    ([Q(33, 64), Q(35, 64)], Q(1)),
+    ([Q(-15, 64), Q(-17, 64), Q(-7)], Q(3)),
+    ([Q(-17, 32), Q(-19, 32)], Q(2, 5)),
+]
+
+
+def _pivot_hits(p, roots):
+    """(depth of C, halvings of the gap, B odd) for every root of p that
+    isolation hits as a midpoint while another root shares its cell."""
+    bound = cauchy_bound(p)
+    out = []
+    for r in roots:
+        x = (r + bound) / (2 * bound)
+        depth = x.denominator.bit_length() - 2  # r = midpoint of C
+        if x.denominator & (x.denominator - 1) or depth < 0:
+            continue
+        half = 2 * bound / 2 ** (depth + 1)
+        others = [s for s in roots if s != r and abs(s - r) < half]
+        if len(others) != 1:
+            continue
+        eps, halvings = half / 2, 0
+        while not eps < abs(others[0] - r):
+            eps, halvings = eps / 2, halvings + 1
+        out.append((depth, halvings, bound.numerator % 2 == 1))
+    return out
+
+
+@pytest.mark.parametrize("roots, lead", PIVOT_CASES)
+def test_isolation_pivot_carving_matches_fraction_reference(roots, lead, monkeypatch):
+    """Integer isolation gives the same roots, with the same (lo, hi,
+    exact), as the Fraction root layer, where bisection hits a rational
+    root deep in the recursion and the gap carved around it halves on an
+    odd numerator; every isolating interval it hands on holds the values
+    at its ends."""
+    p = UniPoly.from_roots(roots, lead=lead)
+    assert any(d >= 2 and h >= 2 and odd for d, h, odd in _pivot_hits(p, roots))
+    held, try_rational = [], RealRoot.try_rational
+
+    def checked(root, *args):
+        held.append(_values_held(root))
+        return try_rational(root, *args)
+
+    monkeypatch.setattr(RealRoot, "try_rational", checked)
+    new, old = isolate_real_roots(p), _fraction_isolate(p)
+    assert _states(new) == _states(old)
+    assert held and all(held)
+    assert sorted(roots) == [r.exact for r in new]
+    assert any(r.lo is None and r.exact is not None for r in new)
 
 
 # -- integer remainder sequences against the Fraction reference ---------------
