@@ -146,9 +146,7 @@ def verdict_to_json(v) -> dict:
     for key, value in v.detail.items():
         if isinstance(value, UniPoly):
             out["detail"][key] = poly_to_json(value)
-        elif isinstance(value, (bool, int, float, str, list)):
-            out["detail"][key] = value
-        elif hasattr(value, "denominator"):
+        elif hasattr(value, "denominator") and not isinstance(value, int):
             out["detail"][key] = format_rational(value)
         else:
             out["detail"][key] = value
@@ -304,6 +302,14 @@ def _cmd_cone_member(args) -> int:
     return 0
 
 
+def _delta_samples(report) -> dict:
+    return {
+        "trials": report.delta_trials,
+        "negative": report.delta_negative,
+        "min": format_rational(report.delta_min),
+    }
+
+
 def _cmd_conjecture(args) -> int:
     _check_n(args.n)
     target = poly_from_json(_load_payload(args.target))
@@ -318,11 +324,7 @@ def _cmd_conjecture(args) -> int:
         "d": report.d,
         "hook": hook_to_json(report.hook),
         "falsifier": verdict_to_json(report.falsifier),
-        "delta_samples": {
-            "trials": report.delta_trials,
-            "negative": report.delta_negative,
-            "min": format_rational(report.delta_min),
-        },
+        "delta_samples": _delta_samples(report),
         "extendable": report.extendable,
         "certificate_kind": report.certificate.kind,
     }
@@ -346,11 +348,7 @@ def _cmd_demo_quintic(args) -> int:
         "falsifier": verdict_to_json(report.falsifier),
         "extendable": report.extendable,
         "certificate": certificate_to_json(report.certificate),
-        "delta_samples": {
-            "trials": report.delta_trials,
-            "negative": report.delta_negative,
-            "min": format_rational(report.delta_min),
-        },
+        "delta_samples": _delta_samples(report),
     }
     _emit(payload, args.pretty)
     return _status_exit(report.falsifier.status)
@@ -417,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("falsify", help="search for a non-hyperbolicity witness")
     s.add_argument("--hook", required=True)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=int,
+                   help="accepted but unused: the search is deterministic")
     s.add_argument("--budget", type=int, help="grid points per axis")
     s.set_defaults(func=_cmd_falsify)
 

@@ -635,16 +635,11 @@ def cubic_normal_form(a, b, c, n: int) -> CubicNormalForm:
             continue
         c2_exact, c2_int, c2_sign = _eval_linear_on_root(b, 3 * c, -3 * c, root)
         if qsign(c) * c2_sign >= 0:
-            if root.is_exact():
-                u = root.exact
-                return CubicNormalForm(
-                    c1=c, c2=c2_exact, c2_interval=c2_int, c2_sign=c2_sign,
-                    u=u, u_interval=(u, u), shift=(1 - u) / n,
-                )
-            lo, hi = root.interval()
+            u = root.exact
             return CubicNormalForm(
                 c1=c, c2=c2_exact, c2_interval=c2_int, c2_sign=c2_sign,
-                u=None, u_interval=(lo, hi), shift=None,
+                u=u, u_interval=root.interval(),
+                shift=None if u is None else (1 - u) / n,
             )
     raise NonInvertibleTransform(
         "only the singular shear removes the m1^3 term"

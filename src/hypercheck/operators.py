@@ -398,25 +398,13 @@ def _multiplicity_obstruction(prof, d: int):
     preimage with all roots >= 0 makes the image real rooted with at
     most one negative root, and symmetrically.
     """
-    plus_viable = prof.n_negative <= 1
-    minus_viable = prof.n_positive <= 1
-    plus_forced = [
-        (r, m + 1) for r, m in prof.real_roots if m >= 2 and r.sign() > 0
+    branches = [  # (viable, forced) for roots >= 0, then roots <= 0
+        (viable, [(r, m + 1) for r, m in prof.real_roots if m >= 2 and r.sign() == s])
+        for s, viable in ((1, prof.n_negative <= 1), (-1, prof.n_positive <= 1))
     ]
-    minus_forced = [
-        (r, m + 1) for r, m in prof.real_roots if m >= 2 and r.sign() < 0
-    ]
-    plus_blocked = sum(m for _, m in plus_forced) > d
-    minus_blocked = sum(m for _, m in minus_forced) > d
-    if plus_viable and not plus_blocked:
+    if any(viable and sum(m for _, m in forced) <= d for viable, forced in branches):
         return None
-    if minus_viable and not minus_blocked:
-        return None
-    if plus_viable:
-        return plus_forced
-    if minus_viable:
-        return minus_forced
-    return None
+    return next((forced for viable, forced in branches if viable), None)
 
 
 def phi(r, width=DEFAULT_ENCLOSURE_WIDTH):

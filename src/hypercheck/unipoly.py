@@ -18,22 +18,25 @@ read off leading and constant coefficients (root_counts).  Interlacing is
 decided by one Cauchy index, from the variations at +-infinity of a
 signed remainder sequence (interlaces).  Roots are isolated by bisection,
 and rational roots recovered exactly by a simplest-rational
-reconstruction, only where a root value is output (root_profile).
+reconstruction, only where a root value is output (root_profile).  Each
+Yun factor's Sturm chain is built once (_yun_chains) and shared by
+counting and isolation.
 
 All of these run on UniPoly.primitive, the integer list of a positive
-multiple of the polynomial: Sturm chains, gcds and Yun decompositions by
-pseudo-remainders (Basu-Pollack-Roy, ch. 8) and exact integer division,
-values at rational points by integer Horner (_horner).  An isolating
-interval is integers a < c over one denominator, with the values at both
-ends; isolation bisects it over L 2^depth for the Cauchy bound B / L, and
-RealRoot refines it by quadratic interval refinement (Abbott 2006; Kerber
-and Sagraloff 2011): the secant through the ends guesses which of the 2^b
-cells of depth b holds the root, and the signs at that cell's ends check
-the guess.  Success doubles b and failure halves it, so k steps cost
-O(log k) evaluations once the secant is close.  As the interval holds one
-simple root, a checked cell is the one that b bisection steps reach, and
-a grid point that is the root is one that bisection hits: the output is
-that of bisection.
+multiple of the polynomial: Sturm chains, gcds (the last term of a
+signed remainder sequence) and Yun decompositions by pseudo-remainders
+(Basu-Pollack-Roy, ch. 8) and exact integer division, values at
+rational points by integer Horner (_horner).  An isolating interval is
+integers a < c over one denominator, with the values at both ends;
+isolation bisects it over L 2^depth for the Cauchy bound B / L, and
+RealRoot refines it by quadratic interval refinement (Abbott 2006;
+Kerber and Sagraloff 2011): the secant through the ends guesses which of
+the 2^b cells of depth b holds the root, and the signs at that cell's
+ends check the guess.  Success doubles b and failure halves it, so k
+steps cost O(log k) evaluations once the secant is close.  As the
+interval holds one simple root, a checked cell is the one that b
+bisection steps reach, and a grid point that is the root is one that
+bisection hits: the output is that of bisection.
 """
 
 from __future__ import annotations
@@ -163,15 +166,10 @@ class UniPoly:
         return UniPoly.from_ints(self.nums[: max(self.degree(), 0) + 1], self.den)
 
     def evaluate(self, x):
-        """p(a/b) = (sum_j nums_j a^j b^(m-j)) / (den b^m), m the ambient
-        degree, by integer Horner."""
+        """p(a/b) = _horner(nums, a, b) / (den b^m), m the ambient degree."""
         x = to_q(x)
-        a, b = x.numerator, x.denominator
-        acc, scale = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * a + c * scale
-            scale *= b
-        return Q(acc, self.den * (scale // b))
+        m, b = self.ambient_degree, x.denominator
+        return Q(_horner(self.nums, x.numerator, b), self.den * b**m)
 
     def derivative(self) -> "UniPoly":
         nums = [j * c for j, c in enumerate(self.nums)][1:] or [0]
@@ -244,12 +242,10 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def _int_gcd(a, b):
-    """Primitive gcd, leading coefficient >= 0, of trimmed integer lists by
-    pseudo-remainders, which differ from remainders by a constant factor."""
-    while b != [0]:
-        a, b = b, _primitive(_prem(a, b))
-    a = _primitive(a)
-    return a if a[-1] >= 0 else [-c for c in a]
+    """Primitive gcd, leading coefficient >= 0, of trimmed integer lists:
+    the last term of their signed remainder sequence."""
+    g = _primitive(signed_remainder_sequence(a, b)[-1])
+    return g if g[-1] >= 0 else [-c for c in g]
 
 
 def _int_quo(a, b):
@@ -269,12 +265,9 @@ def _int_derivative(a):
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree() <= 0:
-        return p.trimmed()
-    q, r = divmod_poly(p.trimmed(), g)
-    assert r.is_zero()
-    return q
+    """A positive multiple of p / gcd(p, p') for a nonzero p, trimmed."""
+    a = p.primitive()
+    return UniPoly.from_ints(_int_quo(a, _int_gcd(a, _int_derivative(a))))
 
 
 def yun_decomposition(p: UniPoly):
@@ -285,11 +278,21 @@ def yun_decomposition(p: UniPoly):
     p is its own only factor.
     """
     p = p.trimmed()
-    a = p.primitive()
-    g = _sturm(a)[-1]
-    if len(g) == 1:
-        return [(p, 1)] if len(a) > 1 else []
-    return [(UniPoly.from_ints(f), i) for f, i in _yun(a, g)]
+    parts = _yun_chains(p.primitive()) if p.degree() > 0 else []
+    if [i for _, i in parts] == [1]:  # square free
+        return [(p, 1)]
+    return [(UniPoly.from_ints(chain[0]), i) for chain, i in parts]
+
+
+def _yun_chains(a):
+    """(Sturm chain, multiplicity) for each Yun factor of a primitive
+    trimmed integer list a, each chain starting with its factor.  a's own
+    chain ends in gcd(a, a') up to sign: if that is a constant, a is square
+    free and its chain is the one part."""
+    chain = _sturm(a)
+    if len(chain[-1]) == 1:
+        return [(chain, 1)]
+    return [(_sturm(f), i) for f, i in _yun(a, chain[-1])]
 
 
 def _yun(a, g):
@@ -554,17 +557,18 @@ class RealRoot:
         return f"RealRoot(({self.lo}, {self.hi}))"
 
 
-def isolate_real_roots(p: UniPoly):
+def isolate_real_roots(p: UniPoly, chain=None):
     """Isolate the real roots of a square-free polynomial, ascending.
 
     Returns a list of RealRoot.  Rational roots are reconstructed exactly.
+    `chain` is p's Sturm chain where the caller has built it already.
     """
     p = p.trimmed()
     if p.degree() <= 0:
         return []
     if p.degree() == 1:
         return [RealRoot.from_rational(Q(-p.nums[0], p.nums[1]))]
-    chain = sturm_chain(p)
+    chain = chain or sturm_chain(p)
     ints, m = chain[0], len(chain[0]) - 1
     roots = []
 
@@ -579,8 +583,9 @@ def isolate_real_roots(p: UniPoly):
         vals = [_horner(q, mid, den2) for q in chain]
         if vals[0] == 0:
             # exact root found mid-bisection: carve a pivot gap around it,
-            # (mid -+ e) / den2 for e from (c - a) / 4 down by halves
-            roots.append(RealRoot(p, exact=Q(mid, den2)))
+            # (mid -+ e) / den2 for e from (c - a) / 4 down by halves, and
+            # list it between the roots left and right of the gap
+            pivot = RealRoot(p, exact=Q(mid, den2))
             mid, e, den2 = 2 * mid, c - a, 2 * den2
             while True:
                 fl, fr = _horner(ints, mid - e, den2), _horner(ints, mid + e, den2)
@@ -592,6 +597,7 @@ def isolate_real_roots(p: UniPoly):
                 mid, den2, e = (2 * mid, 2 * den2, e) if e % 2 else (mid, den2, e // 2)
             t = (den2 // den).bit_length() - 1  # den2 = den 2^t
             recurse(a << t, mid - e, den2, va, vl, fa << t * m, fl)
+            roots.append(pivot)
             recurse(mid + e, c << t, den2, vr, vc, fr, fc << t * m)
             return
         vm = _variations(vals)
@@ -605,7 +611,7 @@ def isolate_real_roots(p: UniPoly):
     for r in roots:
         if r.exact is None:
             r.try_rational()
-    return sorted(roots, key=cmp_to_key(lambda x, y: x.compare(y)))
+    return roots
 
 
 # -- root counts and profiles --------------------------------------------
@@ -640,13 +646,8 @@ def root_counts(p: UniPoly) -> RootCounts:
     a = p.primitive()
     v = next(j for j, c in enumerate(a) if c)
     a = a[v:]
-    # a's Sturm chain ends in gcd(a, a'): a constant for square-free a
-    chain = _sturm(a)
-    parts = [(chain, 1)]
-    if len(chain[-1]) > 1:
-        parts = [(_sturm(f), m) for f, m in _yun(a, chain[-1])]
     n_pos = n_neg = 0
-    for chain, mult in parts:
+    for chain, mult in _yun_chains(a):
         at_zero = _variations([c[0] for c in chain])
         n_neg += mult * (sturm_variations_at_inf(chain, False) - at_zero)
         n_pos += mult * (at_zero - sturm_variations_at_inf(chain, True))
@@ -680,15 +681,12 @@ def root_profile(p: UniPoly) -> RootProfile:
     """
     if p.is_zero():
         raise ZeroPolynomial("root_profile of the zero polynomial")
-    drop = p.degree_drop()
-    q = p.trimmed()
-    v = q.valuation()
-    if v:
-        q = UniPoly.from_ints(q.nums[v:], q.den)
+    a = p.primitive()
+    v = next(j for j, c in enumerate(a) if c)
     entries = [  # (RealRoot, mult)
         (root, mult)
-        for factor, mult in yun_decomposition(q)
-        for root in isolate_real_roots(factor)
+        for chain, mult in _yun_chains(a[v:])
+        for root in isolate_real_roots(UniPoly.from_ints(chain[0]), chain)
     ]
     if v:
         entries.append((RealRoot.from_rational(0), v))
@@ -696,7 +694,8 @@ def root_profile(p: UniPoly) -> RootProfile:
     n_pos = sum(m for r, m in entries if r.sign() > 0)
     n_neg = sum(m for r, m in entries if r.sign() < 0)
     return RootProfile(real_roots=entries, n_positive=n_pos, n_negative=n_neg, n_zero=v,
-                       n_nonreal=q.degree() - n_pos - n_neg, degree_drop=drop)
+                       n_nonreal=len(a) - 1 - v - n_pos - n_neg,
+                       degree_drop=p.degree_drop())
 
 
 def is_real_rooted(p: UniPoly) -> bool:

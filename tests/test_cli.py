@@ -167,6 +167,17 @@ def test_determinism(capsys):
     assert first == second
 
 
+def test_falsify_ignores_seed(capsys):
+    """falsify_hyperbolicity never reads the seed: --seed 0 and --seed 7
+    print the same bytes."""
+    hook = json.dumps({"n": 3, "d": 3, "a": ["1", "0", "1"]})
+    outs = []
+    for seed in ("0", "7"):
+        run(["falsify", "--hook", hook, "--budget", "24", "--seed", seed])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_pretty_appends_decimals(capsys):
     code = run(["--pretty", "check-cubic", "--a", "1", "--b", "0", "--c", "1"])
     out = capsys.readouterr().out

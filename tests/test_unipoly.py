@@ -282,6 +282,16 @@ def test_gcd_and_squarefree():
     assert squarefree_part(p) == UniPoly.from_roots([1, 2])
 
 
+def test_squarefree_part_is_a_positive_multiple():
+    """With a negative, non-unit leading coefficient: a positive multiple
+    of p / gcd(p, p')."""
+    p = UniPoly.from_roots([1, 1, Q(-1, 2), 3, 3, 3], lead=Q(-6, 5))
+    expected, r = divmod_poly(p, poly_gcd(p, p.derivative()))
+    sf = squarefree_part(p)
+    ratio = sf.leading() / expected.leading()
+    assert r.is_zero() and ratio > 0 and sf == (expected * ratio).trimmed()
+
+
 def test_yun_decomposition_multiplicities():
     p = UniPoly.from_roots([1, 1, 2, 2, 2, -3])
     parts = dict()
@@ -1131,6 +1141,34 @@ def test_isolation_pivot_carving_matches_fraction_reference(roots, lead, monkeyp
     assert held and all(held)
     assert sorted(roots) == [r.exact for r in new]
     assert any(r.lo is None and r.exact is not None for r in new)
+
+
+@pytest.mark.parametrize("roots, lead", PIVOT_CASES)
+def test_isolation_emits_roots_in_order(roots, lead, monkeypatch):
+    """Isolation puts an exact pivot between the roots left and right of
+    it, so its roots come out ascending without comparing any two."""
+    p = UniPoly.from_roots(roots, lead=lead)
+    old = _fraction_isolate(p)
+
+    def refuse(self, other):
+        raise AssertionError("isolate_real_roots compared two roots")
+
+    monkeypatch.setattr(RealRoot, "compare", refuse)
+    assert _states(isolate_real_roots(p)) == _states(old)
+
+
+def test_root_profile_builds_each_sturm_chain_once(monkeypatch):
+    """root_profile isolates a square-free factor on the Sturm chain that
+    Yun's decomposition built for it."""
+    calls, sturm = [], unipoly._sturm
+
+    def counting(a):
+        calls.append(a)
+        return sturm(a)
+
+    monkeypatch.setattr(unipoly, "_sturm", counting)
+    prof = root_profile(UniPoly([1, -3, 0, 1]))  # t^3 - 3t + 1, three real roots
+    assert prof.n_real() == 3 and len(calls) == 1
 
 
 # -- integer remainder sequences against the Fraction reference ---------------
