@@ -10,6 +10,8 @@ pattern that yields a witness.  Candidate points are ranked by a float
 eigenvalue prescreen (see kernels) and every reported witness is
 re-verified with exact rational Sturm computations; sampling procedures
 therefore never return "Hyperbolic", only "NoCounterexampleFound".
+Only the falsifier's functions import numpy, so a process that makes
+exact decisions alone never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from math import comb, lcm
-
-import numpy as np
 
 from .errors import (
     HypothesisViolated,
@@ -104,8 +104,10 @@ MAX_PATTERNS = 1000
 
 
 def max_threads() -> int:
-    """Threads the falsifier uses; it runs on the caller's thread.  Kept
-    because run records name the thread count they were measured with."""
+    """Threads the falsifier uses; it runs on the caller's thread.  The
+    benchmark's worker (hcbench/worker.py) calls this after every run to
+    name the thread count in its record, so removing it makes every
+    benchmark run fail."""
     return 1
 
 
@@ -209,12 +211,13 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def _batch_restriction(a_float, n: int, d: int, values: np.ndarray, mults):
+def _batch_restriction(a_float, n: int, d: int, values, mults):
     """Line-restriction coefficients (descending) for a batch of points.
 
-    values: (N, k) distinct entries; mults: multiplicities.  Returns an
-    (N, d+1) float array of the coefficients of p(x + t*1).
+    values: (N, k) float array of distinct entries; mults: multiplicities.
+    Returns an (N, d+1) float array of the coefficients of p(x + t*1).
     """
+    import numpy as np
     N = values.shape[0]
     e = np.zeros((N, d + 1))
     e[:, 0] = 1.0
@@ -245,9 +248,10 @@ def _batch_restriction(a_float, n: int, d: int, values: np.ndarray, mults):
     return asc[:, ::-1]
 
 
-def _trim_structural_zeros(coeffs: np.ndarray) -> np.ndarray:
+def _trim_structural_zeros(coeffs):
     """Drop leading coefficient columns that vanish across the whole
     batch (structural degree drop; roots at infinity are forgiven)."""
+    import numpy as np
     scale = np.abs(coeffs).max() or 1.0
     start = 0
     while coeffs.shape[1] - start > 2 and np.all(
@@ -257,15 +261,17 @@ def _trim_structural_zeros(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, start:]
 
 
-def _product_rows(axes) -> np.ndarray:
+def _product_rows(axes):
     """Rows of the Cartesian product of integer axes, the first axis
     varying slowest (the order of nested loops over the axes)."""
+    import numpy as np
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def _grid_rows(res: int, free: int):
     """The slice grid as int64 numerators 2j - (res-1) over res - 1."""
+    import numpy as np
     axis = 2 * np.arange(res, dtype=np.int64) - (res - 1)
     return _product_rows([axis] * free), res - 1
 
@@ -273,6 +279,7 @@ def _grid_rows(res: int, free: int):
 def _refine_rows(center, den: int, g: int):
     """One refinement round around `center` (numerators over den): steps
     2(2j - g) for j = 0..g over den*g on every axis, clipped to [-1, 1]."""
+    import numpy as np
     den *= g
     steps = 2 * (2 * np.arange(g + 1, dtype=np.int64) - g)
     return _product_rows([np.clip(c * g + steps, -den, den) for c in center]), den
@@ -342,6 +349,7 @@ def _prescreen(p, a_float, mults, nums, den: int, budget):
     """Float defects for a batch of free-coordinate rows (int64 numerators
     over den); returns indices above threshold sorted by decreasing
     defect, plus the best row."""
+    import numpy as np
     w = nums / den
     # zero-sum completion summed left to right, then max-norm scaling, as in
     # _slice_points: with den < 2**53 these floats are float() of its values
@@ -425,6 +433,7 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
 def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     """Baseline falsifier without the distinct-entry reduction: random
     rational points, float prescreen, exact verification of the hits."""
+    import numpy as np
     budget = budget or DEFAULT_BUDGET
     rng = random.Random(budget.seed)
     d, n = p.d, p.n

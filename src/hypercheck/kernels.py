@@ -12,26 +12,28 @@ when q has a genuinely non-real root.  The defects of a whole stack of
 polynomials come from one batched numpy eigvals call, with one matrix per
 distinct row: rows are keyed by their exact bytes, so a row that repeats
 within the stack is solved once and its defect copied, bit for bit.
+numpy is imported on the first call, not with this module, so exact
+decisions never load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def backend_name() -> str:
-    """The prescreen backend; numpy is the only one.  Kept because run
-    records name the backend they were measured with."""
+    """The prescreen backend; numpy is the only one.  The benchmark's
+    worker (hcbench/worker.py) calls this after every run to name the
+    backend in its record, so removing it makes every benchmark run fail."""
     return "numpy"
 
 
-def realness_defects(coeffs: np.ndarray) -> np.ndarray:
-    """Realness defects for a stack of polynomials.
+def realness_defects(coeffs):
+    """Realness defects for a stack of polynomials, as a float64 array.
 
-    coeffs: (N, d+1) float64, descending degree order.  Rows with a zero
-    or non-finite leading coefficient get defect -1 (excluded from the
-    candidate ranking), as do rows with any non-finite coefficient.
+    coeffs: (N, d+1) float64 array, descending degree order.  Rows with a
+    zero or non-finite leading coefficient get defect -1 (excluded from
+    the candidate ranking), as do rows with any non-finite coefficient.
     """
+    import numpy as np
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] < 2:
         raise ValueError("expected an (N, d+1) array with d >= 1")

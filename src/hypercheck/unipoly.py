@@ -214,22 +214,6 @@ class UniPoly:
         return UniPoly.from_ints(nums, den ** len(c))
 
 
-def divmod_poly(a: UniPoly, b: UniPoly):
-    """Exact rational polynomial division with remainder, from the
-    pseudo-division lc(B)^e A = Q B + R of the numerators, e = len(A) - deg B."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    db = b.degree()
-    B, A = b.nums[: db + 1], _fit(a.nums, max(a.ambient_degree, db))
-    scale, R = B[-1] ** (len(A) - db), _prem(A, B)
-    quo = _int_quo([scale * c - r for c, r in zip_longest(A, R, fillvalue=0)], B)
-    # A / a.den = (quo b.den / (scale a.den)) (B / b.den) + R / (scale a.den)
-    return (
-        UniPoly.from_ints([c * b.den for c in quo], scale * a.den),
-        UniPoly.from_ints(_fit(R, max(db - 1, 0)), scale * a.den),
-    )
-
-
 def _primitive(ints):
     """An integer list divided by the gcd of its entries (sign kept)."""
     g = gcd(*ints)
@@ -268,20 +252,6 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     """A positive multiple of p / gcd(p, p') for a nonzero p, trimmed."""
     a = p.primitive()
     return UniPoly.from_ints(_int_quo(a, _int_gcd(a, _int_derivative(a))))
-
-
-def yun_decomposition(p: UniPoly):
-    """Yun's square-free decomposition: list of (factor, multiplicity).
-
-    Factors are square free, pairwise coprime and of positive degree;
-    their product with multiplicities is p up to a constant.  A square-free
-    p is its own only factor.
-    """
-    p = p.trimmed()
-    parts = _yun_chains(p.primitive()) if p.degree() > 0 else []
-    if [i for _, i in parts] == [1]:  # square free
-        return [(p, 1)]
-    return [(UniPoly.from_ints(chain[0]), i) for chain, i in parts]
 
 
 def _yun_chains(a):

@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +358,80 @@ def test_console_script_entry_point():
         [exe, "g0", "--n", "3"], capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout)["n"] == 3
+
+
+# -- numpy loads only with the float prescreen ----------------------------------
+# Checked in fresh interpreters: this test process has loaded numpy already.
+
+EXACT_EXAMPLES = [
+    ["check-cubic", "--a", "1", "--b", "0", "--c", "1", "--n", "3"],
+    ["check-quartic", "--hook", '{"n":4,"d":4,"a":["1","0","0","0"]}'],
+    ["check-quartic", "--hook", '{"n":4,"d":4,"a":["1","0","0","1"]}'],
+    ["cone-member", "--hook", '{"n":3,"d":3,"a":["0","0","1"]}',
+     "--point", '{"x":["1","2","3"]}'],
+    ["extend", "--target", '{"n":5,"coeffs":["24","-68","66","-23","0","1"]}',
+     "--n", "5"],
+    ["phi", "--roots", "1/4,1/4,1/4,1/4"],
+    ["g0", "--n", "3"],
+]
+EK_EXAMPLE = (3, 4, [1, 0, 0, 0])
+
+# argv: source directory, JSON list of CLI calls, JSON arguments of
+# ek_plus_linear_check; prints one JSON object
+EXACT_RUNNER = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+sys.path.insert(0, sys.argv[1])
+from hypercheck import cli, hyperbolicity
+outputs = []
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        outputs.append([cli.run(argv), buf.getvalue()])
+report = hyperbolicity.ek_plus_linear_check(*json.loads(sys.argv[3]), trials=20, seed=1)
+print(json.dumps({"cli": outputs, "ek": repr(report)}))
+"""
+
+LOAD_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import hypercheck.cli
+loaded = [["hypercheck.kernels" in sys.modules, "numpy" in sys.modules]]
+with contextlib.redirect_stdout(io.StringIO()):
+    hypercheck.cli.run(["falsify", "--hook", '{"n":4,"d":4,"a":["1","0","0","1"]}',
+                        "--budget", "4"])
+loaded.append(["hypercheck.kernels" in sys.modules, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_interpreter(script, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, src, *args],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_exact_subcommands_run_without_numpy():
+    """The exact subcommands and ek_plus_linear_check print the same
+    outputs in an interpreter where numpy cannot be imported."""
+    got = _fresh_interpreter(EXACT_RUNNER, json.dumps(EXACT_EXAMPLES),
+                             json.dumps(EK_EXAMPLE))
+    expected = []
+    for argv in EXACT_EXAMPLES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            expected.append([run(argv), buf.getvalue()])
+    assert got["cli"] == expected
+    report = hyperbolicity.ek_plus_linear_check(*EK_EXAMPLE, trials=20, seed=1)
+    assert got["ek"] == repr(report)
+
+
+def test_numpy_loads_with_the_falsifier():
+    """Importing the CLI loads the kernels module but not numpy; the
+    first falsify call loads numpy."""
+    assert _fresh_interpreter(LOAD_PROBE) == [[True, False], [True, True]]
 
 
 # -- internal failures still give one JSON document -----------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import zip_longest
 from math import gcd, lcm
 
 import pytest
@@ -15,13 +16,16 @@ from hypercheck.unipoly import (
     RealRoot,
     UniPoly,
     ZeroSumPoly,
+    _fit,
     _horner,
+    _int_quo,
+    _prem,
+    _yun_chains,
     cauchy_bound,
     count_roots_halfopen,
     dee,
     delta_n,
     discriminant,
-    divmod_poly,
     interlaces,
     is_real_rooted,
     isolate_real_roots,
@@ -33,7 +37,6 @@ from hypercheck.unipoly import (
     signed_remainder_sequence,
     squarefree_part,
     sturm_chain,
-    yun_decomposition,
 )
 
 small_q = st.fractions(
@@ -46,6 +49,24 @@ def rand_poly(rng, degree, lo=-9, hi=9):
     if coeffs[-1] == 0:
         coeffs[-1] = Q(1)
     return UniPoly(coeffs)
+
+
+def divmod_poly(a: UniPoly, b: UniPoly):
+    """Exact rational polynomial division with remainder, from the
+    pseudo-division lc(B)^e A = Q B + R of the numerators, e = len(A) - deg B.
+    The library divides only on integer lists; this is the rational
+    division the reference helpers below are written in."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    db = b.degree()
+    B, A = b.nums[: db + 1], _fit(a.nums, max(a.ambient_degree, db))
+    scale, R = B[-1] ** (len(A) - db), _prem(A, B)
+    quo = _int_quo([scale * c - r for c, r in zip_longest(A, R, fillvalue=0)], B)
+    # A / a.den = (quo b.den / (scale a.den)) (B / b.den) + R / (scale a.den)
+    return (
+        UniPoly.from_ints([c * b.den for c in quo], scale * a.den),
+        UniPoly.from_ints(_fit(R, max(db - 1, 0)), scale * a.den),
+    )
 
 
 # -- structure ----------------------------------------------------------
@@ -293,10 +314,12 @@ def test_squarefree_part_is_a_positive_multiple():
 
 
 def test_yun_decomposition_multiplicities():
+    """Each factor's chain starts with the factor and is its Sturm chain."""
     p = UniPoly.from_roots([1, 1, 2, 2, 2, -3])
     parts = dict()
-    for factor, mult in yun_decomposition(p):
-        parts[mult] = factor
+    for chain, mult in _yun_chains(p.primitive()):
+        parts[mult] = UniPoly.from_ints(chain[0])
+        assert chain == sturm_chain(parts[mult])
     assert parts[1].evaluate(-3) == 0
     assert parts[2].evaluate(1) == 0
     assert parts[3].evaluate(2) == 0
@@ -1260,10 +1283,9 @@ def test_remainder_sequences_match_fraction_reference(spec_a, spec_b):
             assert signed_remainder_sequence(_ints(p), _ints(q)) == expected
         assert poly_gcd(p, q) == _fraction_gcd(p, q).trimmed()
     for p in (a, b):
-        if p.is_zero():
-            continue
-        assert yun_decomposition(p) == _fraction_yun(p)
         if p.degree() > 0:
+            expected = [(_ints(f), i) for f, i in _fraction_yun(p)]
+            assert [(c[0], i) for c, i in _yun_chains(_ints(p))] == expected
             expected = _fraction_remainder_sequence(p, p.trimmed().derivative())
             assert sturm_chain(p) == expected
 
@@ -1277,8 +1299,8 @@ def test_gcd_is_trimmed():
     q = UniPoly.from_roots([1, 3], lead=Q(1, 2)).with_ambient(5)
     g = poly_gcd(p, q)
     assert g == UniPoly([-1, 1]) and g.ambient_degree == 1
-    (f1, m1), (f2, m2) = yun_decomposition(p)
-    assert (f1, m1, f2, m2) == (UniPoly([1, 2]), 1, UniPoly([-1, 1]), 2)
+    (c1, m1), (c2, m2) = _yun_chains(p.primitive())
+    assert (c1[0], m1, c2[0], m2) == ([1, 2], 1, [-1, 1], 2)
 
 
 # -- outputs that print isolated roots, pinned byte for byte ------------------
