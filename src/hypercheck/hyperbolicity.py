@@ -5,13 +5,14 @@ outright.  For higher degrees only falsification is available: the
 degree principle guarantees that a symmetric polynomial of degree d is
 hyperbolic iff its line restriction is real rooted at every point with
 at most d - 1 distinct entries, so the falsifier searches exactly that
-space, one multiplicity pattern at a time and stopping at the first
-pattern that yields a witness.  Candidate points are ranked by a float
-eigenvalue prescreen (see kernels) and every reported witness is
-re-verified with exact rational Sturm computations; sampling procedures
-therefore never return "Hyperbolic", only "NoCounterexampleFound".
-Only the falsifier's functions import numpy, so a process that makes
-exact decisions alone never loads it.
+space.  Candidate points are ranked by a float eigenvalue prescreen (see
+kernels), which runs on chunks of 1, 2, 4, ... multiplicity patterns at
+a time; exact rational Sturm computations then verify the candidates
+pattern by pattern, stopping at the first pattern that yields a witness.
+Every reported witness is exact, and sampling procedures never return
+"Hyperbolic", only "NoCounterexampleFound".  Only the falsifier's
+functions import numpy, so a process that makes exact decisions alone
+never loads it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class SearchBudget:
 
     grid: points per free axis on the slice grid; refine_rounds /
     refine_grid: local refinement passes around the best cell;
-    max_points: cap on total grid size per multiplicity pattern;
+    max_points: cap on total grid size per multiplicity pattern, and on
+    the rows one prescreen round of a chunk of patterns holds (a pattern
+    over the cap is prescreened alone);
     max_candidates: prescreen hits forwarded to exact verification;
     defect_threshold: minimum float realness defect to count as a hit;
     snap_denominator: witnesses are snapped to rationals with at most
@@ -85,10 +88,15 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in (("grid", self.grid), ("refine_grid", self.refine_grid)):
-            if value < 2:
-                raise InvalidInput(f"{name} must be at least 2, got {value}")
-        # the largest grid denominator (res-1)*g**rounds (_search_composition)
+        for name, value, low in (
+            ("grid", self.grid, 2),
+            ("refine_grid", self.refine_grid, 2),
+            ("max_points", self.max_points, 1),
+            ("trials", self.trials, 0),
+        ):
+            if value < low:
+                raise InvalidInput(f"{name} must be at least {low}, got {value}")
+        # the largest grid denominator (res-1)*g**rounds (see _grid_size)
         # must keep float64 numerators exact; for g > 1, 53 rounds exceed it
         res, g = min(self.grid, max(3, self.max_points)), self.refine_grid - 1
         rounds = max(self.refine_rounds, 0)
@@ -219,18 +227,17 @@ def _batch_restriction(a_float, n: int, d: int, values, mults):
     """
     import numpy as np
     N = values.shape[0]
-    e = np.zeros((N, d + 1))
-    e[:, 0] = 1.0
+    # coefficient j in row j, so that every update runs on contiguous rows
+    e = np.zeros((d + 1, N))
+    e[0] = 1.0
     for col, m in enumerate(mults):
         v = values[:, col]
         for _ in range(m):
             for j in range(d, 0, -1):
-                e[:, j] += v * e[:, j - 1]
-    mean = np.empty_like(e)
-    for j in range(d + 1):
-        mean[:, j] = e[:, j] / comb(n, j)
-    m1 = mean[:, 1]
-    asc = np.zeros((N, d + 1))
+                e[j] += v * e[j - 1]
+    mean = e / np.array([float(comb(n, j)) for j in range(d + 1)])[:, None]
+    m1 = mean[1]
+    asc = np.zeros((d + 1, N))
     m1_pows = [np.ones(N)]
     for _ in range(d):
         m1_pows.append(m1_pows[-1] * m1)
@@ -240,23 +247,22 @@ def _batch_restriction(a_float, n: int, d: int, values, mults):
             continue
         for j in range(i + 1):
             base = ai * comb(i, j)
-            mj = mean[:, j]
+            mj = mean[j]
             for l in range(d - i + 1):
-                asc[:, l + i - j] += (
+                asc[l + i - j] += (
                     base * comb(d - i, l) * m1_pows[d - i - l] * mj
                 )
-    return asc[:, ::-1]
+    return asc[::-1].T
 
 
 def _trim_structural_zeros(coeffs):
     """Drop leading coefficient columns that vanish across the whole
     batch (structural degree drop; roots at infinity are forgiven)."""
     import numpy as np
-    scale = np.abs(coeffs).max() or 1.0
+    top = np.abs(coeffs).max(axis=0)  # per column; NaN where one is NaN
+    bound = 1e-13 * (top.max() or 1.0)
     start = 0
-    while coeffs.shape[1] - start > 2 and np.all(
-        np.abs(coeffs[:, start]) <= 1e-13 * scale
-    ):
+    while coeffs.shape[1] - start > 2 and top[start] <= bound:
         start += 1
     return coeffs[:, start:]
 
@@ -345,49 +351,108 @@ def _verify_candidates(p: HookPoly, mults, candidates, budget, seen: set):
     return None
 
 
-def _prescreen(p, a_float, mults, nums, den: int, budget):
-    """Float defects for a batch of free-coordinate rows (int64 numerators
-    over den); returns indices above threshold sorted by decreasing
-    defect, plus the best row."""
+def _grid_size(free: int, budget) -> int:
+    """Points per axis of a pattern's slice grid: the budget's grid, shrunk
+    so that it holds at most max_points rows, but at least 3 a side."""
+    res = budget.grid
+    if res**free > budget.max_points and res > 3:
+        res = max(3, int(budget.max_points ** (1.0 / free)))
+    return res
+
+
+def _chunks(patterns, budget):
+    """Consecutive runs of 1, 2, 4, ... patterns, each cut short before the
+    rows of its grids or of its refinement rounds would exceed max_points;
+    a pattern whose own rows exceed it gets a chunk of its own."""
+    start, size = 0, 1
+    while start < len(patterns):
+        end, rows = start, 0
+        while end < len(patterns) and end - start < size:
+            free = len(patterns[end]) - 1
+            rows += max(_grid_size(free, budget) ** free, budget.refine_grid**free)
+            if end > start and rows > budget.max_points:
+                break
+            end += 1
+        yield patterns[start:end]
+        start, size = end, 2 * size
+
+
+def _slice_values(mults, nums, den: int):
+    """Slice floats of free-coordinate rows (int64 numerators over den), one
+    column per variable: zero-sum completion summed left to right, then
+    max-norm scaling, as in _slice_points, so with den < 2**53 they are
+    float() of its values.  _batch_restriction applies a value repeated m
+    times in the same float operations as one column of multiplicity m."""
     import numpy as np
     w = nums / den
-    # zero-sum completion summed left to right, then max-norm scaling, as in
-    # _slice_points: with den < 2**53 these floats are float() of its values
     last = np.zeros(len(w))
     for m, col in zip(mults[:-1], w.T):
         last = last + m * col
     vals = np.column_stack([w, -last / mults[-1]])
     top = np.abs(vals).max(axis=1)
     top[top == 0] = 1.0
-    coeffs = _batch_restriction(a_float, p.n, p.d, vals / top[:, None], mults)
-    coeffs = _trim_structural_zeros(coeffs)
-    if coeffs.shape[1] < 3:
-        return [], None
-    defects = realness_defects(coeffs)
-    order = np.argsort(-defects)
-    hits = order[defects[order] > budget.defect_threshold]
-    best = int(order[0]) if len(order) and defects[order[0]] > 0 else None
-    return hits[: budget.max_candidates], best
+    return np.repeat(vals / top[:, None], mults, axis=1)
 
 
-def _search_composition(p, a_float, mults, budget):
-    """Full grid plus local refinement for one multiplicity pattern.
-    Returns candidate rows as (numerators, denominator) in priority order."""
-    free = len(mults) - 1
-    res = budget.grid
-    if free >= 1 and res**free > budget.max_points and res > 3:
-        res = max(3, int(budget.max_points ** (1.0 / free)))
-    rows, den = _grid_rows(res, free)
-    candidates = []
+def _prescreen(p, a_float, batch, budget):
+    """One prescreen round for a batch of (mults, numerators, den) entries:
+    one line restriction for all their rows, each entry's structural zeros
+    trimmed on its own rows, and one kernel call per trimmed width.
+    Returns per entry the indices above threshold sorted by decreasing
+    defect, plus the best row (None when no defect is positive).  A row's
+    defect does not depend on its batch, so each entry gets what a batch
+    of its own rows would get, bit for bit."""
+    import numpy as np
+    coeffs = _batch_restriction(
+        a_float, p.n, p.d,
+        np.concatenate([_slice_values(*entry) for entry in batch]), [1] * p.n,
+    )
+    by_width, start = {}, 0
+    for j, (_, nums, _) in enumerate(batch):
+        trimmed = _trim_structural_zeros(coeffs[start : start + len(nums)])
+        start += len(nums)
+        if trimmed.shape[1] >= 3:
+            by_width.setdefault(trimmed.shape[1], []).append((j, trimmed))
+    results = [([], None)] * len(batch)
+    for group in by_width.values():
+        defects = realness_defects(np.concatenate([c for _, c in group]))
+        start = 0
+        for j, c in group:
+            own = defects[start : start + len(c)]
+            start += len(c)
+            order = np.argsort(-own)
+            hits = order[own[order] > budget.defect_threshold]
+            best = int(order[0]) if own[order[0]] > 0 else None
+            results[j] = (hits[: budget.max_candidates], best)
+    return results
+
+
+def _search_chunk(p, a_float, chunk, budget):
+    """The slice grid plus local refinement for a chunk of multiplicity
+    patterns in lockstep: each round prescreens every pattern still
+    refining in one batch, and a pattern stops when no row of its round
+    has a positive defect.  Returns each pattern's candidate rows as
+    (numerators, denominator) in priority order."""
+    candidates = {mults: [] for mults in chunk}
+    batch = []
+    for mults in chunk:
+        free = len(mults) - 1
+        batch.append((mults, *_grid_rows(_grid_size(free, budget), free)))
     # the grid, then local refinement around the best cell of the last pass
     for r in range(max(budget.refine_rounds, 0) + 1):
         if r:
-            rows, den = _refine_rows(rows[best], den, budget.refine_grid - 1)
-        hits, best = _prescreen(p, a_float, mults, rows, den, budget)
-        candidates.extend((rows[i], den) for i in hits)
-        if best is None:
+            batch = [(mults, *_refine_rows(rows[best], den, budget.refine_grid - 1))
+                     for mults, rows, den, best in ranked]
+        ranked = []
+        for (mults, rows, den), (hits, best) in zip(
+            batch, _prescreen(p, a_float, batch, budget)
+        ):
+            candidates[mults].extend((rows[h], den) for h in hits)
+            if best is not None:
+                ranked.append((mults, rows, den, best))
+        if not ranked:
             break
-    return candidates
+    return [candidates[mults] for mults in chunk]
 
 
 def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
@@ -397,11 +462,14 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     d - 1 distinct entries; for each multiplicity pattern the distinct
     values are reduced (translation along 1, homogeneity) to the compact
     slice sum(m_i v_i) = 0, max |v_i| = 1, which is gridded, float
-    prescreened and locally refined.  Hits are snapped to bounded
-    denominators and re-verified exactly, each distinct point once, before
-    the next pattern is searched, so the search stops at the first witness;
-    only exact verification can produce NotHyperbolic, and the procedure
-    never claims hyperbolicity.
+    prescreened and locally refined.  The prescreen runs per chunk of
+    consecutive patterns (1, 2, 4, ... of them, capped by max_points rows
+    a round), in lockstep; verification runs per pattern, in pattern
+    order: hits are snapped to bounded denominators and re-verified
+    exactly, each distinct point once, and the search stops at the first
+    witness, so the later patterns of its chunk are never verified and
+    later chunks never prescreened.  Only exact verification can produce
+    NotHyperbolic, and the procedure never claims hyperbolicity.
     """
     budget = budget or DEFAULT_BUDGET
     d, n = p.d, p.n
@@ -418,15 +486,16 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     if not patterns:
         return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": 0})
     seen = set()
-    for mults in patterns:
-        candidates = _search_composition(p, a_float, mults, budget)
-        witness = _verify_candidates(p, mults, candidates, budget, seen)
-        if witness is not None:
-            return Verdict(
-                NOT_HYPERBOLIC,
-                witness=witness,
-                detail={"pattern": list(mults)},
-            )
+    for chunk in _chunks(patterns, budget):
+        found = _search_chunk(p, a_float, chunk, budget)
+        for mults, candidates in zip(chunk, found):
+            witness = _verify_candidates(p, mults, candidates, budget, seen)
+            if witness is not None:
+                return Verdict(
+                    NOT_HYPERBOLIC,
+                    witness=witness,
+                    detail={"pattern": list(mults)},
+                )
     return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": len(patterns)})
 
 
@@ -435,6 +504,8 @@ def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     rational points, float prescreen, exact verification of the hits."""
     import numpy as np
     budget = budget or DEFAULT_BUDGET
+    if not budget.trials:
+        return Verdict(NO_COUNTEREXAMPLE, detail={"trials": 0})
     rng = random.Random(budget.seed)
     d, n = p.d, p.n
     a_float = [float(c) for c in p.a]
@@ -534,13 +605,6 @@ class EkLinearReport:
     trials: int
     passed: int
     failures: list
-
-
-def elementary_restriction(x, k: int, n: int) -> UniPoly:
-    """The univariate polynomial e_k(x + t*1): coefficient of t^(k-i) is
-    binom(n-i, k-i) e_i(x)."""
-    e, L = elem_ints([to_q(c) for c in x], k)
-    return UniPoly.from_ints(_restriction_ints(e, L, k, n), L**k)
 
 
 def _restriction_ints(e, L: int, k: int, n: int):

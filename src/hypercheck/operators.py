@@ -99,10 +99,6 @@ class FullDiagonalMap:
             out[self.d - k] = self.gamma_prime[k] * Q(g.nums[self.n - k], g.den)
         return UniPoly(out, self.d)
 
-    def restrict_zero_sum(self) -> DiagonalMap:
-        gamma = [self.gamma_prime[k] * comb(self.n, k) for k in range(self.d + 1)]
-        return DiagonalMap(self.n, self.d, tuple(gamma))
-
 
 @dataclass(frozen=True)
 class ExtendCertificate:

@@ -41,12 +41,6 @@ class HookPoly:
         a = [to_q(c) * Q(n) ** (d - i) * comb(n, i) for i, c in enumerate(a_e, start=1)]
         return HookPoly(n, d, tuple(a))
 
-    def to_e_basis(self):
-        return tuple(
-            c / (Q(self.n) ** (self.d - i) * comb(self.n, i))
-            for i, c in enumerate(self.a, start=1)
-        )
-
     def scaled(self, c) -> "HookPoly":
         c = to_q(c)
         return HookPoly(self.n, self.d, tuple(ai * c for ai in self.a))

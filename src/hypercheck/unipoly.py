@@ -636,9 +636,6 @@ class RootProfile:
     n_nonreal: int
     degree_drop: int
 
-    def n_real(self) -> int:
-        return self.n_positive + self.n_negative + self.n_zero
-
     def roots_with_multiplicity(self):
         return [root for root, mult in self.real_roots for _ in range(mult)]
 

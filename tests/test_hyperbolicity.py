@@ -29,12 +29,11 @@ from hypercheck.hyperbolicity import (
     decide_cubic,
     decide_quartic_hook,
     ek_plus_linear_check,
-    elementary_restriction,
     falsify_hyperbolicity,
     falsify_unrestricted,
 )
 from hypercheck.rationals import Q, qsign, simplest_between
-from hypercheck.sympoly import HookPoly, lift_variables, restrict_line
+from hypercheck.sympoly import HookPoly, elem_ints, lift_variables, restrict_line
 from hypercheck.unipoly import (
     UniPoly,
     ZeroSumPoly,
@@ -194,22 +193,32 @@ def test_falsifier_determinism():
 
 
 def test_falsifier_stops_at_first_witness_pattern(monkeypatch):
-    """Patterns after the one that yields the witness are never searched."""
-    calls = []
-    search = hyperbolicity._search_composition
+    """Patterns after the one that yields the witness are never verified,
+    and chunks after the one that holds it are never prescreened."""
+    prescreened, verified = [], []
+    search = hyperbolicity._search_chunk
+    verify = hyperbolicity._verify_candidates
 
-    def counting(p, a_float, mults, budget):
-        calls.append(mults)
-        return search(p, a_float, mults, budget)
+    def searching(p, a_float, chunk, budget):
+        prescreened.append(list(chunk))
+        return search(p, a_float, chunk, budget)
 
-    monkeypatch.setattr(hyperbolicity, "_search_composition", counting)
+    def verifying(p, mults, candidates, budget, seen):
+        verified.append(mults)
+        return verify(p, mults, candidates, budget, seen)
+
+    monkeypatch.setattr(hyperbolicity, "_search_chunk", searching)
+    monkeypatch.setattr(hyperbolicity, "_verify_candidates", verifying)
     p = HookPoly(4, 4, (3, -1, -3, 1))
     v = falsify_hyperbolicity(p, FAST)
     assert v.status == NOT_HYPERBOLIC
     patterns = [m for k in (2, 3) for m in hyperbolicity._compositions(4, k)]
     position = patterns.index(tuple(v.detail["pattern"]))
     assert 0 < position < len(patterns) - 1
-    assert calls == patterns[: position + 1]
+    assert verified == patterns[: position + 1]
+    # chunks of 1, 2, 4, ... patterns; the witness is in the second
+    assert position in (1, 2)
+    assert prescreened == [patterns[:1], patterns[1:3]]
 
 
 def _fraction_grid(res, free):
@@ -255,7 +264,8 @@ def test_integer_grid_rows_match_fraction_rows(monkeypatch, mults, res, refine_g
     """Grid and refinement rows as int64 numerators equal the rationals built
     one coordinate at a time, on every round and around centers whose
     neighbourhoods are clipped at -1 and +1; their floats for the prescreen
-    equal float() of those rationals bit for bit."""
+    equal float() of those rationals bit for bit, each value repeated by its
+    multiplicity."""
     free = len(mults) - 1
     p = HookPoly(sum(mults), 4, (1, 0, -4, 1))
     a_float = [float(c) for c in p.a]
@@ -263,6 +273,7 @@ def test_integer_grid_rows_match_fraction_rows(monkeypatch, mults, res, refine_g
     batch = hyperbolicity._batch_restriction
 
     def capture(a, n, d, values, m):
+        assert list(m) == [1] * n
         seen_vals.append(values)
         return batch(a, n, d, values, m)
 
@@ -284,10 +295,252 @@ def test_integer_grid_rows_match_fraction_rows(monkeypatch, mults, res, refine_g
             )
             assert row_den == (res - 1) * (refine_grid - 1) ** (rnd + 1)
             assert _exact_rows(rows, row_den) == expected
-            hyperbolicity._prescreen(p, a_float, mults, rows, row_den, FAST)
-            assert seen_vals.pop().tolist() == _float_slice_rows(mults, expected)
+            hyperbolicity._prescreen(p, a_float, [(mults, rows, row_den)], FAST)
+            assert seen_vals.pop().tolist() == np.repeat(
+                _float_slice_rows(mults, expected), mults, axis=1
+            ).tolist()
             center = (3 * center + 1) % len(rows)
     assert clipped
+
+
+# -- chunked prescreen against the pattern-by-pattern one --------------------
+
+
+def _reference_batch_restriction(a_float, n, d, values, mults):
+    """Reference: _batch_restriction as it was, one coefficient a column
+    and each distinct value applied once per multiplicity."""
+    N = values.shape[0]
+    e = np.zeros((N, d + 1))
+    e[:, 0] = 1.0
+    for col, m in enumerate(mults):
+        v = values[:, col]
+        for _ in range(m):
+            for j in range(d, 0, -1):
+                e[:, j] += v * e[:, j - 1]
+    mean = np.empty_like(e)
+    for j in range(d + 1):
+        mean[:, j] = e[:, j] / comb(n, j)
+    m1 = mean[:, 1]
+    asc = np.zeros((N, d + 1))
+    m1_pows = [np.ones(N)]
+    for _ in range(d):
+        m1_pows.append(m1_pows[-1] * m1)
+    for i in range(1, d + 1):
+        ai = a_float[i - 1]
+        if ai == 0.0:
+            continue
+        for j in range(i + 1):
+            base = ai * comb(i, j)
+            mj = mean[:, j]
+            for l in range(d - i + 1):
+                asc[:, l + i - j] += (
+                    base * comb(d - i, l) * m1_pows[d - i - l] * mj
+                )
+    return asc[:, ::-1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 5, 6])
+@pytest.mark.parametrize("rows", [1, 9, 500])
+def test_batch_restriction_matches_reference_bytes(d, rows):
+    """Coefficients one row per coefficient, with every value of a
+    multiplicity-m entry repeated m times, equal the reference bit for bit."""
+    rng = np.random.default_rng(7 * d + rows)
+    mults = tuple(int(m) for m in rng.integers(1, 4, size=max(2, d - 1)))
+    n = sum(mults)
+    a_float = [float(c) for c in rng.integers(-9, 10, size=d)]
+    a_float[0] = 0.0  # a zero coefficient is skipped
+    values = rng.uniform(-1, 1, size=(rows, len(mults)))
+    values[0] = 0.0
+    got = hyperbolicity._batch_restriction(
+        a_float, n, d, np.repeat(values, mults, axis=1), [1] * n
+    )
+    ref = _reference_batch_restriction(a_float, n, d, values, mults)
+    assert got.shape == ref.shape == (rows, d + 1)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def _reference_trim(coeffs):
+    """Reference: _trim_structural_zeros as it was, one column at a time."""
+    scale = np.abs(coeffs).max() or 1.0
+    start = 0
+    while coeffs.shape[1] - start > 2 and np.all(
+        np.abs(coeffs[:, start]) <= 1e-13 * scale
+    ):
+        start += 1
+    return coeffs[:, start:]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, 1e-20, 1.0, 2.0], [0.0, -1e-20, 3.0, 1.0]],
+        [[0.0, 0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 1.0]],
+        [[np.nan, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 2.0]],
+        [[0.0, np.nan, 1.0, 2.0], [0.0, 0.0, 1.0, 2.0]],
+        [[0.0, 1.0, np.inf, 2.0]],
+        [[1e-300, 2.0, 1.0, 1.0]],
+        [[3.0, 1.0, 1.0], [-2.0, 0.0, 1.0]],
+    ],
+)
+def test_trim_matches_reference(rows):
+    coeffs = np.array(rows)
+    got, ref = hyperbolicity._trim_structural_zeros(coeffs), _reference_trim(coeffs)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _reference_prescreen(p, a_float, mults, nums, den, budget):
+    """Reference: _prescreen as it was, one pattern's rows per batch."""
+    w = nums / den
+    last = np.zeros(len(w))
+    for m, col in zip(mults[:-1], w.T):
+        last = last + m * col
+    vals = np.column_stack([w, -last / mults[-1]])
+    top = np.abs(vals).max(axis=1)
+    top[top == 0] = 1.0
+    coeffs = _reference_batch_restriction(a_float, p.n, p.d, vals / top[:, None], mults)
+    coeffs = _reference_trim(coeffs)
+    if coeffs.shape[1] < 3:
+        return [], None
+    defects = hyperbolicity.realness_defects(coeffs)
+    order = np.argsort(-defects)
+    hits = order[defects[order] > budget.defect_threshold]
+    best = int(order[0]) if len(order) and defects[order[0]] > 0 else None
+    return hits[: budget.max_candidates], best
+
+
+def _reference_search_composition(p, a_float, mults, budget):
+    """Reference: _search_composition as it was, one pattern at a time.
+    Returns the candidates and the chain of best rows, one per round, as
+    (numerators, denominator), or None where a round had no best row."""
+    free = len(mults) - 1
+    res = budget.grid
+    if free >= 1 and res**free > budget.max_points and res > 3:
+        res = max(3, int(budget.max_points ** (1.0 / free)))
+    rows, den = hyperbolicity._grid_rows(res, free)
+    candidates, chain = [], []
+    for r in range(max(budget.refine_rounds, 0) + 1):
+        if r:
+            rows, den = hyperbolicity._refine_rows(rows[best], den, budget.refine_grid - 1)
+        hits, best = _reference_prescreen(p, a_float, mults, rows, den, budget)
+        candidates.extend((rows[i], den) for i in hits)
+        chain.append(None if best is None else (rows[best].tolist(), den))
+        if best is None:
+            break
+    return candidates, chain
+
+
+def _chunked_search(monkeypatch, p, chunks, budget):
+    """Candidates and chains of best rows per pattern from _search_chunk
+    over the given chunks, plus the widths of the kernel calls."""
+    chains, widths = {}, []
+    prescreen = hyperbolicity._prescreen
+    kernel = hyperbolicity.realness_defects
+
+    def recording(p, a_float, batch, budget):
+        out = prescreen(p, a_float, batch, budget)
+        for (mults, rows, den), (_, best) in zip(batch, out):
+            row = None if best is None else (rows[best].tolist(), den)
+            chains.setdefault(mults, []).append(row)
+        return out
+
+    def measuring(coeffs):
+        widths.append(coeffs.shape[1])
+        return kernel(coeffs)
+
+    a_float = [float(c) for c in p.a]
+    candidates = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(hyperbolicity, "_prescreen", recording)
+        mp.setattr(hyperbolicity, "realness_defects", measuring)
+        for chunk in chunks:
+            found = hyperbolicity._search_chunk(p, a_float, chunk, budget)
+            candidates.update(zip(chunk, found))
+    return candidates, chains, widths
+
+
+def _as_lists(candidates):
+    return [(nums.dtype, nums.tolist(), den) for nums, den in candidates]
+
+
+_CHUNK_CASES = {
+    # p(1) = 0: the t^d column vanishes on every row and is trimmed
+    "structural_zeros": (HookPoly(5, 4, (1, 0, 0, -1)), SearchBudget(grid=8)),
+    "quintic": (HookPoly(5, 5, (0, 0, 7, -220, 4500)), SearchBudget(grid=8)),
+    # pattern (2, 3) has no positive defect on its grid, (3, 2) refines on
+    "stops_mid_chunk": (HookPoly(5, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8)),
+    "small_max_points": (
+        HookPoly(6, 5, (1, -2, 3, 5, -7)),
+        SearchBudget(grid=8, max_points=150),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNK_CASES))
+def test_chunked_prescreen_matches_pattern_by_pattern(monkeypatch, name):
+    """Per pattern, the lockstep prescreen returns the candidates (numerators,
+    denominator, order) and the chain of best rows of the pattern-by-pattern
+    one, on the falsifier's chunks and on one chunk of every pattern."""
+    p, budget = _CHUNK_CASES[name]
+    patterns = [m for k in range(2, p.d) for m in hyperbolicity._compositions(p.n, k)]
+    a_float = [float(c) for c in p.a]
+    expected = {
+        m: _reference_search_composition(p, a_float, m, budget) for m in patterns
+    }
+    chunks = list(hyperbolicity._chunks(patterns, budget))
+    assert [m for chunk in chunks for m in chunk] == patterns
+    for schedule in (chunks, [patterns]):
+        candidates, chains, widths = _chunked_search(monkeypatch, p, schedule, budget)
+        for m in patterns:
+            ref_candidates, ref_chain = expected[m]
+            assert _as_lists(candidates[m]) == _as_lists(ref_candidates), m
+            assert chains[m] == ref_chain, m
+    lengths = [[len(expected[m][1]) for m in chunk] for chunk in chunks]
+    if name == "structural_zeros":
+        # the t^d column (p(1) = 0) and the t^(d-1) one (a multiple of
+        # e_1(x), which is 0 on the slice) are trimmed from all d + 1
+        assert set(widths) == {p.d - 1}
+    elif name == "quintic":
+        assert {len(m) for m in patterns} == {2, 3, 4}
+        assert any(len({len(m) for m in chunk}) > 1 for chunk in chunks)
+    elif name == "stops_mid_chunk":
+        assert any(
+            min(row) == 1 < max(row) for row in lengths
+        ), lengths
+        assert [expected[m][1][-1] for m in patterns].count(None)
+    else:
+        # rounds of 9, 81 and 729 rows for k = 2, 3, 4: the cap of 150 cuts
+        # the third chunk after 9 + 9 + 81 rows, and a k = 4 pattern is alone
+        assert [len(chunk) for chunk in chunks] == [1, 2, 3] + [1] * 19
+        uncapped = hyperbolicity._chunks(patterns, SearchBudget(grid=8))
+        assert [len(chunk) for chunk in uncapped] == [1, 2, 4, 8, 10]
+
+
+def test_kernel_calls_stay_under_max_points(monkeypatch):
+    """No kernel call gets more rows than max_points or, where one pattern's
+    round alone exceeds it, that pattern's rows."""
+    # no candidates, so that every chunk is prescreened
+    budget = SearchBudget(grid=8, max_points=150, max_candidates=0)
+    bounds, calls = [], []
+    prescreen = hyperbolicity._prescreen
+    kernel = hyperbolicity.realness_defects
+
+    def bounding(p, a_float, batch, budget):
+        bounds.append(max([budget.max_points] + [len(rows) for _, rows, _ in batch]))
+        return prescreen(p, a_float, batch, budget)
+
+    def measuring(coeffs):
+        calls.append((len(coeffs), bounds[-1]))
+        return kernel(coeffs)
+
+    monkeypatch.setattr(hyperbolicity, "_prescreen", bounding)
+    monkeypatch.setattr(hyperbolicity, "realness_defects", measuring)
+    p = HookPoly(6, 5, (1, -2, 3, 5, -7))
+    falsify_hyperbolicity(p, budget)
+    assert all(rows <= bound for rows, bound in calls)
+    # both sides of the cap were reached: a full chunk and a lone pattern
+    assert any(budget.max_points // 2 < rows <= budget.max_points for rows, _ in calls)
+    assert any(rows > budget.max_points for rows, _ in calls)
 
 
 def _falsify_stdout(capsys, hook, *args):
@@ -455,6 +708,23 @@ def test_budget_rejects_inexact_grids(kwargs):
         SearchBudget(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"max_points": 0}, {"max_points": -5}, {"grid": 8, "max_points": -5},
+               {"trials": -1}]
+)
+def test_budget_rejects_empty_caps(kwargs):
+    with pytest.raises(InvalidInput):
+        SearchBudget(**kwargs)
+
+
+def test_budget_accepts_smallest_caps():
+    p = HookPoly(5, 4, (0, 0, 0, 3))
+    v = falsify_hyperbolicity(p, SearchBudget(grid=8, max_points=1))
+    assert v.status == NO_COUNTEREXAMPLE
+    v = falsify_unrestricted(p, SearchBudget(trials=0))
+    assert (v.status, v.detail) == (NO_COUNTEREXAMPLE, {"trials": 0})
+
+
 def test_budget_accepts_largest_exact_grid():
     # denominator 2**26 * (2**27 - 1) < 2**53; the capped grid is what counts
     SearchBudget(grid=2**26 + 1, max_points=2**27, refine_rounds=1, refine_grid=2**27)
@@ -515,6 +785,13 @@ def test_conjecture_case_rejects_bad_target():
 
 
 # -- e_k + linear --------------------------------------------------------------
+
+
+def elementary_restriction(x, k, n):
+    """The univariate polynomial e_k(x + t*1): coefficient of t^(k-i) is
+    binom(n-i, k-i) e_i(x)."""
+    e, L = elem_ints([Q(c) for c in x], k)
+    return UniPoly.from_ints(hyperbolicity._restriction_ints(e, L, k, n), L**k)
 
 
 def test_elementary_restriction_formula():

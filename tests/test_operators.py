@@ -292,7 +292,8 @@ def test_extension_round_trip_through_polya_schur():
             continue
         full = full_map_sending_onesbase_to(cert.f, n)
         assert polya_schur_test(full)
-        restricted = full.restrict_zero_sum()
+        gamma = [full.gamma_prime[k] * comb(full.n, k) for k in range(full.d + 1)]
+        restricted = DiagonalMap(full.n, full.d, tuple(gamma))
         # the restriction sends g0 to delta_d(f) = T(g0); on the zero-sum
         # space that pins the map up to the unobservable gamma_1
         assert apply(restricted, g0(n)).inner == apply(T, g0(n)).inner

@@ -12,12 +12,13 @@ from hypercheck.errors import (
     ZeroPolynomial,
 )
 from hypercheck.cli import run
-from hypercheck.hyperbolicity import elementary_restriction
+from hypercheck.hyperbolicity import _restriction_ints
 from hypercheck.rationals import Q, QONE, QZERO
 from hypercheck.sympoly import (
     HookPoly,
     SymPoint,
     dir_derivative_one,
+    elem_ints,
     elem_means,
     eval_hook,
     lift_variables,
@@ -56,11 +57,17 @@ def test_hook_validation():
         HookPoly(3, 2, (0, 0))
 
 
+def _to_e_basis(p):
+    return tuple(
+        c / (Q(p.n) ** (p.d - i) * comb(p.n, i)) for i, c in enumerate(p.a, start=1)
+    )
+
+
 def test_e_basis_round_trip():
     rng = random.Random(0)
     for _ in range(30):
         p = rand_hook(rng)
-        back = HookPoly.from_e_basis(p.n, p.d, p.to_e_basis())
+        back = HookPoly.from_e_basis(p.n, p.d, _to_e_basis(p))
         assert back.a == p.a
 
 
@@ -142,6 +149,13 @@ def _fraction_restrict_line(p, x):
             mk_line = UniPoly([comb(i, j) * m[j] for j in range(i, -1, -1)])
             out = out + (powers[p.d - i] * mk_line) * a
     return out.with_ambient(p.d)
+
+
+def elementary_restriction(x, k, n):
+    """e_k(x + t*1) from the integer elementary symmetric functions, as
+    ek_plus_linear_check builds it."""
+    e, L = elem_ints([Q(c) for c in x], k)
+    return UniPoly.from_ints(_restriction_ints(e, L, k, n), L**k)
 
 
 def _fraction_elementary_restriction(x, k, n):
