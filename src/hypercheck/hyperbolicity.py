@@ -7,8 +7,9 @@ hyperbolic iff its line restriction is real rooted at every point with
 at most d - 1 distinct entries, so the falsifier searches exactly that
 space.  Candidate points are ranked by a float eigenvalue prescreen (see
 kernels), which runs on chunks of 1, 2, 4, ... multiplicity patterns at
-a time; exact rational Sturm computations then verify the candidates
-pattern by pattern, stopping at the first pattern that yields a witness.
+a time.  Exact rational Sturm computations verify the hits after each
+prescreen round, pattern by pattern and within a pattern round by round,
+and the search, refinement included, stops at the first witness.
 Every reported witness is exact, and sampling procedures never return
 "Hyperbolic", only "NoCounterexampleFound".  Only the falsifier's
 functions import numpy, so a process that makes exact decisions alone
@@ -92,6 +93,7 @@ class SearchBudget:
             ("grid", self.grid, 2),
             ("refine_grid", self.refine_grid, 2),
             ("max_points", self.max_points, 1),
+            ("max_candidates", self.max_candidates, 0),
             ("trials", self.trials, 0),
         ):
             if value < low:
@@ -282,13 +284,20 @@ def _grid_rows(res: int, free: int):
     return _product_rows([axis] * free), res - 1
 
 
-def _refine_rows(center, den: int, g: int):
-    """One refinement round around `center` (numerators over den): steps
-    2(2j - g) for j = 0..g over den*g on every axis, clipped to [-1, 1]."""
+def _refine_batch(ranked, g: int):
+    """One refinement round around the best row of each (mults, rows, den,
+    best) entry: steps 2(2j - g) for j = 0..g over den*g on every axis,
+    clipped to [-1, 1].  The offset lattice is built once per free count."""
     import numpy as np
-    den *= g
     steps = 2 * (2 * np.arange(g + 1, dtype=np.int64) - g)
-    return _product_rows([np.clip(c * g + steps, -den, den) for c in center]), den
+    offsets, batch = {}, []
+    for mults, rows, den, best in ranked:
+        free = len(mults) - 1
+        if free not in offsets:
+            offsets[free] = _product_rows([steps] * free)
+        rows = rows[best] * g + offsets[free]
+        batch.append((mults, np.clip(rows, -den * g, den * g, out=rows), den * g))
+    return batch
 
 
 def _expand_point(mults, v):
@@ -431,9 +440,9 @@ def _search_chunk(p, a_float, chunk, budget):
     """The slice grid plus local refinement for a chunk of multiplicity
     patterns in lockstep: each round prescreens every pattern still
     refining in one batch, and a pattern stops when no row of its round
-    has a positive defect.  Returns each pattern's candidate rows as
-    (numerators, denominator) in priority order."""
-    candidates = {mults: [] for mults in chunk}
+    has a positive defect.  Yields after each round the hits of every
+    pattern it prescreened, as {mults: [(numerators, denominator), ...]}
+    in priority order, and the set of patterns a later round refines."""
     batch = []
     for mults in chunk:
         free = len(mults) - 1
@@ -441,18 +450,17 @@ def _search_chunk(p, a_float, chunk, budget):
     # the grid, then local refinement around the best cell of the last pass
     for r in range(max(budget.refine_rounds, 0) + 1):
         if r:
-            batch = [(mults, *_refine_rows(rows[best], den, budget.refine_grid - 1))
-                     for mults, rows, den, best in ranked]
-        ranked = []
-        for (mults, rows, den), (hits, best) in zip(
+            batch = _refine_batch(ranked, budget.refine_grid - 1)
+        hits, ranked = {}, []
+        for (mults, rows, den), (found, best) in zip(
             batch, _prescreen(p, a_float, batch, budget)
         ):
-            candidates[mults].extend((rows[h], den) for h in hits)
-            if best is not None:
+            hits[mults] = [(rows[h], den) for h in found]
+            if best is not None and r < budget.refine_rounds:
                 ranked.append((mults, rows, den, best))
+        yield hits, {mults for mults, *_ in ranked}
         if not ranked:
             break
-    return [candidates[mults] for mults in chunk]
 
 
 def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
@@ -464,11 +472,12 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     slice sum(m_i v_i) = 0, max |v_i| = 1, which is gridded, float
     prescreened and locally refined.  The prescreen runs per chunk of
     consecutive patterns (1, 2, 4, ... of them, capped by max_points rows
-    a round), in lockstep; verification runs per pattern, in pattern
-    order: hits are snapped to bounded denominators and re-verified
-    exactly, each distinct point once, and the search stops at the first
-    witness, so the later patterns of its chunk are never verified and
-    later chunks never prescreened.  Only exact verification can produce
+    a round), in lockstep.  Hits are snapped to bounded denominators and
+    verified exactly, each distinct point once, in pattern order and within
+    a pattern round by round: after each round the chunk's first pattern
+    not yet done has its new hits verified, and is done once it stops
+    refining.  The search stops at the first witness, before any later
+    round, pattern or chunk.  Only exact verification can produce
     NotHyperbolic, and the procedure never claims hyperbolicity.
     """
     budget = budget or DEFAULT_BUDGET
@@ -487,15 +496,20 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
         return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": 0})
     seen = set()
     for chunk in _chunks(patterns, budget):
-        found = _search_chunk(p, a_float, chunk, budget)
-        for mults, candidates in zip(chunk, found):
-            witness = _verify_candidates(p, mults, candidates, budget, seen)
-            if witness is not None:
-                return Verdict(
-                    NOT_HYPERBOLIC,
-                    witness=witness,
-                    detail={"pattern": list(mults)},
-                )
+        pending, head = {mults: [] for mults in chunk}, 0
+        for hits, refining in _search_chunk(p, a_float, chunk, budget):
+            for mults, found in hits.items():
+                pending[mults] += found
+            while head < len(chunk):
+                mults = chunk[head]
+                found, pending[mults] = pending[mults], []
+                witness = _verify_candidates(p, mults, found, budget, seen)
+                if witness is not None:
+                    detail = {"pattern": list(mults)}
+                    return Verdict(NOT_HYPERBOLIC, witness=witness, detail=detail)
+                if mults in refining:
+                    break
+                head += 1
     return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": len(patterns)})
 
 

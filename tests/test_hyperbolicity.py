@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -23,6 +24,7 @@ from hypercheck.hyperbolicity import (
     NO_COUNTEREXAMPLE,
     NOT_HYPERBOLIC,
     SearchBudget,
+    Verdict,
     cone_member,
     conjecture_case,
     cubic_normal_form,
@@ -193,8 +195,9 @@ def test_falsifier_determinism():
 
 
 def test_falsifier_stops_at_first_witness_pattern(monkeypatch):
-    """Patterns after the one that yields the witness are never verified,
-    and chunks after the one that holds it are never prescreened."""
+    """Patterns are verified in order, after each round, and patterns after
+    the one that yields the witness are never verified; chunks after the
+    one that holds it are never prescreened."""
     prescreened, verified = [], []
     search = hyperbolicity._search_chunk
     verify = hyperbolicity._verify_candidates
@@ -215,7 +218,8 @@ def test_falsifier_stops_at_first_witness_pattern(monkeypatch):
     patterns = [m for k in (2, 3) for m in hyperbolicity._compositions(4, k)]
     position = patterns.index(tuple(v.detail["pattern"]))
     assert 0 < position < len(patterns) - 1
-    assert verified == patterns[: position + 1]
+    assert list(dict.fromkeys(verified)) == patterns[: position + 1]
+    assert verified == sorted(verified, key=patterns.index)
     # chunks of 1, 2, 4, ... patterns; the witness is in the second
     assert position in (1, 2)
     assert prescreened == [patterns[:1], patterns[1:3]]
@@ -290,8 +294,8 @@ def test_integer_grid_rows_match_fraction_rows(monkeypatch, mults, res, refine_g
             clipped += expected != _fraction_refinement(
                 exact_center, res, refine_grid, rnd, clip=False
             )
-            rows, row_den = hyperbolicity._refine_rows(
-                rows[center], row_den, refine_grid - 1
+            [(_, rows, row_den)] = hyperbolicity._refine_batch(
+                [(mults, rows, row_den, center)], refine_grid - 1
             )
             assert row_den == (res - 1) * (refine_grid - 1) ** (rnd + 1)
             assert _exact_rows(rows, row_den) == expected
@@ -409,6 +413,16 @@ def _reference_prescreen(p, a_float, mults, nums, den, budget):
     return hits[: budget.max_candidates], best
 
 
+def _reference_refine_rows(center, den, g):
+    """Reference: a refinement round as it was, one clipped axis per
+    coordinate of the center, then their Cartesian product."""
+    den *= g
+    steps = 2 * (2 * np.arange(g + 1, dtype=np.int64) - g)
+    axes = [np.clip(c * g + steps, -den, den) for c in center]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes)), den
+
+
 def _reference_search_composition(p, a_float, mults, budget):
     """Reference: _search_composition as it was, one pattern at a time.
     Returns the candidates and the chain of best rows, one per round, as
@@ -421,7 +435,7 @@ def _reference_search_composition(p, a_float, mults, budget):
     candidates, chain = [], []
     for r in range(max(budget.refine_rounds, 0) + 1):
         if r:
-            rows, den = hyperbolicity._refine_rows(rows[best], den, budget.refine_grid - 1)
+            rows, den = _reference_refine_rows(rows[best], den, budget.refine_grid - 1)
         hits, best = _reference_prescreen(p, a_float, mults, rows, den, budget)
         candidates.extend((rows[i], den) for i in hits)
         chain.append(None if best is None else (rows[best].tolist(), den))
@@ -431,8 +445,9 @@ def _reference_search_composition(p, a_float, mults, budget):
 
 
 def _chunked_search(monkeypatch, p, chunks, budget):
-    """Candidates and chains of best rows per pattern from _search_chunk
-    over the given chunks, plus the widths of the kernel calls."""
+    """Candidates and chains of best rows per pattern from every round
+    _search_chunk yields over the given chunks, plus the widths of the
+    kernel calls."""
     chains, widths = {}, []
     prescreen = hyperbolicity._prescreen
     kernel = hyperbolicity.realness_defects
@@ -454,8 +469,9 @@ def _chunked_search(monkeypatch, p, chunks, budget):
         mp.setattr(hyperbolicity, "_prescreen", recording)
         mp.setattr(hyperbolicity, "realness_defects", measuring)
         for chunk in chunks:
-            found = hyperbolicity._search_chunk(p, a_float, chunk, budget)
-            candidates.update(zip(chunk, found))
+            for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, budget):
+                for mults, found in hits.items():
+                    candidates.setdefault(mults, []).extend(found)
     return candidates, chains, widths
 
 
@@ -541,6 +557,113 @@ def test_kernel_calls_stay_under_max_points(monkeypatch):
     # both sides of the cap were reached: a full chunk and a lone pattern
     assert any(budget.max_points // 2 < rows <= budget.max_points for rows, _ in calls)
     assert any(rows > budget.max_points for rows, _ in calls)
+
+
+# -- exact checks after each round against all rounds first -----------------
+
+
+def _reference_falsify(p, budget):
+    """Reference: falsify_hyperbolicity as it was, every round of a chunk
+    prescreened before any of its hits is verified, pattern by pattern."""
+    a_float = [float(c) for c in p.a]
+    patterns = [m for k in range(2, min(p.d - 1, p.n) + 1)
+                for m in hyperbolicity._compositions(p.n, k)]
+    seen = set()
+    for chunk in hyperbolicity._chunks(patterns, budget):
+        candidates = {mults: [] for mults in chunk}
+        for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, budget):
+            for mults, found in hits.items():
+                candidates[mults] += found
+        for mults in chunk:
+            witness = hyperbolicity._verify_candidates(
+                p, mults, candidates[mults], budget, seen
+            )
+            if witness is not None:
+                return Verdict(NOT_HYPERBOLIC, witness=witness,
+                               detail={"pattern": list(mults)})
+    return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": len(patterns)})
+
+
+def _recorded(monkeypatch, falsifier, p, budget):
+    """The verdict, the points checked exactly (the `seen` keys in order)
+    and the number of prescreen rounds of one falsifier run."""
+    checked, rounds = [], []
+    check, prescreen = hyperbolicity._exact_check, hyperbolicity._prescreen
+
+    def checking(p, x):
+        checked.append(x)
+        return check(p, x)
+
+    def screening(*args):
+        rounds.append(args[2])
+        return prescreen(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hyperbolicity, "_exact_check", checking)
+        mp.setattr(hyperbolicity, "_prescreen", screening)
+        verdict = falsifier(p, budget)
+    return verdict, checked, len(rounds)
+
+
+_ORDER_CASES = {
+    # a falsify-refute hook: the witness is a round-0 hit of the first pattern
+    "round_0_first_pattern": (HookPoly(4, 4, (9, 8, 3, 5)), SearchBudget(grid=8)),
+    # the witness is a hit of round 1 of the third pattern of its chunk
+    "later_round": (
+        HookPoly(5, 5, (8, -2, -2, 4, -3)),
+        SearchBudget(grid=2, defect_threshold=0.5),
+    ),
+    "second_pattern": (HookPoly(4, 4, (3, -1, -3, 1)), FAST),
+    # the head (2, 4) refines through every round before the round-0 hits
+    # of (3, 3) are verified
+    "head_refines_to_the_end": (
+        HookPoly(6, 5, (-3, -6, -9, -8, 5)),
+        SearchBudget(grid=3, defect_threshold=0.3),
+    ),
+    # hyperbolic (m1 m3 and m1^2 m3): every round of every chunk runs
+    "hyperbolic": (HookPoly(5, 4, (0, 0, Q(5, 2), 0)), SearchBudget(grid=8)),
+    "hyperbolic_small_max_points": (
+        HookPoly(6, 5, (0, 0, Q(5, 2), 0, 0)),
+        SearchBudget(grid=8, max_points=150),
+    ),
+    **_CHUNK_CASES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_CASES))
+def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name):
+    """Verifying after each round checks the same points, in the same order,
+    as prescreening every round of a chunk first, and gives the same
+    verdict; it never prescreens more rounds."""
+    p, budget = _ORDER_CASES[name]
+    verdict, checked, rounds = _recorded(monkeypatch, falsify_hyperbolicity, p, budget)
+    ref_verdict, ref_checked, ref_rounds = _recorded(
+        monkeypatch, _reference_falsify, p, budget
+    )
+    assert verdict == ref_verdict
+    assert checked == ref_checked
+    assert rounds <= ref_rounds
+    patterns = [m for k in range(2, p.d) for m in hyperbolicity._compositions(p.n, k)]
+    if name in ("round_0_first_pattern", "second_pattern"):
+        assert verdict.detail["pattern"] == list(patterns[name == "second_pattern"])
+    elif name == "later_round":
+        assert verdict.detail["pattern"] == [1, 2, 2]
+        # without refinement rounds (1, 2, 2) yields no witness
+        no_refinement = replace(budget, refine_rounds=0)
+        assert falsify_hyperbolicity(p, no_refinement).detail["pattern"] != [1, 2, 2]
+    elif name == "head_refines_to_the_end":
+        assert verdict.detail["pattern"] == [3, 3]
+        assert rounds == ref_rounds
+    elif name.startswith("hyperbolic") or name == "stops_mid_chunk":
+        assert verdict.status == NO_COUNTEREXAMPLE and rounds == ref_rounds
+
+
+def test_refute_witness_takes_one_prescreen_round(monkeypatch):
+    """A witness among the first round's hits of the first pattern ends the
+    search before any refinement round is prescreened."""
+    p, budget = _ORDER_CASES["round_0_first_pattern"]
+    assert _recorded(monkeypatch, falsify_hyperbolicity, p, budget)[2] == 1
+    assert _recorded(monkeypatch, _reference_falsify, p, budget)[2] == 4
 
 
 def _falsify_stdout(capsys, hook, *args):
@@ -710,7 +833,7 @@ def test_budget_rejects_inexact_grids(kwargs):
 
 @pytest.mark.parametrize(
     "kwargs", [{"max_points": 0}, {"max_points": -5}, {"grid": 8, "max_points": -5},
-               {"trials": -1}]
+               {"trials": -1}, {"max_candidates": -1}]
 )
 def test_budget_rejects_empty_caps(kwargs):
     with pytest.raises(InvalidInput):
@@ -723,6 +846,11 @@ def test_budget_accepts_smallest_caps():
     assert v.status == NO_COUNTEREXAMPLE
     v = falsify_unrestricted(p, SearchBudget(trials=0))
     assert (v.status, v.detail) == (NO_COUNTEREXAMPLE, {"trials": 0})
+    # no hit reaches exact verification, so no witness can be found
+    v = falsify_hyperbolicity(
+        HookPoly(4, 4, (1, 0, -4, 1)), SearchBudget(grid=8, max_candidates=0)
+    )
+    assert v.status == NO_COUNTEREXAMPLE
 
 
 def test_budget_accepts_largest_exact_grid():
