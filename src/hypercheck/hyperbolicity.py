@@ -19,7 +19,6 @@ never loads it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from math import comb, lcm
 
 from .errors import (
@@ -39,7 +38,7 @@ from .operators import (
     map_sending_g0_to,
     operator_to_hook,
 )
-from .rationals import Q, QONE, QZERO, _simplest_pos, qsign, to_q
+from .rationals import Q, QONE, QZERO, FrozenRecord, Record, _simplest_pos, qsign, to_q
 from .sympoly import HookPoly, SymPoint, elem_ints, mixed_derivative_eval, restrict_line
 from .unipoly import (
     UniPoly,
@@ -55,15 +54,16 @@ NOT_HYPERBOLIC = "NotHyperbolic"
 NO_COUNTEREXAMPLE = "NoCounterexampleFound"
 
 
-@dataclass
-class Verdict:
-    status: str
-    witness: tuple | None = None  # (SymPoint, RootCounts)
-    detail: dict = field(default_factory=dict)
+class Verdict(Record):
+    __slots__ = ("status", "witness", "detail")
+
+    def __init__(self, status: str, witness: tuple | None = None,
+                 detail: dict | None = None):
+        # witness: (SymPoint, RootCounts)
+        self._init(status, witness, {} if detail is None else detail)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(FrozenRecord):
     """Budget knobs for the sampling falsifiers.
 
     grid: points per free axis on the slice grid; refine_rounds /
@@ -78,32 +78,32 @@ class SearchBudget:
     for the unrestricted falsifier; seed: determinism.
     """
 
-    grid: int = 64
-    refine_rounds: int = 3
-    refine_grid: int = 9
-    max_points: int = 200_000
-    max_candidates: int = 24
-    defect_threshold: float = 1e-7
-    snap_denominator: int = 4096
-    trials: int = 2000
-    seed: int = 0
+    __slots__ = ("grid", "refine_rounds", "refine_grid", "max_points",
+                 "max_candidates", "defect_threshold", "snap_denominator",
+                 "trials", "seed")
 
-    def __post_init__(self):
+    def __init__(self, grid: int = 64, refine_rounds: int = 3,
+                 refine_grid: int = 9, max_points: int = 200_000,
+                 max_candidates: int = 24, defect_threshold: float = 1e-7,
+                 snap_denominator: int = 4096, trials: int = 2000,
+                 seed: int = 0):
         for name, value, low in (
-            ("grid", self.grid, 2),
-            ("refine_grid", self.refine_grid, 2),
-            ("max_points", self.max_points, 1),
-            ("max_candidates", self.max_candidates, 0),
-            ("trials", self.trials, 0),
+            ("grid", grid, 2),
+            ("refine_grid", refine_grid, 2),
+            ("max_points", max_points, 1),
+            ("max_candidates", max_candidates, 0),
+            ("trials", trials, 0),
         ):
             if value < low:
                 raise InvalidInput(f"{name} must be at least {low}, got {value}")
         # the largest grid denominator (res-1)*g**rounds (see _grid_size)
         # must keep float64 numerators exact; for g > 1, 53 rounds exceed it
-        res, g = min(self.grid, max(3, self.max_points)), self.refine_grid - 1
-        rounds = max(self.refine_rounds, 0)
+        res, g = min(grid, max(3, max_points)), refine_grid - 1
+        rounds = max(refine_rounds, 0)
         if (g > 1 and rounds >= 53) or (res - 1) * g**rounds >= 2**53:
             raise InvalidInput("grid denominators must stay below 2**53")
+        self._init(grid, refine_rounds, refine_grid, max_points, max_candidates,
+                   defect_threshold, snap_denominator, trials, seed)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -186,8 +186,7 @@ def _find_witness(p: HookPoly, budget: SearchBudget = None):
         return (SymPoint(tuple(u)), counts)
     base = budget or DEFAULT_BUDGET
     for grid in (base.grid, 2 * base.grid, 4 * base.grid, 8 * base.grid):
-        wider = replace(
-            base,
+        wider = base.replace(
             grid=grid,
             max_points=base.max_points * 4,
             max_candidates=4 * base.max_candidates,
@@ -550,22 +549,20 @@ def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
 # -- conjecture evidence ---------------------------------------------------
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(Record):
     """Evidence record for the sufficiency conjecture: the hook
     polynomial induced by a zero-sum target with d-1 one-signed roots,
     its falsification outcome, mixed-derivative sampling, and the
     extendability decision with its certificate."""
 
-    n: int
-    d: int
-    hook: HookPoly
-    falsifier: Verdict
-    delta_trials: int
-    delta_negative: int
-    delta_min: Q
-    extendable: bool
-    certificate: ExtendCertificate
+    __slots__ = ("n", "d", "hook", "falsifier", "delta_trials",
+                 "delta_negative", "delta_min", "extendable", "certificate")
+
+    def __init__(self, n: int, d: int, hook: HookPoly, falsifier: Verdict,
+                 delta_trials: int, delta_negative: int, delta_min: Q,
+                 extendable: bool, certificate: ExtendCertificate):
+        self._init(n, d, hook, falsifier, delta_trials, delta_negative,
+                   delta_min, extendable, certificate)
 
 
 def conjecture_case(
@@ -612,13 +609,11 @@ def conjecture_case(
 # -- e_k + linear interlacing ----------------------------------------------
 
 
-@dataclass
-class EkLinearReport:
-    k: int
-    n: int
-    trials: int
-    passed: int
-    failures: list
+class EkLinearReport(Record):
+    __slots__ = ("k", "n", "trials", "passed", "failures")
+
+    def __init__(self, k: int, n: int, trials: int, passed: int, failures: list):
+        self._init(k, n, trials, passed, failures)
 
 
 def _restriction_ints(e, L: int, k: int, n: int):
@@ -672,21 +667,19 @@ def ek_plus_linear_check(
 # -- cubic normal form ------------------------------------------------------
 
 
-@dataclass
-class CubicNormalForm:
+class CubicNormalForm(Record):
     """Reduced coefficients after the shear x -> x - s*e1(x)*1: the
     transformed cubic is c2*m1*m2 + c1*m3 with the m1^3 term removed.
     The shear parameter solves a cubic, so u = 1 - s*n (and hence c2 and
     s) may be irrational: exact rational values are given when they
     exist, and a rational enclosure plus an exact sign otherwise."""
 
-    c1: Q
-    c2: Q | None
-    c2_interval: tuple
-    c2_sign: int
-    u: Q | None
-    u_interval: tuple
-    shift: Q | None
+    __slots__ = ("c1", "c2", "c2_interval", "c2_sign", "u", "u_interval",
+                 "shift")
+
+    def __init__(self, c1: Q, c2: Q | None, c2_interval: tuple, c2_sign: int,
+                 u: Q | None, u_interval: tuple, shift: Q | None):
+        self._init(c1, c2, c2_interval, c2_sign, u, u_interval, shift)
 
 
 def cubic_normal_form(a, b, c, n: int) -> CubicNormalForm:

@@ -20,11 +20,10 @@ ignoring it and associated_operator emits gamma_1 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
 from .errors import DegreeMismatch, DegreeTooLow, InterlacingLawViolated, NotInSimplex
-from .rationals import Q, QONE, QZERO, proportional, to_q
+from .rationals import Q, QONE, QZERO, FrozenRecord, proportional, to_q
 from .sympoly import HookPoly
 from .unipoly import (
     UniPoly,
@@ -38,22 +37,20 @@ from .unipoly import (
 DEFAULT_ENCLOSURE_WIDTH = Q(1, 1 << 40)
 
 
-@dataclass(frozen=True)
-class DiagonalMap:
+class DiagonalMap(FrozenRecord):
     """Diagonal map R[t]_{n,0} -> R[t]_{d,0} on binomial-normalized
     coefficients.  gamma has d+1 entries; gamma[1] is irrelevant on the
     zero-sum domain and is ignored by equality."""
 
-    n: int
-    d: int
-    gamma: tuple
+    __slots__ = ("n", "d", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(to_q(c) for c in self.gamma))
-        if len(self.gamma) != self.d + 1:
-            raise DegreeMismatch(f"expected {self.d + 1} gamma entries")
-        if self.d > self.n:
+    def __init__(self, n: int, d: int, gamma: tuple):
+        gamma = tuple(to_q(c) for c in gamma)
+        if len(gamma) != d + 1:
+            raise DegreeMismatch(f"expected {d + 1} gamma entries")
+        if d > n:
             raise DegreeMismatch("target degree exceeds source degree")
+        self._init(n, d, gamma)
 
     def __eq__(self, other):
         if not isinstance(other, DiagonalMap):
@@ -75,21 +72,17 @@ class DiagonalMap:
         )
 
 
-@dataclass(frozen=True)
-class FullDiagonalMap:
+class FullDiagonalMap(FrozenRecord):
     """Diagonal map R[t]_n -> R[t]_d on the monomial basis:
     t^(n-k) -> gamma_prime[k] * t^(d-k), zero for k > d."""
 
-    n: int
-    d: int
-    gamma_prime: tuple
+    __slots__ = ("n", "d", "gamma_prime")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "gamma_prime", tuple(to_q(c) for c in self.gamma_prime)
-        )
-        if len(self.gamma_prime) != self.d + 1:
-            raise DegreeMismatch(f"expected {self.d + 1} entries")
+    def __init__(self, n: int, d: int, gamma_prime: tuple):
+        gamma_prime = tuple(to_q(c) for c in gamma_prime)
+        if len(gamma_prime) != d + 1:
+            raise DegreeMismatch(f"expected {d + 1} entries")
+        self._init(n, d, gamma_prime)
 
     def apply(self, g: UniPoly) -> UniPoly:
         if g.ambient_degree != self.n:
@@ -100,8 +93,7 @@ class FullDiagonalMap:
         return UniPoly(out, self.d)
 
 
-@dataclass(frozen=True)
-class ExtendCertificate:
+class ExtendCertificate(FrozenRecord):
     """Outcome evidence for decide_extendable.
 
     kind "Extension": f is a real-rooted one-signed preimage with
@@ -111,10 +103,11 @@ class ExtendCertificate:
     kind "SweepRefutation": the exhaustive lambda sweep found no witness.
     """
 
-    kind: str
-    f: UniPoly | None = None
-    obstruction: tuple = ()
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("kind", "f", "obstruction", "detail")
+
+    def __init__(self, kind: str, f: UniPoly | None = None,
+                 obstruction: tuple = (), detail: dict | None = None):
+        self._init(kind, f, obstruction, {} if detail is None else detail)
 
 
 def g0(n: int) -> ZeroSumPoly:

@@ -6,7 +6,8 @@ used when available (it is an order of magnitude faster than
 fractions.Fraction); the stdlib Fraction is a drop-in fallback.
 simplest_between, which turns isolating intervals back into exact
 rational roots, walks the continued fraction of its interval on integer
-numerators and denominators.
+numerators and denominators.  Record and FrozenRecord are the base of
+the package's value records (verdicts, reports, certificates, points).
 """
 
 from __future__ import annotations
@@ -107,3 +108,58 @@ def _simplest_pos(ln, ld, hn, hd):
     for f in reversed(quotients):
         num, den = f * num + den, num
     return num, den
+
+
+# -- value records ---------------------------------------------------------
+
+
+class Record:
+    """A value record: a subclass names its fields in __slots__, in
+    constructor order, and its __init__ checks them and stores them with
+    _init.  Records compare by value, print as Name(field=value, ...),
+    copy with replace(), which re-runs __init__ and so its checks, and
+    are unhashable.  Being plain classes, they load no module at import
+    (tests/test_cli.py checks that the CLI starts without `inspect`)."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return self.__class__(**values)
+
+
+class FrozenRecord(Record):
+    """A Record whose fields cannot be reassigned after __init__, and
+    which hashes by value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())

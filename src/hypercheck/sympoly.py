@@ -9,31 +9,28 @@ coefficient vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, lcm
 
 from .errors import DegreeTooHigh, DegreeTooLow, ShrinkNotAllowed, ZeroPolynomial
-from .rationals import Q, QZERO, proportional, to_q
+from .rationals import Q, QZERO, FrozenRecord, proportional, to_q
 from .unipoly import UniPoly
 
 
-@dataclass(frozen=True)
-class HookPoly:
+class HookPoly(FrozenRecord):
     """Hook-shaped symmetric polynomial: sum_i a[i-1] * m1^(d-i) * m_i
     in n variables, coefficients over elementary symmetric means."""
 
-    n: int
-    d: int
-    a: tuple
+    __slots__ = ("n", "d", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(to_q(c) for c in self.a))
-        if not (1 <= self.d <= self.n):
-            raise DegreeTooHigh(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
-        if len(self.a) != self.d:
-            raise DegreeTooHigh(f"expected {self.d} coefficients, got {len(self.a)}")
-        if all(c == 0 for c in self.a):
+    def __init__(self, n: int, d: int, a: tuple):
+        a = tuple(to_q(c) for c in a)
+        if not (1 <= d <= n):
+            raise DegreeTooHigh(f"need 1 <= d <= n, got d={d}, n={n}")
+        if len(a) != d:
+            raise DegreeTooHigh(f"expected {d} coefficients, got {len(a)}")
+        if all(c == 0 for c in a):
             raise ZeroPolynomial("hook polynomial must be nonzero")
+        self._init(n, d, a)
 
     @staticmethod
     def from_e_basis(n: int, d: int, a_e) -> "HookPoly":
@@ -49,14 +46,13 @@ class HookPoly:
         return (self.n, self.d) == (other.n, other.d) and proportional(self.a, other.a)
 
 
-@dataclass(frozen=True)
-class SymPoint:
+class SymPoint(FrozenRecord):
     """A point of R^n with exact rational coordinates."""
 
-    x: tuple
+    __slots__ = ("x",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(to_q(c) for c in self.x))
+    def __init__(self, x: tuple):
+        self._init(tuple(to_q(c) for c in x))
 
     def __len__(self):
         return len(self.x)

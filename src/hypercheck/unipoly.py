@@ -41,13 +41,12 @@ bisection hits: the output is that of bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import zip_longest
 from math import ceil, gcd, lcm
 
 from .errors import DegreeMismatch, DegreeTooLow, NotRealRooted, ZeroPolynomial
-from .rationals import Q, QONE, QZERO, _simplest_pos, to_q
+from .rationals import Q, QONE, QZERO, FrozenRecord, Record, _simplest_pos, to_q
 
 
 def _fit(nums, ambient):
@@ -587,16 +586,15 @@ def isolate_real_roots(p: UniPoly, chain=None):
 # -- root counts and profiles --------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootCounts:
+class RootCounts(FrozenRecord):
     """Real roots by sign, with multiplicity, plus non-real roots and
     degree drop."""
 
-    n_positive: int
-    n_negative: int
-    n_zero: int
-    n_nonreal: int
-    degree_drop: int
+    __slots__ = ("n_positive", "n_negative", "n_zero", "n_nonreal", "degree_drop")
+
+    def __init__(self, n_positive: int, n_negative: int, n_zero: int,
+                 n_nonreal: int, degree_drop: int):
+        self._init(n_positive, n_negative, n_zero, n_nonreal, degree_drop)
 
     def one_sided(self, k: int) -> bool:
         """At least k roots >= 0 or at least k roots <= 0."""
@@ -625,16 +623,17 @@ def root_counts(p: UniPoly) -> RootCounts:
                       n_nonreal=len(a) - 1 - n_pos - n_neg, degree_drop=p.degree_drop())
 
 
-@dataclass
-class RootProfile:
+class RootProfile(Record):
     """Exactly isolated real roots with multiplicities plus counts."""
 
-    real_roots: list  # list of (RealRoot, multiplicity), ascending
-    n_positive: int
-    n_negative: int
-    n_zero: int
-    n_nonreal: int
-    degree_drop: int
+    __slots__ = ("real_roots", "n_positive", "n_negative", "n_zero",
+                 "n_nonreal", "degree_drop")
+
+    def __init__(self, real_roots: list, n_positive: int, n_negative: int,
+                 n_zero: int, n_nonreal: int, degree_drop: int):
+        # real_roots: list of (RealRoot, multiplicity), ascending
+        self._init(real_roots, n_positive, n_negative, n_zero, n_nonreal,
+                   degree_drop)
 
     def roots_with_multiplicity(self):
         return [root for root, mult in self.real_roots for _ in range(mult)]
@@ -786,16 +785,16 @@ def delta_n(p: UniPoly) -> "ZeroSumPoly":
     return ZeroSumPoly(UniPoly.from_ints(nums, p.den))
 
 
-@dataclass(frozen=True)
-class ZeroSumPoly:
+class ZeroSumPoly(FrozenRecord):
     """A polynomial in R[t]_{n,0}: vanishing t^{n-1} coefficient."""
 
-    inner: UniPoly
+    __slots__ = ("inner",)
 
-    def __post_init__(self):
-        n = self.inner.ambient_degree
-        if n >= 1 and self.inner.nums[n - 1] != 0:
+    def __init__(self, inner: UniPoly):
+        n = inner.ambient_degree
+        if n >= 1 and inner.nums[n - 1] != 0:
             raise DegreeMismatch("coefficient of t^{n-1} must vanish")
+        self._init(inner)
 
     @property
     def ambient_degree(self) -> int:

@@ -1,5 +1,5 @@
+import ast
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -376,27 +376,36 @@ EXACT_EXAMPLES = [
 ]
 EK_EXAMPLE = (3, 4, [1, 0, 0, 0])
 
+# modules that only a dataclass (or numpy) would load
+HEAVY = ("dataclasses", "inspect")
+
 # argv: source directory, JSON list of CLI calls, JSON arguments of
-# ek_plus_linear_check; prints one JSON object
+# ek_plus_linear_check; prints one JSON object, with the HEAVY modules
+# loaded after the import, the CLI calls and ek_plus_linear_check
 EXACT_RUNNER = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None  # every import of numpy now fails
 sys.path.insert(0, sys.argv[1])
+heavy = lambda: [m for m in ("dataclasses", "inspect") if m in sys.modules]
 from hypercheck import cli, hyperbolicity
+loaded = [heavy()]
 outputs = []
 for argv in json.loads(sys.argv[2]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         outputs.append([cli.run(argv), buf.getvalue()])
+loaded.append(heavy())
 report = hyperbolicity.ek_plus_linear_check(*json.loads(sys.argv[3]), trials=20, seed=1)
-print(json.dumps({"cli": outputs, "ek": repr(report)}))
+loaded.append(heavy())
+print(json.dumps({"cli": outputs, "ek": repr(report), "loaded": loaded}))
 """
 
 LOAD_PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import hypercheck.cli
-loaded = [["hypercheck.kernels" in sys.modules, "numpy" in sys.modules]]
+loaded = [["hypercheck.kernels" in sys.modules, "numpy" in sys.modules,
+           "dataclasses" in sys.modules, "inspect" in sys.modules]]
 with contextlib.redirect_stdout(io.StringIO()):
     hypercheck.cli.run(["falsify", "--hook", '{"n":4,"d":4,"a":["1","0","0","1"]}',
                         "--budget", "4"])
@@ -415,9 +424,11 @@ def _fresh_interpreter(script, *args):
 
 def test_exact_subcommands_run_without_numpy():
     """The exact subcommands and ek_plus_linear_check print the same
-    outputs in an interpreter where numpy cannot be imported."""
+    outputs in an interpreter where numpy cannot be imported, and load
+    neither dataclasses nor inspect."""
     got = _fresh_interpreter(EXACT_RUNNER, json.dumps(EXACT_EXAMPLES),
                              json.dumps(EK_EXAMPLE))
+    assert got["loaded"] == [[], [], []]
     expected = []
     for argv in EXACT_EXAMPLES:
         buf = io.StringIO()
@@ -429,9 +440,29 @@ def test_exact_subcommands_run_without_numpy():
 
 
 def test_numpy_loads_with_the_falsifier():
-    """Importing the CLI loads the kernels module but not numpy; the
-    first falsify call loads numpy."""
-    assert _fresh_interpreter(LOAD_PROBE) == [[True, False], [True, True]]
+    """Importing the CLI loads the kernels module but not numpy,
+    dataclasses or inspect; the first falsify call loads numpy."""
+    assert _fresh_interpreter(LOAD_PROBE) == [[True, False, False, False],
+                                              [True, True]]
+
+
+def test_package_never_imports_dataclasses():
+    """The records are plain classes (rationals.Record): no module of the
+    package imports dataclasses, even lazily inside a function."""
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] in HEAVY for m in modules), (name, modules)
 
 
 # -- internal failures still give one JSON document -----------------------------
@@ -456,7 +487,7 @@ def test_interlacing_law_violation_is_json(capsys, monkeypatch):
     real = operators.root_profile
     monkeypatch.setattr(
         operators, "root_profile",
-        lambda p: dataclasses.replace(real(p), n_nonreal=1),
+        lambda p: real(p).replace(n_nonreal=1),
     )
     code = run(["phi", "--roots", "1/2,1/4,1/4"])
     out = capsys.readouterr().out

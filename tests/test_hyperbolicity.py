@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -649,7 +648,7 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
     elif name == "later_round":
         assert verdict.detail["pattern"] == [1, 2, 2]
         # without refinement rounds (1, 2, 2) yields no witness
-        no_refinement = replace(budget, refine_rounds=0)
+        no_refinement = budget.replace(refine_rounds=0)
         assert falsify_hyperbolicity(p, no_refinement).detail["pattern"] != [1, 2, 2]
     elif name == "head_refines_to_the_end":
         assert verdict.detail["pattern"] == [3, 3]

@@ -10,7 +10,9 @@ per root the median wall seconds and the peak resident memory (VmHWM, in
 MB, read from /proc where it exists) of one more fresh process that runs
 the command through hypercheck.cli.run.  Wall times are raw seconds on
 whatever host runs this; pin it to one CPU (taskset -c 1 ...) to keep
-other load off it.
+other load off it.  Exit codes 0 and 2 are results (decided, and
+NotHyperbolic); a command that exits with any other code, or raises, stops
+the run: its output goes to stderr and this script exits 1.
 """
 
 from __future__ import annotations
@@ -36,15 +38,18 @@ EXAMPLES = [
 ]
 
 # argv: JSON list of CLI arguments ([] imports only); prints VmHWM in MB
+# and exits with the CLI's exit code
 PEAK = """
 import contextlib, io, json, sys
 import hypercheck.cli
 argv = json.loads(sys.argv[1])
+code = 0
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        hypercheck.cli.run(argv)
+        code = hypercheck.cli.run(argv)
 with open("/proc/self/status") as status:
     print(next(int(l.split()[1]) / 1024 for l in status if l.startswith("VmHWM")))
+sys.exit(code)
 """
 
 
@@ -58,10 +63,23 @@ def env_for(root):
     return dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
 
 
+def require_result(done, root, argv):
+    """Exit 1, with the command's output on stderr, unless it exited 0 or 2."""
+    if done.returncode in (0, 2):
+        return
+    what = " ".join(argv) or "import hypercheck.cli"
+    sys.stderr.write(f"{what} exited {done.returncode} under {root}\n"
+                     f"{done.stdout}{done.stderr}")
+    raise SystemExit(1)
+
+
 def wall_s(root, argv) -> float:
     start = time.perf_counter()
-    subprocess.run(command(argv), env=env_for(root), capture_output=True, check=False)
-    return time.perf_counter() - start
+    done = subprocess.run(command(argv), env=env_for(root), capture_output=True,
+                          text=True)
+    elapsed = time.perf_counter() - start
+    require_result(done, root, argv)
+    return elapsed
 
 
 def peak_mb(root, argv):
@@ -69,7 +87,8 @@ def peak_mb(root, argv):
         return None
     done = subprocess.run([sys.executable, "-c", PEAK, json.dumps(argv)],
                           env=env_for(root), capture_output=True, text=True)
-    return round(float(done.stdout), 1) if done.returncode == 0 else None
+    require_result(done, root, argv)
+    return round(float(done.stdout), 1)
 
 
 def main():
