@@ -39,12 +39,15 @@ from .rationals import Q, format_rational, parse_rational, to_q
 from .sympoly import HookPoly
 from .unipoly import UniPoly, ZeroSumPoly
 
-# input-size bounds: phi at 1024 bits takes under a second and g0 at
-# n = 1000 several seconds; both grow much faster than linearly beyond.
-# extend and conjecture build g0 at their --n, so they share its bound,
-# and so does the "n" of a hook payload, from which check-quartic,
-# cone-member and falsify build n-long points.
+# input-size bounds: g0 writes n + 1 coefficients of up to n bits, and
+# conjecture samples n-long points, so they share the bound on --n with
+# extend and with every "n" and "d" of a payload, from which
+# check-quartic, cone-member and falsify build n-long points.  phi
+# refines each root to the width by bisection: 12 roots at 1024 bits take
+# 2.2-2.6 s (0.01 s at the default 40 bits), and the time grows about
+# quadratically in the roots and linearly in the bits.
 MAX_WIDTH_BITS = 1024
+MAX_PHI_ROOTS = 12
 MAX_G0_N = 1000
 
 
@@ -67,6 +70,15 @@ def _load_payload(text: str) -> dict:
     return payload
 
 
+def _int_field(payload: dict, key: str, default=None) -> int:
+    """payload[key], or default when it is absent, as an integer in
+    [0, MAX_G0_N]; booleans and non-integers are refused."""
+    value = payload.get(key, default)
+    if type(value) is not int or not 0 <= value <= MAX_G0_N:
+        raise InvalidInput(f'"{key}" must be an integer in [0, {MAX_G0_N}]')
+    return value
+
+
 def _rat_list(values, what: str):
     if not isinstance(values, list):
         raise InvalidInput(f"{what} must be a list of rationals")
@@ -81,10 +93,7 @@ def poly_from_json(payload: dict) -> UniPoly:
     if "coeffs" not in payload:
         raise InvalidInput('polynomial payload needs "coeffs"')
     coeffs = _rat_list(payload["coeffs"], "coeffs")
-    n = payload.get("n", len(coeffs) - 1)
-    if not isinstance(n, int) or n < 0:
-        raise InvalidInput('"n" must be a nonnegative integer')
-    return UniPoly(coeffs, n)
+    return UniPoly(coeffs, _int_field(payload, "n", len(coeffs) - 1))
 
 
 def hook_to_json(p: HookPoly) -> dict:
@@ -100,11 +109,7 @@ def hook_from_json(payload: dict) -> HookPoly:
     for key in ("n", "d", "a"):
         if key not in payload:
             raise InvalidInput(f'hook payload needs "{key}"')
-    n, d = payload["n"], payload["d"]
-    if not isinstance(n, int) or not isinstance(d, int):
-        raise InvalidInput('"n" and "d" must be integers')
-    if n > MAX_G0_N:
-        raise InvalidInput(f'"n" must be at most {MAX_G0_N}')
+    n, d = _int_field(payload, "n"), _int_field(payload, "d")
     a = _rat_list(payload["a"], "a")
     basis = payload.get("basis", "etilde")
     if basis == "e":
@@ -131,7 +136,8 @@ def map_from_json(payload: dict) -> DiagonalMap:
     if coords != "binomial-normalized":
         raise InvalidInput('only "binomial-normalized" coords are supported')
     return DiagonalMap(
-        payload["n"], payload["d"], tuple(_rat_list(payload["gamma"], "gamma"))
+        _int_field(payload, "n"), _int_field(payload, "d"),
+        tuple(_rat_list(payload["gamma"], "gamma")),
     )
 
 
@@ -273,7 +279,10 @@ def _cmd_extend(args) -> int:
 def _cmd_phi(args) -> int:
     if not 0 <= args.width_bits <= MAX_WIDTH_BITS:
         raise InvalidInput(f"--width-bits must be in [0, {MAX_WIDTH_BITS}]")
-    roots = [parse_rational(part) for part in args.roots.split(",")]
+    roots = args.roots.split(",")
+    if len(roots) > MAX_PHI_ROOTS:
+        raise InvalidInput(f"--roots takes at most {MAX_PHI_ROOTS} rationals")
+    roots = [parse_rational(part) for part in roots]
     width = Q(1, 1 << args.width_bits)
     enclosures = phi(roots, width=width)
     _emit(

@@ -220,22 +220,20 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def _batch_restriction(a_float, n: int, d: int, values, mults):
+def _batch_restriction(a_float, n: int, d: int, values):
     """Line-restriction coefficients (descending) for a batch of points.
 
-    values: (N, k) float array of distinct entries; mults: multiplicities.
-    Returns an (N, d+1) float array of the coefficients of p(x + t*1).
+    values: (N, n) float array, one point per row.  Returns an (N, d+1)
+    float array of the coefficients of p(x + t*1).
     """
     import numpy as np
     N = values.shape[0]
     # coefficient j in row j, so that every update runs on contiguous rows
     e = np.zeros((d + 1, N))
     e[0] = 1.0
-    for col, m in enumerate(mults):
-        v = values[:, col]
-        for _ in range(m):
-            for j in range(d, 0, -1):
-                e[j] += v * e[j - 1]
+    for v in values.T:
+        for j in range(d, 0, -1):
+            e[j] += v * e[j - 1]
     mean = e / np.array([float(comb(n, j)) for j in range(d + 1)])[:, None]
     m1 = mean[1]
     asc = np.zeros((d + 1, N))
@@ -389,8 +387,7 @@ def _slice_values(mults, nums, den: int):
     """Slice floats of free-coordinate rows (int64 numerators over den), one
     column per variable: zero-sum completion summed left to right, then
     max-norm scaling, as in _slice_points, so with den < 2**53 they are
-    float() of its values.  _batch_restriction applies a value repeated m
-    times in the same float operations as one column of multiplicity m."""
+    float() of its values."""
     import numpy as np
     w = nums / den
     last = np.zeros(len(w))
@@ -413,7 +410,7 @@ def _prescreen(p, a_float, batch, budget):
     import numpy as np
     coeffs = _batch_restriction(
         a_float, p.n, p.d,
-        np.concatenate([_slice_values(*entry) for entry in batch]), [1] * p.n,
+        np.concatenate([_slice_values(*entry) for entry in batch]),
     )
     by_width, start = {}, 0
     for j, (_, nums, _) in enumerate(batch):
@@ -526,7 +523,7 @@ def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     nums = [[rng.randint(-den, den) for _ in range(n)] for _ in range(budget.trials)]
     vals = np.array(nums) / den
     coeffs = _trim_structural_zeros(
-        _batch_restriction(a_float, n, d, vals, [1] * n)
+        _batch_restriction(a_float, n, d, vals)
     )
     if coeffs.shape[1] < 3:
         return Verdict(NO_COUNTEREXAMPLE, detail={"trials": budget.trials})

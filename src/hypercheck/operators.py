@@ -16,6 +16,11 @@ which is what associated_operator uses (the defining contract, not the
 closed form, is the ground truth; the tests re-check one against the
 other).  gamma_1 never acts on the zero-sum space, so maps are compared
 ignoring it and associated_operator emits gamma_1 = 0.
+
+The pivot g0 = (t + n - 1)(t - 1)^(n-1) has coordinates c_k = (-1)^k (1 - k)
+for every n: the means of its roots (1, ..., 1, 1 - n) are
+m_k = (n - k)/n - (n - 1)k/n = 1 - k.  So T(g0), its delta_d-preimages and
+whether T extends are read off gamma alone, whatever n is.
 """
 
 from __future__ import annotations
@@ -111,12 +116,12 @@ class ExtendCertificate(FrozenRecord):
 
 
 def g0(n: int) -> ZeroSumPoly:
-    """The pivot polynomial (t + n - 1)(t - 1)^(n-1), by exact product
-    expansion of the factored form."""
+    """The pivot polynomial (t + n - 1)(t - 1)^(n-1), written from its
+    coordinates (-1)^k (1 - k)."""
     if n < 2:
         raise DegreeTooLow("g0 requires n >= 2")
-    p = UniPoly.from_roots([1] * (n - 1) + [-(n - 1)], ambient=n)
-    return ZeroSumPoly(p)
+    nums = [(-1) ** k * (1 - k) * comb(n, k) for k in range(n, -1, -1)]
+    return ZeroSumPoly(UniPoly.from_ints(nums))
 
 
 def binomial_coords(g: UniPoly):
@@ -144,6 +149,8 @@ def associated_operator(p: HookPoly) -> DiagonalMap:
 def operator_to_hook(T: DiagonalMap) -> HookPoly:
     """Invert the (triangular) hook -> operator system exactly."""
     d = T.d
+    if d < 1:
+        raise DegreeTooLow(f"a hook polynomial needs d >= 1, got d={d}")
     sign = -1 if d % 2 else 1
     a = [QZERO] * d
     for j in range(d, 1, -1):
@@ -171,19 +178,14 @@ def apply(T: DiagonalMap, g) -> ZeroSumPoly:
 
 
 def map_sending_g0_to(g, n: int) -> DiagonalMap:
-    """The unique diagonal map with T(g0(n)) = g (all g0 coefficients
-    away from t^{n-1} are nonzero, so division is well defined)."""
+    """The unique diagonal map with T(g0(n)) = g: gamma_k is the t^(d-k)
+    coefficient of g over the g0 coordinate (-1)^k (1 - k), nonzero for k != 1."""
     inner = g.inner if isinstance(g, ZeroSumPoly) else g
     d = inner.ambient_degree
     if n < max(2, d):
         raise DegreeTooLow(f"need n >= max(2, d) = {max(2, d)}")
-    c_g = binomial_coords(inner)
-    c_0 = binomial_coords(g0(n).inner)
-    gamma = [QZERO] * (d + 1)
-    for k in range(d + 1):
-        if k == 1:
-            continue
-        gamma[k] = c_g[k] * comb(d, k) / c_0[k]
+    gamma = (QZERO if k == 1 else Q((-1) ** k * inner.nums[d - k], inner.den * (1 - k))
+             for k in range(d + 1))
     return DiagonalMap(n, d, tuple(gamma))
 
 
@@ -200,24 +202,20 @@ def necessary_sign_test(T: DiagonalMap) -> bool:
     d-1 roots of one sign.  Necessary for preserving hyperbolicity on
     the zero-sum space; also sufficient for d <= 4, and conjecturally
     sufficient beyond."""
-    image = apply(T, g0(T.n)).inner
+    image = delta_n(_pivot_preimage(T)).inner
     if image.is_zero():
         return True
     counts = root_counts(image)
     return not counts.n_nonreal and counts.one_sided(T.d - 1)
 
 
-def _delta_preimage_base(g: UniPoly) -> UniPoly:
-    """Coefficientwise preimage f0 with delta_d(f0) = g; the t^(d-1)
-    coefficient of f0 is the free parameter and is set to 0 here."""
-    d = g.ambient_degree
-    coeffs = [QZERO] * (d + 1)
-    for j in range(d + 1):
-        k = d - j
-        if k == 1:
-            continue
-        coeffs[j] = Q(g.nums[j], g.den * (1 - k))
-    return UniPoly(coeffs, d)
+def _pivot_preimage(T: DiagonalMap) -> UniPoly:
+    """f0 = sum_{k != 1} (-1)^k gamma_k t^(d-k): delta_d scales t^(d-k) by
+    1 - k, so delta_d(f0) = T(g0), and the free t^(d-1) coefficient is 0."""
+    if T.n < 2:
+        raise DegreeTooLow("g0 requires n >= 2")
+    coeffs = [QZERO if k == 1 else (-1) ** k * T.gamma[k] for k in range(T.d, -1, -1)]
+    return UniPoly(coeffs, T.d)
 
 
 def _one_sign_real_rooted(f: UniPoly) -> bool:
@@ -313,13 +311,15 @@ def decide_extendable(T: DiagonalMap):
     """Decide whether T extends to a full diagonal hyperbolicity
     preserver; returns (bool, ExtendCertificate).
 
-    The preimage family under delta_d is f_lambda = f0 + lambda*t^(d-1)
-    (the kernel of delta_d is exactly span(t^(d-1))), so extendability is
-    equivalent to some f_lambda being real rooted with one-signed roots.
+    The preimage family under delta_d is f_lambda = f0 + lambda*t^(d-1),
+    f0 from _pivot_preimage (the kernel of delta_d is exactly
+    span(t^(d-1))), so extendability is equivalent to some f_lambda being
+    real rooted with one-signed roots.
     The sweep over lambda is exhaustive: real-rootedness and root signs
     only change where disc(f_lambda) vanishes.
     """
-    g = apply(T, g0(T.n)).inner
+    f0 = _pivot_preimage(T)
+    g = delta_n(f0).inner
     if g.is_zero():
         # whole kernel is available; t^{d-1} is a one-signed witness
         f = UniPoly([QZERO] * (T.d - 1) + [QONE, QZERO], T.d)
@@ -340,7 +340,6 @@ def decide_extendable(T: DiagonalMap):
             kind="MultiplicityObstruction", obstruction=tuple(obstruction)
         )
 
-    f0 = _delta_preimage_base(g)
     # factor out the common power of t so the discriminant sweep is not
     # identically degenerate; f_lambda = t^m * (h0 + lambda * t^slot)
     m = min(f0.valuation(), d - 1)

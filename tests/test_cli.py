@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercheck import cli, hyperbolicity, operators
-from hypercheck.cli import MAX_G0_N, run
+from hypercheck.cli import MAX_G0_N, MAX_PHI_ROOTS, run
 
 
 def _capture(capsys, argv):
@@ -240,11 +240,38 @@ BIG_POINT = json.dumps({"x": ["1"] * (MAX_G0_N + 1)})
         ["falsify", "--hook", '{"n":1000,"d":5,"a":["1","0","0","0","0"]}'],
         # n = 50, d = 4: 1,225 patterns
         ["falsify", "--hook", '{"n":50,"d":4,"a":["1","0","0","1"]}'],
+        # without --n, extend takes n from the target's degree
+        ["extend", "--target", json.dumps({"coeffs": ["1"] + ["0"] * MAX_G0_N + ["1"]})],
+        ["phi", "--roots", ",".join(["1/13"] * (MAX_PHI_ROOTS + 1))],
     ],
 )
 def test_oversized_inputs_rejected(capsys, argv):
     code, doc = _capture(capsys, argv)
     assert code == 1 and doc["error"] == "InvalidInput"
+
+
+GOOD_MAP = {"n": 5, "d": 2, "gamma": ["1", "0", "1"]}
+
+
+@pytest.mark.parametrize(
+    "command, flag, payload, error",
+    [
+        (command, "--map", {**GOOD_MAP, **bad}, "InvalidInput")
+        for command in ("hook-of", "extend")
+        for bad in ({"n": "5"}, {"d": "2"}, {"n": 5.5}, {"n": True}, {"d": -1})
+    ]
+    + [
+        ("hook-of", "--map", {"n": 5, "d": 0, "gamma": ["1"]}, "DegreeTooLow"),
+        ("operator", "--hook", {"n": True, "d": 1, "a": ["1"]}, "InvalidInput"),
+        ("operator", "--hook", {"n": 5, "d": False, "a": []}, "InvalidInput"),
+        ("extend", "--target", {"n": 2.0, "coeffs": ["-1", "0", "1"]}, "InvalidInput"),
+    ],
+)
+def test_payload_fields_checked(capsys, command, flag, payload, error):
+    """Integer fields of map, hook and polynomial payloads are integers in
+    [0, MAX_G0_N], not strings, floats or booleans."""
+    code, doc = _capture(capsys, [command, flag, json.dumps(payload)])
+    assert code == 1 and doc["error"] == error
 
 
 @pytest.mark.parametrize(
@@ -338,6 +365,18 @@ def test_sweep_and_phi_outputs_pinned(capsys, argv, expected):
     interpolation of the lambda sweep; must not move by a byte."""
     assert run(argv) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SWEEP_AND_PHI_PINNED[:2]])
+def test_extend_target_independent_of_n(capsys, argv):
+    """T(g0) does not depend on n, so neither does the answer for a target."""
+    target = argv[2]
+    d = json.loads(target)["n"]
+    outs = set()
+    for n in (d, d + 1, MAX_G0_N):
+        assert run(["extend", "--target", target, "--n", str(n)]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
 
 
 def test_bad_rational_rejected(capsys):
@@ -538,6 +577,13 @@ def _extend_target(draw):
     return draw(st.sampled_from([json.dumps(target), draw(fuzz_json.map(json.dumps))]))
 
 
+@st.composite
+def _map_payload(draw):
+    n, d = draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
+    payload = {"n": n, "d": d, "gamma": draw(_rationals(d + 1))}
+    return draw(st.sampled_from([json.dumps(payload), draw(fuzz_json.map(json.dumps))]))
+
+
 simplex_point = st.lists(st.integers(0, 6), min_size=2, max_size=5).map(
     lambda parts: ",".join(
         f"{p}/{sum(parts) or 1}" for p in sorted(parts, reverse=True)
@@ -566,6 +612,11 @@ fuzz_argv = st.one_of(
         st.one_of(simplex_point, st.lists(fuzz_rational, max_size=4).map(",".join)),
     ),
     st.tuples(st.just("g0"), st.just("--n"), st.sampled_from(["-1", "0", "1", "7", "x"])),
+    st.tuples(st.just("hook-of"), st.just("--map"), _map_payload()),
+    st.tuples(
+        st.just("operator"), st.just("--hook"),
+        _hook_payload(st.integers(0, 6), st.integers(0, 6)),
+    ),
     st.tuples(
         st.just("extend"), st.just("--target"), _extend_target(),
         st.just("--n"), st.integers(-1, 6).map(str),

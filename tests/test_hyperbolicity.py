@@ -275,10 +275,9 @@ def test_integer_grid_rows_match_fraction_rows(monkeypatch, mults, res, refine_g
     seen_vals = []
     batch = hyperbolicity._batch_restriction
 
-    def capture(a, n, d, values, m):
-        assert list(m) == [1] * n
+    def capture(a, n, d, values):
         seen_vals.append(values)
-        return batch(a, n, d, values, m)
+        return batch(a, n, d, values)
 
     monkeypatch.setattr(hyperbolicity, "_batch_restriction", capture)
     grid, den = hyperbolicity._grid_rows(res, free)
@@ -355,7 +354,7 @@ def test_batch_restriction_matches_reference_bytes(d, rows):
     values = rng.uniform(-1, 1, size=(rows, len(mults)))
     values[0] = 0.0
     got = hyperbolicity._batch_restriction(
-        a_float, n, d, np.repeat(values, mults, axis=1), [1] * n
+        a_float, n, d, np.repeat(values, mults, axis=1)
     )
     ref = _reference_batch_restriction(a_float, n, d, values, mults)
     assert got.shape == ref.shape == (rows, d + 1)

@@ -79,6 +79,16 @@ def test_g0_coefficient_formula():
             assert gn.coeffs[n - k] == Q((-1) ** k * (1 - k) * comb(n, k))
 
 
+def test_g0_matches_factored_expansion():
+    """g0(n), written from its coordinates, equals (t + n - 1)(t - 1)^(n-1)
+    multiplied out on integers, factor by factor."""
+    for n in range(2, 61):
+        coeffs = [n - 1, 1]  # ascending
+        for _ in range(n - 1):
+            coeffs = [lo - hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        assert g0(n).inner == UniPoly(coeffs)
+
+
 def test_g0_is_delta_of_ones_base():
     for n in range(2, 13):
         base = UniPoly.from_roots([1] * n, ambient=n)
@@ -150,6 +160,11 @@ def test_round_trip_hook_operator():
         T = associated_operator(p)
         assert operator_to_hook(T).a == p.a
         assert associated_operator(operator_to_hook(T)) == T
+
+
+def test_operator_to_hook_needs_positive_degree():
+    with pytest.raises(DegreeTooLow):
+        operator_to_hook(DiagonalMap(5, 0, (2,)))
 
 
 def test_commutation_with_delta():

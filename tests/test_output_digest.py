@@ -6,11 +6,13 @@ hypercheck and hashes the requests, exit codes and outputs.  The two
 workloads pinned here decide everything in exact arithmetic, so their
 digests must not move with numpy or LAPACK; the float-ranked falsify
 rounds are left unpinned, since another LAPACK build may break near-ties
-in the prescreen order differently.
+in the prescreen order differently.  So is a sample of extend requests
+that no benchmark round builds (random_extend).
 """
 
 import importlib.util
 import os
+from collections import Counter
 
 import pytest
 
@@ -32,8 +34,8 @@ PINNED = {
         11: (100, "73089c58242fd328ba35c548aebdc07560a11b9ff16b657c6c65ab9f3323f671"),
     },
     "extend-sweep": {
-        1: (90, "a8a126648d1e4bed47eabd39467e16bc307f0cb85c041c4b6636466f5fabc800"),
-        11: (90, "821730dd2d329e1db8d09c66d3b731d80f6c3cb5fe014817a8ab9066a4ba16c9"),
+        1: (90, "968dc2f34ec4337e631dc900c9ecb01b03cb43afb56b5f13d81e23ef37395d72"),
+        11: (90, "d1b7fc87444b43140df24b724dea81205511fc49cc8a836b31611695ab5f6608"),
     },
 }
 
@@ -43,3 +45,18 @@ def test_exact_workload_outputs_pinned(workload):
     digest = _output_digest().digest
     pinned = PINNED[workload]
     assert {seed: digest(workload, seed) for seed in pinned} == pinned
+
+
+def test_random_extend_outputs_pinned():
+    """Maps and planted targets of random_extend reach every outcome of
+    extend: each certificate kind, both error documents and the
+    UnboundLocalError of decide_extendable (ROADMAP item 1)."""
+    tool = _output_digest()
+    kinds = Counter()
+    assert tool.digest_requests(tool.random_extend(), kinds) == (
+        200, "233fdab8dcf7645beaa066314df70c84dab8417521b342b2c37d3a79a39d79e0"
+    )
+    assert kinds == {
+        "Extension": 118, "SweepRefutation": 43, "MultiplicityObstruction": 10,
+        "DegreeMismatch": 20, "DegreeTooLow": 5, "UnboundLocalError": 4,
+    }

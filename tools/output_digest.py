@@ -6,12 +6,14 @@ Builds the seeded round of every hcbench workload, runs each request
 once, in order, through hypercheck.cli.run (CLI requests) or
 hyperbolicity.ek_plus_linear_check (e_k + linear requests), and prints one
 sha256 per workload and seed over the requests, their exit codes and their
-outputs.  An exception that escapes a request
-is recorded by type and message, and the run goes on.  One more line
-digests an unbiased sample of falsify requests (random_falsify), whose
-witnesses, unlike those of the falsify-refute round, may come from any
-multiplicity pattern and refinement round.  Two checkouts that print the
-same digests gave byte-identical outputs on those requests.
+outputs.  An exception that escapes a request is recorded by its type
+alone, since its message is worded by the Python version, and the run goes
+on.  One more line digests an unbiased sample of falsify requests
+(random_falsify), whose witnesses, unlike those of the falsify-refute
+round, may come from any multiplicity pattern and refinement round, and
+another a sample of extend requests (random_extend) with the count of
+each outcome.  Two checkouts that print the same digests gave
+byte-identical outputs on those requests.
 
 Run from the root of a checkout; it imports hypercheck from src/ and the
 request builders from hcbench/, and changes neither.
@@ -27,6 +29,8 @@ import json
 import os
 import random
 import sys
+from collections import Counter
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "hcbench")]
@@ -49,7 +53,7 @@ def outcome(call):
         )
         return [0, [report.trials, report.passed]]
     except Exception as exc:  # recorded as an outcome, like any other
-        return ["raised", f"{type(exc).__name__}: {exc}"]
+        return ["raised", type(exc).__name__]
 
 
 def random_falsify(count: int = 150, seed: int = 5):
@@ -70,11 +74,55 @@ def random_falsify(count: int = 150, seed: int = 5):
     return requests
 
 
-def digest_requests(requests):
-    """(number of requests, sha256 hex) of a list of requests."""
+def random_extend(count: int = 200, seed: int = 5):
+    """extend requests drawn from random.Random(seed), alternating two kinds:
+
+    --map with gamma entries in [-3, 3] (zeros included), d in [0, 7] and
+    n in [1, 12], so that some maps have d > n or n < 2;
+
+    --target (t - s) * prod(t - r_i) with d - 1 planted roots r_i of one
+    sign, drawn from a pool of three so that some repeat, and s = -sum r_i
+    so that the target is zero-sum, at --n in [d, d + 4], and once at
+    --n MAX_G0_N."""
+    rng = random.Random(seed)
+    requests = []
+    for i in range(count):
+        if i % 2 == 0:
+            d, n = rng.randint(0, 7), rng.randint(1, 12)
+            gamma = [str(rng.randint(-3, 3)) for _ in range(d + 1)]
+            payload = {"n": n, "d": d, "gamma": gamma}
+            requests.append({"cli": ["extend", "--map", json.dumps(payload)]})
+            continue
+        d, sign = rng.randint(2, 6), rng.choice((1, -1))
+        pool = [Fraction(sign * rng.randint(1, 6), rng.randint(1, 3)) for _ in range(3)]
+        roots = [rng.choice(pool) for _ in range(d - 1)]
+        coeffs = [Fraction(1)]  # ascending powers of t
+        for r in roots + [-sum(roots)]:
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        target = {"n": d, "coeffs": [f"{c.numerator}/{c.denominator}" for c in coeffs]}
+        n = cli.MAX_G0_N if i == 1 else rng.randint(d, d + 4)
+        requests.append({"cli": ["extend", "--target", json.dumps(target), "--n", str(n)]})
+    return requests
+
+
+def outcome_kind(out) -> str:
+    """The certificate kind, error name or exception type of an extend
+    outcome."""
+    if out[0] == "raised":
+        return out[1]
+    doc = json.loads(out[1])
+    return doc["certificate"]["kind"] if out[0] == 0 else doc["error"]
+
+
+def digest_requests(requests, kinds: Counter | None = None):
+    """(number of requests, sha256 hex) of a list of requests; counts the
+    outcome_kind of each outcome into `kinds` when given."""
     h = hashlib.sha256()
     for call in requests:
-        line = [call.get("cli", call.get("ek")), *outcome(call)]
+        out = outcome(call)
+        if kinds is not None:
+            kinds[outcome_kind(out)] += 1
+        line = [call.get("cli", call.get("ek")), *out]
         h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
     return len(requests), h.hexdigest()
 
@@ -94,6 +142,10 @@ def main():
             print(f"{workload} seed={seed} requests={count} sha256={hexdigest}")
     count, hexdigest = digest_requests(random_falsify())
     print(f"falsify-random seed=5 requests={count} sha256={hexdigest}")
+    kinds = Counter()
+    count, hexdigest = digest_requests(random_extend(), kinds)
+    tally = " ".join(f"{kind}={k}" for kind, k in sorted(kinds.items()))
+    print(f"extend-random seed=5 requests={count} sha256={hexdigest} {tally}")
 
 
 if __name__ == "__main__":
