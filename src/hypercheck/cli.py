@@ -40,15 +40,20 @@ from .sympoly import HookPoly
 from .unipoly import UniPoly, ZeroSumPoly
 
 # input-size bounds: g0 writes n + 1 coefficients of up to n bits, and
-# conjecture samples n-long points, so they share the bound on --n with
-# extend and with every "n" and "d" of a payload, from which
-# check-quartic, cone-member and falsify build n-long points.  phi
-# refines each root to the width by bisection: 12 roots at 1024 bits take
-# 2.2-2.6 s (0.01 s at the default 40 bits), and the time grows about
-# quadratically in the roots and linearly in the bits.
+# conjecture samples n-long points and check-cubic's witness search builds
+# them, so they share the bound on --n with extend and with every "n" and
+# "d" of a payload, from which check-quartic, cone-member and falsify
+# build n-long points.  phi refines each root to the width by bisection:
+# 12 roots at 1024 bits take 2.2-2.6 s (0.01 s at the default 40 bits),
+# and the time grows about quadratically in the roots and linearly in the
+# bits.  conjecture and demo-quintic evaluate a mixed derivative at
+# --delta-trials n-long points: at n = MAX_G0_N, the worst n the
+# falsifier admits (d = 3), 1,000 trials take 8.1 s, on top of the 2.7 s
+# the rest of the case takes (0.09 s at the quintic's n = 5).
 MAX_WIDTH_BITS = 1024
 MAX_PHI_ROOTS = 12
 MAX_G0_N = 1000
+MAX_DELTA_TRIALS = 1000
 
 
 # -- JSON plumbing ---------------------------------------------------------
@@ -220,6 +225,7 @@ def _budget_from_args(args) -> SearchBudget:
 
 
 def _cmd_check_cubic(args) -> int:
+    _check_n(args.n)
     v = decide_cubic(
         parse_rational(args.a), parse_rational(args.b), parse_rational(args.c),
         args.n,
@@ -311,6 +317,12 @@ def _cmd_cone_member(args) -> int:
     return 0
 
 
+def _delta_trials(args) -> int:
+    if not 0 <= args.delta_trials <= MAX_DELTA_TRIALS:
+        raise InvalidInput(f"--delta-trials must be in [0, {MAX_DELTA_TRIALS}]")
+    return args.delta_trials
+
+
 def _delta_samples(report) -> dict:
     return {
         "trials": report.delta_trials,
@@ -326,7 +338,7 @@ def _cmd_conjecture(args) -> int:
         ZeroSumPoly(target),
         args.n,
         _budget_from_args(args),
-        delta_trials=args.delta_trials,
+        delta_trials=_delta_trials(args),
     )
     payload = {
         "n": report.n,
@@ -348,7 +360,7 @@ def _cmd_demo_quintic(args) -> int:
     # conjecture_case recovers this same p and T from the image of the pivot
     report = conjecture_case(
         ZeroSumPoly(image), 5, _budget_from_args(args),
-        delta_trials=args.delta_trials,
+        delta_trials=_delta_trials(args),
     )
     payload = {
         "hook": hook_to_json(p),

@@ -54,6 +54,12 @@ NOT_HYPERBOLIC = "NotHyperbolic"
 NO_COUNTEREXAMPLE = "NoCounterexampleFound"
 
 
+# fixed parts of the falsifier (see SearchBudget)
+REFINE_ROUNDS = 3
+REFINE_GRID = 9
+SNAP_DENOMINATOR = 4096
+
+
 class Verdict(Record):
     __slots__ = ("status", "witness", "detail")
 
@@ -66,44 +72,43 @@ class Verdict(Record):
 class SearchBudget(FrozenRecord):
     """Budget knobs for the sampling falsifiers.
 
-    grid: points per free axis on the slice grid; refine_rounds /
-    refine_grid: local refinement passes around the best cell;
+    grid: points per free axis on the slice grid;
     max_points: cap on total grid size per multiplicity pattern, and on
     the rows one prescreen round of a chunk of patterns holds (a pattern
     over the cap is prescreened alone);
     max_candidates: prescreen hits forwarded to exact verification;
     defect_threshold: minimum float realness defect to count as a hit;
-    snap_denominator: witnesses are snapped to rationals with at most
-    this denominator before exact verification; trials: sample count
-    for the unrestricted falsifier; seed: determinism.
+    trials: sample count for the unrestricted falsifier; seed: determinism.
+
+    REFINE_ROUNDS, REFINE_GRID and SNAP_DENOMINATOR are fixed parts of
+    the method, not of a request: three passes of a 9-point local grid
+    narrow the best cell 8**3-fold, which keeps the grid denominators
+    (res - 1) * 8**3 exact in float64 and a refinement round at 9**free
+    rows, and snapping to denominators <= 4096 keeps witnesses short.
+    The CLI sets only grid and seed; the exact deciders' witness search
+    widens max_points, max_candidates and defect_threshold.
     """
 
-    __slots__ = ("grid", "refine_rounds", "refine_grid", "max_points",
-                 "max_candidates", "defect_threshold", "snap_denominator",
+    __slots__ = ("grid", "max_points", "max_candidates", "defect_threshold",
                  "trials", "seed")
 
-    def __init__(self, grid: int = 64, refine_rounds: int = 3,
-                 refine_grid: int = 9, max_points: int = 200_000,
+    def __init__(self, grid: int = 64, max_points: int = 200_000,
                  max_candidates: int = 24, defect_threshold: float = 1e-7,
-                 snap_denominator: int = 4096, trials: int = 2000,
-                 seed: int = 0):
+                 trials: int = 2000, seed: int = 0):
         for name, value, low in (
             ("grid", grid, 2),
-            ("refine_grid", refine_grid, 2),
             ("max_points", max_points, 1),
             ("max_candidates", max_candidates, 0),
             ("trials", trials, 0),
         ):
             if value < low:
                 raise InvalidInput(f"{name} must be at least {low}, got {value}")
-        # the largest grid denominator (res-1)*g**rounds (see _grid_size)
-        # must keep float64 numerators exact; for g > 1, 53 rounds exceed it
-        res, g = min(grid, max(3, max_points)), refine_grid - 1
-        rounds = max(refine_rounds, 0)
-        if (g > 1 and rounds >= 53) or (res - 1) * g**rounds >= 2**53:
+        # the largest grid denominator (res - 1) * 8**3, res from
+        # _grid_size, must keep float64 numerators exact
+        res = min(grid, max(3, max_points))
+        if (res - 1) * (REFINE_GRID - 1) ** REFINE_ROUNDS >= 2**53:
             raise InvalidInput("grid denominators must stay below 2**53")
-        self._init(grid, refine_rounds, refine_grid, max_points, max_candidates,
-                   defect_threshold, snap_denominator, trials, seed)
+        self._init(grid, max_points, max_candidates, defect_threshold, trials, seed)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -124,7 +129,7 @@ def max_threads() -> int:
 # -- exact decisions ------------------------------------------------------
 
 
-def decide_cubic(a, b, c, n: int, budget: SearchBudget = None) -> Verdict:
+def decide_cubic(a, b, c, n: int) -> Verdict:
     """Exact hyperbolicity of a*m1^3 + b*m1*m2 + c*m3 in n >= 3 variables:
     hyperbolic iff (a+b+c) * (27ac^2 - b^3 - 9b^2c) <= 0."""
     a, b, c = to_q(a), to_q(b), to_q(c)
@@ -143,10 +148,10 @@ def decide_cubic(a, b, c, n: int, budget: SearchBudget = None) -> Verdict:
     if product <= 0:
         return Verdict(HYPERBOLIC, detail=detail)
     p = HookPoly(n, 3, (a, b, c))
-    return Verdict(NOT_HYPERBOLIC, witness=_find_witness(p, budget), detail=detail)
+    return Verdict(NOT_HYPERBOLIC, witness=_find_witness(p), detail=detail)
 
 
-def decide_quartic_hook(p: HookPoly, budget: SearchBudget = None) -> Verdict:
+def decide_quartic_hook(p: HookPoly) -> Verdict:
     """Exact hyperbolicity of a hook quartic: shift the coordinate-vector
     restriction by -1/n; hyperbolic iff it is real rooted with at least
     three roots of one sign."""
@@ -168,10 +173,10 @@ def decide_quartic_hook(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     if real and signs:
         return Verdict(HYPERBOLIC, detail=detail)
     detail["real_rooted"] = real
-    return Verdict(NOT_HYPERBOLIC, witness=_find_witness(p, budget), detail=detail)
+    return Verdict(NOT_HYPERBOLIC, witness=_find_witness(p), detail=detail)
 
 
-def _find_witness(p: HookPoly, budget: SearchBudget = None):
+def _find_witness(p: HookPoly):
     """Exact witness for a polynomial already known non-hyperbolic.
 
     The coordinate-vector restriction is non-real in many failing cases;
@@ -184,7 +189,7 @@ def _find_witness(p: HookPoly, budget: SearchBudget = None):
     counts = root_counts(restrict_line(p, u))
     if counts.n_nonreal:
         return (SymPoint(tuple(u)), counts)
-    base = budget or DEFAULT_BUDGET
+    base = DEFAULT_BUDGET
     for grid in (base.grid, 2 * base.grid, 4 * base.grid, 8 * base.grid):
         wider = base.replace(
             grid=grid,
@@ -341,11 +346,11 @@ def _slice_points(mults, candidates):
             yield tuple(Q(c, top) for c in scaled)
 
 
-def _verify_candidates(p: HookPoly, mults, candidates, budget, seen: set):
+def _verify_candidates(p: HookPoly, mults, candidates, seen: set):
     """Exact checks of the candidates, snapped point first; a point in
     `seen` already failed to be a witness and is skipped."""
     for v in _slice_points(mults, candidates):
-        snapped = _snap_point(v, budget.snap_denominator)
+        snapped = _snap_point(v, SNAP_DENOMINATOR)
         for cand in ([snapped] if snapped != v else []) + [v]:
             x = _expand_point(mults, cand)
             if x in seen:
@@ -375,7 +380,7 @@ def _chunks(patterns, budget):
         end, rows = start, 0
         while end < len(patterns) and end - start < size:
             free = len(patterns[end]) - 1
-            rows += max(_grid_size(free, budget) ** free, budget.refine_grid**free)
+            rows += max(_grid_size(free, budget) ** free, REFINE_GRID**free)
             if end > start and rows > budget.max_points:
                 break
             end += 1
@@ -444,15 +449,15 @@ def _search_chunk(p, a_float, chunk, budget):
         free = len(mults) - 1
         batch.append((mults, *_grid_rows(_grid_size(free, budget), free)))
     # the grid, then local refinement around the best cell of the last pass
-    for r in range(max(budget.refine_rounds, 0) + 1):
+    for r in range(REFINE_ROUNDS + 1):
         if r:
-            batch = _refine_batch(ranked, budget.refine_grid - 1)
+            batch = _refine_batch(ranked, REFINE_GRID - 1)
         hits, ranked = {}, []
         for (mults, rows, den), (found, best) in zip(
             batch, _prescreen(p, a_float, batch, budget)
         ):
             hits[mults] = [(rows[h], den) for h in found]
-            if best is not None and r < budget.refine_rounds:
+            if best is not None and r < REFINE_ROUNDS:
                 ranked.append((mults, rows, den, best))
         yield hits, {mults for mults, *_ in ranked}
         if not ranked:
@@ -499,7 +504,7 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
             while head < len(chunk):
                 mults = chunk[head]
                 found, pending[mults] = pending[mults], []
-                witness = _verify_candidates(p, mults, found, budget, seen)
+                witness = _verify_candidates(p, mults, found, seen)
                 if witness is not None:
                     detail = {"pattern": list(mults)}
                     return Verdict(NOT_HYPERBOLIC, witness=witness, detail=detail)
@@ -533,7 +538,7 @@ def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
         if defects[i] <= budget.defect_threshold:
             break
         x = tuple(Q(c, den) for c in nums[int(i)])
-        snapped = _snap_point(x, budget.snap_denominator)
+        snapped = _snap_point(x, SNAP_DENOMINATOR)
         for cand in ([snapped] if snapped != x else []) + [x]:
             witness = _exact_check(p, cand)
             if witness is not None:

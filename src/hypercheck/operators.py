@@ -14,8 +14,8 @@ Matching that contract on the monomial basis gives the closed form
 
 which is what associated_operator uses (the defining contract, not the
 closed form, is the ground truth; the tests re-check one against the
-other).  gamma_1 never acts on the zero-sum space, so maps are compared
-ignoring it and associated_operator emits gamma_1 = 0.
+other).  gamma_1 never acts on the zero-sum space, so a DiagonalMap
+stores it as 0.
 
 The pivot g0 = (t + n - 1)(t - 1)^(n-1) has coordinates c_k = (-1)^k (1 - k)
 for every n: the means of its roots (1, ..., 1, 1 - n) are
@@ -25,7 +25,7 @@ whether T extends are read off gamma alone, whatever n is.
 
 from __future__ import annotations
 
-from math import comb, gcd, lcm
+from math import comb
 
 from .errors import DegreeMismatch, DegreeTooLow, InterlacingLawViolated, NotInSimplex
 from .rationals import Q, QONE, QZERO, FrozenRecord, proportional, to_q
@@ -44,8 +44,9 @@ DEFAULT_ENCLOSURE_WIDTH = Q(1, 1 << 40)
 
 class DiagonalMap(FrozenRecord):
     """Diagonal map R[t]_{n,0} -> R[t]_{d,0} on binomial-normalized
-    coefficients.  gamma has d+1 entries; gamma[1] is irrelevant on the
-    zero-sum domain and is ignored by equality."""
+    coefficients.  gamma has d+1 entries; gamma[1] never acts on the
+    zero-sum domain and is stored as 0, so maps that differ only there
+    are equal."""
 
     __slots__ = ("n", "d", "gamma")
 
@@ -55,25 +56,13 @@ class DiagonalMap(FrozenRecord):
             raise DegreeMismatch(f"expected {d + 1} gamma entries")
         if d > n:
             raise DegreeMismatch("target degree exceeds source degree")
+        if d >= 1:
+            gamma = gamma[:1] + (QZERO,) + gamma[2:]
         self._init(n, d, gamma)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagonalMap):
-            return NotImplemented
-        if (self.n, self.d) != (other.n, other.d):
-            return False
-        return all(
-            a == b
-            for k, (a, b) in enumerate(zip(self.gamma, other.gamma))
-            if k != 1
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.d) + self.gamma[:1] + self.gamma[2:])
 
     def proportional_to(self, other: "DiagonalMap") -> bool:
         return (self.n, self.d) == (other.n, other.d) and proportional(
-            self.gamma[:1] + self.gamma[2:], other.gamma[:1] + other.gamma[2:]
+            self.gamma, other.gamma
         )
 
 
@@ -136,9 +125,6 @@ def associated_operator(p: HookPoly) -> DiagonalMap:
     sign = -1 if d % 2 else 1
     gamma = []
     for j in range(d + 1):
-        if j == 1:
-            gamma.append(QZERO)
-            continue
         acc = QZERO
         for i in range(max(j, 1), d + 1):
             acc += comb(i, j) * p.a[i - 1]
@@ -210,11 +196,11 @@ def necessary_sign_test(T: DiagonalMap) -> bool:
 
 
 def _pivot_preimage(T: DiagonalMap) -> UniPoly:
-    """f0 = sum_{k != 1} (-1)^k gamma_k t^(d-k): delta_d scales t^(d-k) by
-    1 - k, so delta_d(f0) = T(g0), and the free t^(d-1) coefficient is 0."""
+    """f0 = sum_k (-1)^k gamma_k t^(d-k): delta_d scales t^(d-k) by 1 - k,
+    so delta_d(f0) = T(g0), and the free t^(d-1) coefficient is gamma_1 = 0."""
     if T.n < 2:
         raise DegreeTooLow("g0 requires n >= 2")
-    coeffs = [QZERO if k == 1 else (-1) ** k * T.gamma[k] for k in range(T.d, -1, -1)]
+    coeffs = [(-1) ** k * T.gamma[k] for k in range(T.d, -1, -1)]
     return UniPoly(coeffs, T.d)
 
 
@@ -246,28 +232,20 @@ def _disc_in_lambda(h0: UniPoly, slot: int, big_degree: int) -> UniPoly:
         if p.degree() == big_degree:
             samples.append((lam, discriminant(p).numerator))
         lam = -lam + 1 if lam <= 0 else -lam
-    crit = _lagrange_interpolate(samples)
-    return UniPoly.from_ints(crit.nums, crit.den * h0.den**bound)
+    return UniPoly.from_ints(_lagrange_interpolate(samples).nums, h0.den**bound)
 
 
 def _lagrange_interpolate(samples) -> UniPoly:
     """The interpolating polynomial of the (x, y) samples, distinct
-    integers x, at ambient degree len(samples) - 1: Newton's divided
-    differences on the numerators of the y over one denominator, which
-    grows (the table is linear in the y) only where a difference does not
-    divide, never for the values of an integer polynomial; then Horner's
-    rule in the monomial basis."""
+    integers x, at ambient degree len(samples) - 1.  The y are the values
+    of an integer polynomial of degree < len(samples), so every divided
+    difference is an integer: Newton's divided differences on integers,
+    then Horner's rule in the monomial basis."""
     xs = [x for x, _ in samples]
-    den = lcm(*(y.denominator for _, y in samples))
-    c = [y.numerator * (den // y.denominator) for _, y in samples]
+    c = [y for _, y in samples]
     for j in range(1, len(c)):
         for i in range(len(c) - 1, j - 1, -1):
-            num, step = c[i] - c[i - 1], xs[i] - xs[i - j]
-            if num % step:
-                f = abs(step) // gcd(num, step)
-                c = [v * f for v in c]
-                num, den = num * f, den * f
-            c[i] = num // step
+            c[i] = (c[i] - c[i - 1]) // (xs[i] - xs[i - j])
     out = [c[-1]]
     for x, ck in zip(reversed(xs[:-1]), reversed(c[:-1])):
         # out <- out * (t - x) + ck
@@ -276,7 +254,7 @@ def _lagrange_interpolate(samples) -> UniPoly:
             + [low - x * high for low, high in zip(out, out[1:])]
             + [out[-1]]
         )
-    return UniPoly.from_ints(out, den)
+    return UniPoly.from_ints(out)
 
 
 def _sweep_candidates(crit_poly: UniPoly):

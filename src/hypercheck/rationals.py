@@ -1,23 +1,19 @@
 """Exact rational arithmetic helpers.
 
 All algebraic predicates in this package are sign conditions, so every
-computation that feeds a verdict runs on exact rationals.  gmpy2.mpq is
-used when available (it is an order of magnitude faster than
-fractions.Fraction); the stdlib Fraction is a drop-in fallback.
-simplest_between, which turns isolating intervals back into exact
-rational roots, walks the continued fraction of its interval on integer
-numerators and denominators.  Record and FrozenRecord are the base of
-the package's value records (verdicts, reports, certificates, points).
+computation that feeds a verdict runs on exact rationals: Q is the
+standard library's fractions.Fraction.  simplest_between, which turns
+isolating intervals back into exact rational roots, walks the continued
+fraction of its interval on integer numerators and denominators.  Record
+and FrozenRecord are the base of the package's value records (verdicts,
+reports, certificates, points).
 """
 
 from __future__ import annotations
 
-from .errors import InvalidInput
+from fractions import Fraction as Q
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from .errors import InvalidInput
 
 QZERO = Q(0)
 QONE = Q(1)

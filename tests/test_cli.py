@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercheck import cli, hyperbolicity, operators
-from hypercheck.cli import MAX_G0_N, MAX_PHI_ROOTS, run
+from hypercheck.cli import MAX_DELTA_TRIALS, MAX_G0_N, MAX_PHI_ROOTS, run
 
 
 def _capture(capsys, argv):
@@ -243,11 +243,39 @@ BIG_POINT = json.dumps({"x": ["1"] * (MAX_G0_N + 1)})
         # without --n, extend takes n from the target's degree
         ["extend", "--target", json.dumps({"coeffs": ["1"] + ["0"] * MAX_G0_N + ["1"]})],
         ["phi", "--roots", ",".join(["1/13"] * (MAX_PHI_ROOTS + 1))],
+        # the witness search of a non-hyperbolic cubic builds n-long points
+        ["check-cubic", "--a", "1", "--b", "0", "--c", "1", "--n", "1000000"],
+        ["check-cubic", "--a", "1", "--b", "0", "--c", "1", "--n", "2000000000"],
     ],
 )
 def test_oversized_inputs_rejected(capsys, argv):
     code, doc = _capture(capsys, argv)
     assert code == 1 and doc["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("trials", ["-1", "-5", str(MAX_DELTA_TRIALS + 1)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "--target", '{"n":4,"coeffs":["0","0","0","0","1"]}', "--n", "4"],
+        ["demo-quintic"],
+    ],
+)
+def test_delta_trials_bounded(capsys, argv, trials):
+    code, doc = _capture(capsys, argv + ["--delta-trials", trials])
+    assert code == 1 and doc["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("command", ["hook-of", "extend"])
+def test_map_gamma_1_is_not_read(capsys, command):
+    """gamma_1 never acts on the zero-sum space: maps that differ only
+    there print the same bytes."""
+    outs = set()
+    for gamma_1 in ("0", "7", "-1/3"):
+        payload = {"n": 5, "d": 3, "gamma": ["2", gamma_1, "-3", "1"]}
+        assert run([command, "--map", json.dumps(payload)]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
 
 
 GOOD_MAP = {"n": 5, "d": 2, "gamma": ["1", "0", "1"]}
@@ -578,6 +606,18 @@ def _extend_target(draw):
 
 
 @st.composite
+def _planted_target(draw):
+    """(t - s) * prod(t - r_i), r_i integers of one sign and s = -sum r_i:
+    a zero-sum target that meets the hypothesis of conjecture."""
+    roots = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    roots = [draw(st.sampled_from([1, -1])) * r for r in roots]
+    coeffs = [1]  # ascending powers of t
+    for r in roots + [-sum(roots)]:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return json.dumps({"coeffs": [str(c) for c in coeffs]})
+
+
+@st.composite
 def _map_payload(draw):
     n, d = draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
     payload = {"n": n, "d": d, "gamma": draw(_rationals(d + 1))}
@@ -593,7 +633,7 @@ fuzz_argv = st.one_of(
     st.tuples(
         st.just("check-cubic"), st.just("--a"), fuzz_rational, st.just("--b"),
         fuzz_rational, st.just("--c"), fuzz_rational, st.just("--n"),
-        st.sampled_from(["3", "4", "5", "2", "x"]),
+        st.sampled_from(["3", "4", "5", "2", "x", "1001", "2000000000"]),
     ),
     st.tuples(
         st.just("check-quartic"), st.just("--hook"),
@@ -620,6 +660,13 @@ fuzz_argv = st.one_of(
     st.tuples(
         st.just("extend"), st.just("--target"), _extend_target(),
         st.just("--n"), st.integers(-1, 6).map(str),
+    ),
+    st.tuples(
+        st.just("conjecture"), st.just("--target"),
+        st.one_of(_planted_target(), _extend_target()),
+        st.just("--n"), st.integers(-1, 6).map(str), st.just("--budget"), st.just("2"),
+        st.just("--delta-trials"),
+        st.sampled_from(["-1", "0", "2", str(MAX_DELTA_TRIALS + 1)]),
     ),
 )
 

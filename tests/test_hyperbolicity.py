@@ -89,7 +89,7 @@ def test_cubic_agrees_with_sampling_oracle():
         a, b, c = (Q(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3))
         if a == b == c == 0:
             continue
-        v = decide_cubic(a, b, c, n, budget=FAST)
+        v = decide_cubic(a, b, c, n)
         p = HookPoly(n, 3, (a, b, c))
         if v.status == NOT_HYPERBOLIC:
             assert _witness_is_valid(p, v)
@@ -123,7 +123,7 @@ def test_quartic_agrees_with_sampling_oracle():
         if all(c == 0 for c in a):
             continue
         p = HookPoly(n, 4, a)
-        v = decide_quartic_hook(p, budget=FAST)
+        v = decide_quartic_hook(p)
         if v.status == NOT_HYPERBOLIC:
             assert _witness_is_valid(p, v)
         else:
@@ -205,9 +205,9 @@ def test_falsifier_stops_at_first_witness_pattern(monkeypatch):
         prescreened.append(list(chunk))
         return search(p, a_float, chunk, budget)
 
-    def verifying(p, mults, candidates, budget, seen):
+    def verifying(p, mults, candidates, seen):
         verified.append(mults)
-        return verify(p, mults, candidates, budget, seen)
+        return verify(p, mults, candidates, seen)
 
     monkeypatch.setattr(hyperbolicity, "_search_chunk", searching)
     monkeypatch.setattr(hyperbolicity, "_verify_candidates", verifying)
@@ -431,9 +431,11 @@ def _reference_search_composition(p, a_float, mults, budget):
         res = max(3, int(budget.max_points ** (1.0 / free)))
     rows, den = hyperbolicity._grid_rows(res, free)
     candidates, chain = [], []
-    for r in range(max(budget.refine_rounds, 0) + 1):
+    for r in range(hyperbolicity.REFINE_ROUNDS + 1):
         if r:
-            rows, den = _reference_refine_rows(rows[best], den, budget.refine_grid - 1)
+            rows, den = _reference_refine_rows(
+                rows[best], den, hyperbolicity.REFINE_GRID - 1
+            )
         hits, best = _reference_prescreen(p, a_float, mults, rows, den, budget)
         candidates.extend((rows[i], den) for i in hits)
         chain.append(None if best is None else (rows[best].tolist(), den))
@@ -574,7 +576,7 @@ def _reference_falsify(p, budget):
                 candidates[mults] += found
         for mults in chunk:
             witness = hyperbolicity._verify_candidates(
-                p, mults, candidates[mults], budget, seen
+                p, mults, candidates[mults], seen
             )
             if witness is not None:
                 return Verdict(NOT_HYPERBOLIC, witness=witness,
@@ -647,8 +649,8 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
     elif name == "later_round":
         assert verdict.detail["pattern"] == [1, 2, 2]
         # without refinement rounds (1, 2, 2) yields no witness
-        no_refinement = budget.replace(refine_rounds=0)
-        assert falsify_hyperbolicity(p, no_refinement).detail["pattern"] != [1, 2, 2]
+        monkeypatch.setattr(hyperbolicity, "REFINE_ROUNDS", 0)
+        assert falsify_hyperbolicity(p, budget).detail["pattern"] != [1, 2, 2]
     elif name == "head_refines_to_the_end":
         assert verdict.detail["pattern"] == [3, 3]
         assert rounds == ref_rounds
@@ -777,19 +779,23 @@ def test_integer_snap_matches_fractions(case):
 
 @pytest.mark.parametrize("falsifier", [falsify_hyperbolicity, falsify_unrestricted])
 @pytest.mark.parametrize(
-    "a, budget",
+    "a, budget, snap",
     [
-        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8)),
-        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8, trials=400, snap_denominator=3)),
-        ((3, -1, -3, 1), FAST),
-        ((1, 0, -4, 1), SearchBudget(grid=8, trials=400, snap_denominator=5)),
+        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8), 4096),
+        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8, trials=400), 3),
+        ((3, -1, -3, 1), FAST, 4096),
+        ((1, 0, -4, 1), SearchBudget(grid=8, trials=400), 5),
     ],
+    ids=[f"a{i}-budget{i}" for i in range(4)],
 )
-def test_falsifiers_check_the_fraction_path_points(monkeypatch, falsifier, a, budget):
+def test_falsifiers_check_the_fraction_path_points(
+    monkeypatch, falsifier, a, budget, snap
+):
     """Both falsifiers check exactly the points, in the same order, that
     they checked with the Fraction slice and snap: the same `seen` keys,
     the same verdicts."""
     check = hyperbolicity._exact_check
+    monkeypatch.setattr(hyperbolicity, "SNAP_DENOMINATOR", snap)
 
     def run(slice_points, snap_point):
         checked = []
@@ -816,12 +822,12 @@ def test_falsifiers_check_the_fraction_path_points(monkeypatch, falsifier, a, bu
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"refine_grid": 1},
-        {"refine_grid": 0},
-        {"grid": 2**26 + 1, "max_points": 2**27, "refine_rounds": 1,
-         "refine_grid": 2**27 + 1},
-        {"refine_grid": 2**20},
-        {"refine_rounds": 10**9},
+        # denominators (res - 1) * 8**3 with res = 2**44 + 1 reach 2**53
+        {"grid": 2**44 + 1, "max_points": 2**44 + 1},
+        {"grid": 2**60, "max_points": 2**44 + 1},
+        {"grid": 2**44 + 1, "max_points": 2**60},
+        {"grid": 2**54, "max_points": 2**60},
+        {"grid": 2**60, "max_points": 2**60},
     ],
 )
 def test_budget_rejects_inexact_grids(kwargs):
@@ -852,10 +858,12 @@ def test_budget_accepts_smallest_caps():
 
 
 def test_budget_accepts_largest_exact_grid():
-    # denominator 2**26 * (2**27 - 1) < 2**53; the capped grid is what counts
-    SearchBudget(grid=2**26 + 1, max_points=2**27, refine_rounds=1, refine_grid=2**27)
-    SearchBudget(grid=2**40, max_points=64, refine_rounds=3, refine_grid=2**10)
-    SearchBudget(refine_grid=2, refine_rounds=10**9)
+    # denominator (2**44 - 1) * 8**3 < 2**53; the capped grid is what counts
+    assert (hyperbolicity.REFINE_ROUNDS, hyperbolicity.REFINE_GRID) == (3, 9)
+    SearchBudget(grid=2**44, max_points=2**44)
+    SearchBudget(grid=2**44, max_points=2**60)
+    SearchBudget(grid=2**60, max_points=2**44)
+    SearchBudget(grid=2**60, max_points=64)
 
 
 def test_restricted_and_unrestricted_agree():
@@ -868,9 +876,9 @@ def test_restricted_and_unrestricted_agree():
             continue
         p = HookPoly(n, d, a)
         exact = (
-            decide_cubic(*a, n, budget=FAST)
+            decide_cubic(*a, n)
             if d == 3
-            else decide_quartic_hook(p, budget=FAST)
+            else decide_quartic_hook(p)
         )
         sampled = falsify_unrestricted(p, FAST)
         if sampled.status == NOT_HYPERBOLIC:

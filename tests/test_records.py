@@ -26,9 +26,8 @@ HOOK = HookPoly(4, 4, (1, 0, -4, 1))
 CASES = [
     (Verdict, dict(status="Hyperbolic", witness=None, detail={"k": 1}),
      ("status", "NotHyperbolic")),
-    (SearchBudget, dict(grid=8, refine_rounds=1, refine_grid=5, max_points=100,
-                        max_candidates=2, defect_threshold=1e-6,
-                        snap_denominator=64, trials=10, seed=3),
+    (SearchBudget, dict(grid=8, max_points=100, max_candidates=2,
+                        defect_threshold=1e-6, trials=10, seed=3),
      ("grid", 9)),
     (ConjectureReport, dict(n=5, d=4, hook=HOOK, falsifier=Verdict("Hyperbolic"),
                             delta_trials=3, delta_negative=0, delta_min=Q(1, 2),
@@ -94,13 +93,15 @@ def test_defaults():
     assert Verdict("Hyperbolic").detail is not Verdict("Hyperbolic").detail
     cert = ExtendCertificate("Extension")
     assert (cert.f, cert.obstruction, cert.detail) == (None, (), {})
-    assert SearchBudget() == SearchBudget(64, 3, 9, 200_000, 24, 1e-7, 4096, 2000, 0)
+    assert SearchBudget() == SearchBudget(64, 200_000, 24, 1e-7, 2000, 0)
 
 
 def test_diagonal_map_ignores_gamma_1():
     a = DiagonalMap(4, 3, (1, 0, -2, 3))
-    b = DiagonalMap(4, 3, (1, 7, -2, 3))
+    b = DiagonalMap(4, 3, (1, Q(-1, 3), -2, 3))
     assert a == b and hash(a) == hash(b) and a != DiagonalMap(4, 3, (1, 0, -2, 4))
+    assert b.gamma == (1, 0, -2, 3) and b.replace(gamma=(1, 7, -2, 3)) == a
+    assert DiagonalMap(4, 0, (5,)).gamma == (5,)
 
 
 def test_constructors_coerce_to_rationals():
@@ -128,8 +129,9 @@ def test_zero_sum_rejects_nonzero_subleading_coefficient():
 
 
 @pytest.mark.parametrize("fields", [
-    {"grid": 1}, {"refine_grid": 1}, {"max_points": 0}, {"max_candidates": -1},
-    {"trials": -1}, {"refine_rounds": 53}, {"grid": 2**54, "max_points": 2**60},
+    {"grid": 1}, {"max_points": 0}, {"max_candidates": -1}, {"trials": -1},
+    {"grid": 2**54, "max_points": 2**60}, {"grid": 2**44 + 1, "max_points": 2**44 + 1},
+    {"grid": 2**60, "max_points": 2**44 + 1},
 ])
 def test_budget_rejects_bad_fields(fields):
     with pytest.raises(InvalidInput):

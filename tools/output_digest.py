@@ -12,8 +12,9 @@ on.  One more line digests an unbiased sample of falsify requests
 (random_falsify), whose witnesses, unlike those of the falsify-refute
 round, may come from any multiplicity pattern and refinement round, and
 another a sample of extend requests (random_extend) with the count of
-each outcome.  Two checkouts that print the same digests gave
-byte-identical outputs on those requests.
+each outcome, and a last one check-quartic requests whose witness comes
+from the falsifier (random_witness).  Two checkouts that print the same
+digests gave byte-identical outputs on those requests.
 
 Run from the root of a checkout; it imports hypercheck from src/ and the
 request builders from hcbench/, and changes neither.
@@ -37,6 +38,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "hcbench")]
 
 import workloads  # noqa: E402
 from hypercheck import cli, hyperbolicity  # noqa: E402
+from hypercheck.sympoly import HookPoly, restrict_line  # noqa: E402
+from hypercheck.unipoly import root_counts  # noqa: E402
 
 
 def outcome(call):
@@ -105,6 +108,31 @@ def random_extend(count: int = 200, seed: int = 5):
     return requests
 
 
+def random_witness(count: int = 3000, seed: int = 5):
+    """check-quartic requests on hooks with integer coefficients in [-5, 5]
+    and n in [4, 6], drawn from random.Random(seed), kept when the
+    restriction along the first coordinate vector, shifted by -1/n, is real
+    rooted but has fewer than three roots of one sign (zero roots and
+    roots at infinity counting for either): decide_quartic_hook finds them
+    not hyperbolic, and its witness search has to run the falsifier."""
+    rng = random.Random(seed)
+    requests = []
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        a = [rng.randint(-5, 5) for _ in range(4)]
+        q = restrict_line(HookPoly(n, 4, tuple(a)), [1] + [0] * (n - 1))
+        q = q.shift(Fraction(-1, n))
+        if q.is_zero():
+            continue
+        counts = root_counts(q)
+        slack = counts.n_zero + counts.degree_drop
+        if counts.n_nonreal or max(counts.n_positive, counts.n_negative) + slack >= 3:
+            continue
+        hook = {"n": n, "d": 4, "a": [str(c) for c in a]}
+        requests.append({"cli": ["check-quartic", "--hook", json.dumps(hook)]})
+    return requests
+
+
 def outcome_kind(out) -> str:
     """The certificate kind, error name or exception type of an extend
     outcome."""
@@ -146,6 +174,8 @@ def main():
     count, hexdigest = digest_requests(random_extend(), kinds)
     tally = " ".join(f"{kind}={k}" for kind, k in sorted(kinds.items()))
     print(f"extend-random seed=5 requests={count} sha256={hexdigest} {tally}")
+    count, hexdigest = digest_requests(random_witness())
+    print(f"witness-random seed=5 requests={count} sha256={hexdigest}")
 
 
 if __name__ == "__main__":
