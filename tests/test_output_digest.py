@@ -6,8 +6,9 @@ hypercheck and hashes the requests, exit codes and outputs.  The two
 workloads pinned here decide everything in exact arithmetic, so their
 digests must not move with numpy or LAPACK; the float-ranked falsify
 rounds are left unpinned, since another LAPACK build may break near-ties
-in the prescreen order differently.  So is a sample of extend requests
-that no benchmark round builds (random_extend).
+in the prescreen order differently.  So are a sample of extend requests
+that no benchmark round builds (random_extend) and one of phi requests
+that refine their roots, which no benchmark round does (random_phi).
 """
 
 import importlib.util
@@ -60,3 +61,12 @@ def test_random_extend_outputs_pinned():
         "Extension": 118, "SweepRefutation": 43, "MultiplicityObstruction": 10,
         "DegreeMismatch": 20, "DegreeTooLow": 5, "UnboundLocalError": 4,
     }
+
+
+def test_random_phi_outputs_pinned():
+    """Recorded with the lockstep loop that bisected every root once per
+    pass: the enclosures after the least pass count that fits."""
+    tool = _output_digest()
+    assert tool.digest_requests(tool.random_phi()) == (
+        123, "eb086fbf445f7a6eb730bc668351aa730e91e3642ea25c2d2049f1ef93b072dc"
+    )

@@ -13,8 +13,9 @@ on.  One more line digests an unbiased sample of falsify requests
 round, may come from any multiplicity pattern and refinement round, and
 another a sample of extend requests (random_extend) with the count of
 each outcome, and a last one check-quartic requests whose witness comes
-from the falsifier (random_witness).  Two checkouts that print the same
-digests gave byte-identical outputs on those requests.
+from the falsifier (random_witness), and a sample of phi requests
+(random_phi), which the benchmark rounds never refine.  Two checkouts that
+print the same digests gave byte-identical outputs on those requests.
 
 Run from the root of a checkout; it imports hypercheck from src/ and the
 request builders from hcbench/, and changes neither.
@@ -133,6 +134,29 @@ def random_witness(count: int = 3000, seed: int = 5):
     return requests
 
 
+def random_phi(count: int = 120, seed: int = 5):
+    """phi requests drawn from random.Random(seed): simplex points with
+    2-12 parts, weakly decreasing integers in [0, 40] scaled to sum 1 (so
+    some repeat and some end in 0), at --width-bits in {0, 1, 40, 64, 256}
+    and every 24th at 1024; then the point (x, y, y, y, z, z, z) with
+    y = 1/5 + 1/(10^30 + 7), z = 1/20 + 3/(10^31 + 9) and x = 1 - 3y - 3z,
+    whose image has two repeated roots that are not rational, at 40, 200
+    and 1024 bits."""
+    rng = random.Random(seed)
+    points, requests = [], []
+    while len(points) < count:
+        parts = sorted((rng.randint(0, 40) for _ in range(rng.randint(2, 12))), reverse=True)
+        if sum(parts):
+            points.append([Fraction(c, sum(parts)) for c in parts])
+    for i, point in enumerate(points):
+        bits = 1024 if i % 24 == 23 else rng.choice((0, 1, 40, 64, 256))
+        requests.append((point, bits))
+    y, z = Fraction(1, 5) + Fraction(1, 10**30 + 7), Fraction(1, 20) + Fraction(3, 10**31 + 9)
+    requests += [([1 - 3 * y - 3 * z] + [y] * 3 + [z] * 3, bits) for bits in (40, 200, 1024)]
+    return [{"cli": ["phi", "--roots", ",".join(f"{c.numerator}/{c.denominator}" for c in point),
+                     "--width-bits", str(bits)]} for point, bits in requests]
+
+
 def outcome_kind(out) -> str:
     """The certificate kind, error name or exception type of an extend
     outcome."""
@@ -176,6 +200,8 @@ def main():
     print(f"extend-random seed=5 requests={count} sha256={hexdigest} {tally}")
     count, hexdigest = digest_requests(random_witness())
     print(f"witness-random seed=5 requests={count} sha256={hexdigest}")
+    count, hexdigest = digest_requests(random_phi())
+    print(f"phi-random seed=5 requests={count} sha256={hexdigest}")
 
 
 if __name__ == "__main__":
