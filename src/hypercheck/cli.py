@@ -43,13 +43,13 @@ from .unipoly import UniPoly, ZeroSumPoly
 # conjecture samples n-long points and check-cubic's witness search builds
 # them, so they share the bound on --n with extend and with every "n" and
 # "d" of a payload, from which check-quartic, cone-member and falsify
-# build n-long points.  phi refines each root to the width by bisection:
-# 12 roots at 1024 bits take 2.2-2.6 s (0.01 s at the default 40 bits),
-# and the time grows about quadratically in the roots and linearly in the
-# bits.  conjecture and demo-quintic evaluate a mixed derivative at
-# --delta-trials n-long points: at n = MAX_G0_N, the worst n the
-# falsifier admits (d = 3), 1,000 trials take 8.1 s, on top of the 2.7 s
-# the rest of the case takes (0.09 s at the quintic's n = 5).
+# build n-long points.  phi's cost is isolating the roots of its image:
+# 12 roots take 0.2 s at 1024 bits, but 2.7 s with 300-digit denominators
+# at the default width, 2.5 s of it in root_profile and none in refining,
+# and 16 s with 1000-digit ones.  conjecture and demo-quintic evaluate a
+# mixed derivative at --delta-trials n-long points: at n = MAX_G0_N, the
+# worst n the falsifier admits (d = 3), 1,000 trials take 8.1 s, on top of
+# the 2.7 s the rest of the case takes (0.09 s at the quintic's n = 5).
 MAX_WIDTH_BITS = 1024
 MAX_PHI_ROOTS = 12
 MAX_G0_N = 1000

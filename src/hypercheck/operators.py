@@ -25,6 +25,8 @@ whether T extends are read off gamma alone, whatever n is.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import count
 from math import comb
 
 from .errors import DegreeMismatch, DegreeTooLow, InterlacingLawViolated, NotInSimplex
@@ -51,6 +53,8 @@ class DiagonalMap(FrozenRecord):
     __slots__ = ("n", "d", "gamma")
 
     def __init__(self, n: int, d: int, gamma: tuple):
+        if d < 0:
+            raise DegreeTooLow(f"a diagonal map needs d >= 0, got d={d}")
         gamma = tuple(to_q(c) for c in gamma)
         if len(gamma) != d + 1:
             raise DegreeMismatch(f"expected {d + 1} gamma entries")
@@ -378,8 +382,9 @@ def phi(r, width=DEFAULT_ENCLOSURE_WIDTH):
 
     Builds prod(t - r_i), applies delta_d, isolates the d-1 nonnegative
     roots, drops the unique nonpositive one and normalizes to sum 1.
-    Returns a list of (lo, hi) rational enclosures of width <= `width`
-    (lo == hi for exactly known coordinates), weakly decreasing.
+    Returns weakly decreasing rational enclosures (lo, hi) of width <=
+    `width`, lo == hi where exact: those after the least number of passes
+    that fits, a pass bisecting each root once per unit of multiplicity.
     """
     r = [to_q(c) for c in r]
     d = len(r)
@@ -387,41 +392,30 @@ def phi(r, width=DEFAULT_ENCLOSURE_WIDTH):
         raise NotInSimplex("need at least two coordinates")
     if any(a < b for a, b in zip(r, r[1:])) or r[-1] < 0 or sum(r) != 1:
         raise NotInSimplex("require r_1 >= ... >= r_d >= 0 with sum 1")
-    if r[0] == 1 and all(c == 0 for c in r[1:]):
-        one = (QONE, QONE)
-        zero = (QZERO, QZERO)
-        return [one] + [zero] * (d - 2)
-    p = UniPoly.from_roots(r, ambient=d)
-    image = delta_n(p).inner
-    prof = root_profile(image)
+    if r[0] == 1:  # the vertex (1, 0, ..., 0)
+        return [(QONE, QONE)] + [(QZERO, QZERO)] * (d - 2)
+    prof = root_profile(delta_n(UniPoly.from_roots(r, ambient=d)).inner)
     if prof.n_nonreal or prof.n_negative > 1:
         raise InterlacingLawViolated("delta_d image violated the interlacing law")
     roots = prof.roots_with_multiplicity()  # ascending, length d
     for root in roots:
         root.try_rational()
-    kept = roots[1:]  # drop the unique most-negative root
-    low = roots[0]
-    # enclosures: s_i / (-s_low); refine until tight enough
-    while True:
-        lo_l, hi_l = low.interval()
-        den_lo, den_hi = -hi_l, -lo_l
-        if den_lo <= 0:
-            low.refine()
-            continue
-        out = []
-        widest = QZERO
-        for root in kept:
-            lo, hi = root.interval()
-            lo = max(lo, QZERO)
-            if root.is_exact() and low.is_exact():
-                v = root.exact / -low.exact
-                out.append((v, v))
-                continue
-            enc = (lo / den_hi, hi / den_lo)
-            widest = max(widest, enc[1] - enc[0])
-            out.append(enc)
-        if widest <= width:
-            return list(reversed(out))  # weakly decreasing
-        for root in kept:
-            root.refine()
-        low.refine()
+    while roots[0].interval()[1] >= 0:  # until the dropped root shows < 0
+        roots[0].refine()
+
+    def enclosures(roots, k):  # after k more passes, in one call per root
+        for root in dict.fromkeys(roots):
+            root._bisect(k * roots.count(root))
+        (lo_low, hi_low), *bounds = (root.interval() for root in roots)
+        return [(max(lo, QZERO) / -lo_low, hi / -hi_low) for lo, hi in bounds]
+
+    def fits(k):  # on copies of the roots; exact roots never change
+        twin = {s: s if s.is_exact() else s._copy() for s in dict.fromkeys(roots)}
+        return all(b - a <= width for a, b in enclosures([twin[s] for s in roots], k))
+
+    out = enclosures(roots, 0)
+    if any(hi - lo > width for lo, hi in out):
+        # fits is monotone, as the intervals nest: double k to a fit, then bisect
+        top = next(1 << i for i in count() if fits(1 << i))
+        out = enclosures(roots, bisect_left(range(top), True, top // 2 + 1, key=fits))
+    return out[::-1]  # weakly decreasing

@@ -370,9 +370,9 @@ class RealRoot:
             c = hi.numerator * (den // hi.denominator)
             self._hold(ints, a, c, den, _horner(ints, a, den), _horner(ints, c, den))
 
-    def _hold(self, ints, a, c, den, fa, fc) -> "RealRoot":
+    def _hold(self, ints, a, c, den, fa, fc, b=1) -> "RealRoot":
         self._ints, self._a, self._c, self._den = ints, a, c, den
-        self._fa, self._fc, self._b = fa, fc, 1
+        self._fa, self._fc, self._b = fa, fc, b
         return self
 
     @property
@@ -404,6 +404,11 @@ class RealRoot:
         if self.exact is None:
             # the least k >= 0 with (hi - lo) / 2^k <= width
             self._bisect((ceil((self.hi - self.lo) / width) - 1).bit_length())
+
+    def _copy(self) -> "RealRoot":
+        """An independent copy of a root that is not exact, step b included."""
+        held = (self._ints, self._a, self._c, self._den, self._fa, self._fc, self._b)
+        return RealRoot(self.poly)._hold(*held)
 
     def try_rational(self, extra_bits: int = 24) -> bool:
         """Attempt exact reconstruction of a rational root after

@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypercheck.errors import DegreeMismatch, DegreeTooLow, NotInSimplex
@@ -22,7 +22,7 @@ from hypercheck.operators import (
     phi,
     polya_schur_test,
 )
-from hypercheck.rationals import Q
+from hypercheck.rationals import Q, QZERO
 from hypercheck.sympoly import HookPoly, restrict_line
 from hypercheck.unipoly import (
     UniPoly,
@@ -108,6 +108,8 @@ def test_map_validation_and_equality():
         DiagonalMap(3, 2, (1, 2))
     with pytest.raises(DegreeMismatch):
         DiagonalMap(2, 3, (1, 2, 3, 4))
+    with pytest.raises(DegreeTooLow):
+        DiagonalMap(3, -1, ())  # an empty gamma has the d + 1 entries of d = -1
     a = DiagonalMap(4, 2, (1, 5, 3))
     b = DiagonalMap(4, 2, (1, -7, 3))
     assert a == b  # gamma_1 never acts on the zero-sum space
@@ -355,6 +357,67 @@ def test_phi_validates_simplex():
         phi([Q(0), Q(1)])  # not weakly decreasing
     with pytest.raises(NotInSimplex):
         phi([Q(3, 2), Q(-1, 2)])
+
+
+def _phi_lockstep(r, width):
+    """Reference phi on a point of the simplex other than (1, 0, ..., 0):
+    the lockstep loop, which bisects every listed root once per pass and
+    rebuilds all the enclosures after each pass until they fit."""
+    p = UniPoly.from_roots(r, ambient=len(r))
+    roots = root_profile(delta_n(p).inner).roots_with_multiplicity()
+    for root in roots:
+        root.try_rational()
+    kept = roots[1:]  # drop the unique most-negative root
+    low = roots[0]
+    # enclosures: s_i / (-s_low); refine until tight enough
+    while True:
+        lo_l, hi_l = low.interval()
+        den_lo, den_hi = -hi_l, -lo_l
+        if den_lo <= 0:
+            low.refine()
+            continue
+        out = []
+        widest = QZERO
+        for root in kept:
+            lo, hi = root.interval()
+            lo = max(lo, QZERO)
+            if root.is_exact() and low.is_exact():
+                v = root.exact / -low.exact
+                out.append((v, v))
+                continue
+            enc = (lo / den_hi, hi / den_lo)
+            widest = max(widest, enc[1] - enc[0])
+            out.append(enc)
+        if widest <= width:
+            return list(reversed(out))  # weakly decreasing
+        for root in kept:
+            root.refine()
+        low.refine()
+
+
+# y = 1/5 + 1/(10^30 + 7) and z = 1/20 + 3/(10^31 + 9) make two repeated
+# roots of the image that are not rational
+_Y, _Z = Q(1, 5) + Q(1, 10**30 + 7), Q(1, 20) + Q(3, 10**31 + 9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parts=st.lists(st.integers(0, 30), min_size=2, max_size=8),
+    bits=st.integers(0, 300),
+)
+@example(parts=[1 - 3 * _Y - 3 * _Z] + [_Y] * 3 + [_Z] * 3, bits=200)
+@example(parts=[1 - 3 * _Y - 3 * _Z] + [_Y] * 3 + [_Z] * 3, bits=40)
+@example(parts=[9, 5, 4, 2, 0], bits=64)
+@example(parts=[3, 1, 1, 0, 0], bits=100)
+def test_phi_matches_lockstep_reference(parts, bits):
+    """phi's least fitting pass count, refined once per root, prints the
+    enclosures of the lockstep loop: repeated roots, exact roots and a
+    zero last coordinate included."""
+    parts = sorted(parts, reverse=True)
+    assume(parts[0] != sum(parts))  # neither 0 nor the vertex (1, 0, ..., 0)
+    r = [Q(c) / sum(parts) for c in parts]
+    width = Q(1, 1 << bits)
+    assert phi(r, width=width) == _phi_lockstep(r, width)
 
 
 def test_phi_image_in_simplex():

@@ -143,15 +143,16 @@ def random_phi(count: int = 120, seed: int = 5):
     whose image has two repeated roots that are not rational, at 40, 200
     and 1024 bits."""
     rng = random.Random(seed)
-    points, requests = [], []
+    points = []
     while len(points) < count:
-        parts = sorted((rng.randint(0, 40) for _ in range(rng.randint(2, 12))), reverse=True)
+        size = rng.randint(2, 12)
+        parts = sorted((rng.randint(0, 40) for _ in range(size)), reverse=True)
         if sum(parts):
             points.append([Fraction(c, sum(parts)) for c in parts])
-    for i, point in enumerate(points):
-        bits = 1024 if i % 24 == 23 else rng.choice((0, 1, 40, 64, 256))
-        requests.append((point, bits))
-    y, z = Fraction(1, 5) + Fraction(1, 10**30 + 7), Fraction(1, 20) + Fraction(3, 10**31 + 9)
+    requests = [(point, 1024 if i % 24 == 23 else rng.choice((0, 1, 40, 64, 256)))
+                for i, point in enumerate(points)]
+    y = Fraction(1, 5) + Fraction(1, 10**30 + 7)
+    z = Fraction(1, 20) + Fraction(3, 10**31 + 9)
     requests += [([1 - 3 * y - 3 * z] + [y] * 3 + [z] * 3, bits) for bits in (40, 200, 1024)]
     return [{"cli": ["phi", "--roots", ",".join(f"{c.numerator}/{c.denominator}" for c in point),
                      "--width-bits", str(bits)]} for point, bits in requests]
