@@ -34,7 +34,7 @@ class WrongDegree(HypercheckError):
 
 
 class HypothesisViolated(HypercheckError):
-    """Input falls outside the hypothesis of a conjecture-evidence run."""
+    """Input outside the hypothesis of a conjecture-evidence run or a closed form."""
 
 
 class NotHyperbolicInput(HypercheckError):

@@ -1,7 +1,8 @@
 """Decision procedures and falsifiers for symmetric hyperbolicity.
 
 Exact semialgebraic tests decide cubic and hook-quartic hyperbolicity
-outright.  For higher degrees only falsification is available: the
+outright (a quartic only when p(1) != 0), and the falsifier consults
+them.  For higher degrees only falsification is available: the
 degree principle guarantees that a symmetric polynomial of degree d is
 hyperbolic iff its line restriction is real rooted at every point with
 at most d - 1 distinct entries, so the falsifier searches exactly that
@@ -129,51 +130,56 @@ def max_threads() -> int:
 # -- exact decisions ------------------------------------------------------
 
 
+def _closed_form(p: HookPoly):
+    """(holds, detail) of the closed form of a cubic or hook quartic; when
+    p(1) != 0 it holds iff p is hyperbolic.  d = 3: (a+b+c) * (27ac^2 -
+    b^3 - 9b^2c) <= 0.  d = 4: the coordinate-vector restriction shifted
+    by -1/n is real rooted with at least three roots of one sign."""
+    if p.d == 3:
+        a, b, c = p.a
+        value, form = a + b + c, 27 * a * c * c - b * b * b - 9 * b * b * c
+        detail = {"value_at_ones": value, "boundary_form": form}
+        return value * form <= 0, {**detail, "product": value * form}
+    u = [QONE] + [QZERO] * (p.n - 1)
+    q = restrict_line(p, u).shift(Q(-1, p.n))
+    detail = {"shifted_restriction": q}
+    if q.is_zero():
+        return True, detail
+    counts = root_counts(q)
+    # roots at infinity (degree drop) count toward either sign, like zero
+    # roots: they are limits of arbitrarily large one-signed roots
+    slack = counts.n_zero + counts.degree_drop
+    real = counts.n_nonreal == 0
+    if real and max(counts.n_positive, counts.n_negative) + slack >= 3:
+        return True, detail
+    return False, {**detail, "real_rooted": real}
+
+
 def decide_cubic(a, b, c, n: int) -> Verdict:
-    """Exact hyperbolicity of a*m1^3 + b*m1*m2 + c*m3 in n >= 3 variables:
-    hyperbolic iff (a+b+c) * (27ac^2 - b^3 - 9b^2c) <= 0."""
+    """Exact hyperbolicity of a*m1^3 + b*m1*m2 + c*m3 in n >= 3 variables
+    by its closed form."""
     a, b, c = to_q(a), to_q(b), to_q(c)
     if a == b == c == 0:
         raise ZeroPolynomial("zero cubic")
     if n < 3:
         raise InvalidInput("need n >= 3")
-    factor_value = a + b + c
-    factor_disc = 27 * a * c * c - b * b * b - 9 * b * b * c
-    product = factor_value * factor_disc
-    detail = {
-        "value_at_ones": factor_value,
-        "boundary_form": factor_disc,
-        "product": product,
-    }
-    if product <= 0:
-        return Verdict(HYPERBOLIC, detail=detail)
     p = HookPoly(n, 3, (a, b, c))
-    return Verdict(NOT_HYPERBOLIC, witness=_find_witness(p), detail=detail)
+    holds, detail = _closed_form(p)
+    witness = None if holds else _find_witness(p)
+    return Verdict(HYPERBOLIC if holds else NOT_HYPERBOLIC, witness, detail)
 
 
 def decide_quartic_hook(p: HookPoly) -> Verdict:
-    """Exact hyperbolicity of a hook quartic: shift the coordinate-vector
-    restriction by -1/n; hyperbolic iff it is real rooted with at least
-    three roots of one sign."""
+    """Exact hyperbolicity of a hook quartic by its closed form.  When
+    p(1) = 0 the closed form also holds on some non-hyperbolic quartics,
+    so a p(1) = 0 hook it would call hyperbolic raises HypothesisViolated."""
     if p.d != 4:
         raise WrongDegree(f"expected degree 4, got {p.d}")
-    u = [QONE] + [QZERO] * (p.n - 1)
-    q = restrict_line(p, u).shift(Q(-1, p.n))
-    detail = {"shifted_restriction": q}
-    if q.is_zero():
-        return Verdict(HYPERBOLIC, detail=detail)
-    counts = root_counts(q)
-    real = counts.n_nonreal == 0
-    # roots at infinity (degree drop) count toward either sign, like zero
-    # roots: they are limits of arbitrarily large one-signed roots
-    slack = counts.n_zero + counts.degree_drop
-    signs = real and (
-        counts.n_positive + slack >= 3 or counts.n_negative + slack >= 3
-    )
-    if real and signs:
-        return Verdict(HYPERBOLIC, detail=detail)
-    detail["real_rooted"] = real
-    return Verdict(NOT_HYPERBOLIC, witness=_find_witness(p), detail=detail)
+    holds, detail = _closed_form(p)
+    if holds and sum(p.a) == 0:
+        raise HypothesisViolated("the quartic closed form needs p(1) != 0")
+    witness = None if holds else _find_witness(p)
+    return Verdict(HYPERBOLIC if holds else NOT_HYPERBOLIC, witness, detail)
 
 
 def _find_witness(p: HookPoly):
@@ -391,8 +397,8 @@ def _chunks(patterns, budget):
 def _slice_values(mults, nums, den: int):
     """Slice floats of free-coordinate rows (int64 numerators over den), one
     column per variable: zero-sum completion summed left to right, then
-    max-norm scaling, as in _slice_points, so with den < 2**53 they are
-    float() of its values."""
+    max-norm scaling, the steps of _slice_points in float64, so a value may
+    differ from float() of its exact value by a few multiples of 2**-52."""
     import numpy as np
     w = nums / den
     last = np.zeros(len(w))
@@ -478,8 +484,10 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     a pattern round by round: after each round the chunk's first pattern
     not yet done has its new hits verified, and is done once it stops
     refining.  The search stops at the first witness, before any later
-    round, pattern or chunk.  Only exact verification can produce
-    NotHyperbolic, and the procedure never claims hyperbolicity.
+    round, pattern or chunk.  A cubic or hook quartic with p(1) != 0 that
+    its closed form proves hyperbolic has no witness, so its search stops
+    after the first chunk, the pattern (1, n - 1).  Only exact verification
+    can produce NotHyperbolic, and the procedure never claims hyperbolicity.
     """
     budget = budget or DEFAULT_BUDGET
     d, n = p.d, p.n
@@ -490,13 +498,9 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
             f"{count} multiplicity patterns exceed the bound {MAX_PATTERNS}"
         )
     a_float = [float(c) for c in p.a]
-    patterns = []
-    for k in range(2, min(d - 1, n) + 1):
-        patterns.extend(_compositions(n, k))
-    if not patterns:
-        return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": 0})
+    patterns = [m for k in range(2, min(d - 1, n) + 1) for m in _compositions(n, k)]
     seen = set()
-    for chunk in _chunks(patterns, budget):
+    for i, chunk in enumerate(_chunks(patterns, budget)):
         pending, head = {mults: [] for mults in chunk}, 0
         for hits, refining in _search_chunk(p, a_float, chunk, budget):
             for mults, found in hits.items():
@@ -511,6 +515,8 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
                 if mults in refining:
                     break
                 head += 1
+        if i == 0 and d in (3, 4) and sum(p.a) != 0 and _closed_form(p)[0]:
+            break
     return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": len(patterns)})
 
 

@@ -77,6 +77,8 @@ class FullDiagonalMap(FrozenRecord):
     __slots__ = ("n", "d", "gamma_prime")
 
     def __init__(self, n: int, d: int, gamma_prime: tuple):
+        if d < 0:
+            raise DegreeTooLow(f"a diagonal map needs d >= 0, got d={d}")
         gamma_prime = tuple(to_q(c) for c in gamma_prime)
         if len(gamma_prime) != d + 1:
             raise DegreeMismatch(f"expected {d + 1} entries")

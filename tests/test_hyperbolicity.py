@@ -117,17 +117,43 @@ def test_quartic_wrong_degree():
 
 def test_quartic_agrees_with_sampling_oracle():
     rng = random.Random(1)
+    refused = []
     for _ in range(40):
         n = rng.randint(4, 6)
         a = tuple(Q(rng.randint(-3, 3)) for _ in range(4))
         if all(c == 0 for c in a):
             continue
         p = HookPoly(n, 4, a)
-        v = decide_quartic_hook(p)
+        try:
+            v = decide_quartic_hook(p)
+        except HypothesisViolated:
+            refused.append((n, a))
+            continue
         if v.status == NOT_HYPERBOLIC:
             assert _witness_is_valid(p, v)
         else:
             assert falsify_unrestricted(p, FAST).status == NO_COUNTEREXAMPLE
+    # p(1) = 0 hooks that the closed form would call hyperbolic
+    assert refused == [(6, (-2, 3, 0, -1)), (5, (-3, 0, 2, 1))]
+
+
+def test_quartic_refuses_p1_zero_it_would_call_hyperbolic(capsys):
+    """At p(1) = 0 the closed form holds on this non-hyperbolic quartic:
+    its restriction at x = (-1, -1, 1/2, 1/2, 1/2, 1/2) is
+    t^2/10 - 3t/20 + 9/80, with roots 3/4 +- 3i/4."""
+    hook = {"n": 6, "d": 4, "a": ["4", "-1", "-6", "3"]}
+    p = HookPoly(6, 4, (4, -1, -6, 3))
+    x = [Q(-1), Q(-1)] + [Q(1, 2)] * 4
+    assert restrict_line(p, x) == UniPoly([Q(9, 80), Q(-3, 20), Q(1, 10)], 4)
+    assert root_profile(restrict_line(p, x)).n_nonreal == 2
+    assert hyperbolicity._closed_form(p)[0]
+    with pytest.raises(HypothesisViolated):
+        decide_quartic_hook(p)
+    assert run(["check-quartic", "--hook", json.dumps(hook)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "HypothesisViolated"
+    # the falsifier, which takes no shortcut at p(1) = 0, finds a witness
+    v = falsify_hyperbolicity(p, SearchBudget(grid=16))
+    assert v.status == NOT_HYPERBOLIC and _witness_is_valid(p, v)
 
 
 # -- cone membership -------------------------------------------------------------
@@ -165,6 +191,54 @@ def test_falsifier_finds_cubic_witness():
     x, _ = v.witness
     # witness coordinates are exact rationals on the normalized slice
     assert max(abs(c) for c in x.x) == 1
+
+
+def _without_closed_form(monkeypatch):
+    """Turn off the closed-form shortcut, so that hyperbolic cubics and hook
+    quartics run through every round of every chunk."""
+    monkeypatch.setattr(hyperbolicity, "_closed_form", lambda p: (False, {}))
+
+
+def _closed_form_holds(rng, d, count):
+    """Random integer hooks of degree d with p(1) != 0 that the closed form
+    proves hyperbolic."""
+    hooks = []
+    while len(hooks) < count:
+        n = rng.randint(d, d + 2)
+        a = tuple(rng.randint(-4, 4) for _ in range(d))
+        if sum(a) and hyperbolicity._closed_form(HookPoly(n, d, a))[0]:
+            hooks.append(HookPoly(n, d, a))
+    return hooks
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_closed_form_shortcut_keeps_the_verdict(monkeypatch, d):
+    """On cubics and hook quartics with p(1) != 0 that the closed form proves
+    hyperbolic, the full search finds no witness, and the search that stops
+    after the first chunk prints the same verdict."""
+    budget = SearchBudget(grid=12)
+    for p in _closed_form_holds(random.Random(d), d, 40):
+        short = falsify_hyperbolicity(p, budget)
+        with monkeypatch.context() as mp:
+            _without_closed_form(mp)
+            full = falsify_hyperbolicity(p, budget)
+        assert full.status == NO_COUNTEREXAMPLE
+        assert short == full, p
+
+
+def test_closed_form_shortcut_prescreens_the_first_chunk_only(monkeypatch):
+    prescreened = []
+    prescreen = hyperbolicity._prescreen
+
+    def recording(p, a_float, batch, budget):
+        prescreened.extend(mults for mults, _, _ in batch)
+        return prescreen(p, a_float, batch, budget)
+
+    monkeypatch.setattr(hyperbolicity, "_prescreen", recording)
+    p = HookPoly(5, 4, (0, 0, Q(5, 2), 0))
+    v = falsify_hyperbolicity(p, SearchBudget(grid=8))
+    assert v == Verdict(NO_COUNTEREXAMPLE, detail={"patterns": 10})
+    assert prescreened and set(prescreened) == {(1, 4)}
 
 
 def test_falsifier_silent_on_hyperbolic():
@@ -635,6 +709,7 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
     """Verifying after each round checks the same points, in the same order,
     as prescreening every round of a chunk first, and gives the same
     verdict; it never prescreens more rounds."""
+    _without_closed_form(monkeypatch)
     p, budget = _ORDER_CASES[name]
     verdict, checked, rounds = _recorded(monkeypatch, falsify_hyperbolicity, p, budget)
     ref_verdict, ref_checked, ref_rounds = _recorded(
@@ -704,6 +779,7 @@ def test_one_exact_check_per_distinct_point(monkeypatch):
         return check(p, x)
 
     monkeypatch.setattr(hyperbolicity, "_exact_check", counting)
+    _without_closed_form(monkeypatch)
     v = falsify_hyperbolicity(HookPoly(4, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8))
     assert v.status == NO_COUNTEREXAMPLE
     assert len(checked) == len(set(checked)) == 28

@@ -220,6 +220,11 @@ def test_polya_schur_identity_and_violation():
     assert not polya_schur_test(FullDiagonalMap(3, 3, (1, 1, -1, 1)))
 
 
+def test_full_map_refuses_negative_degree():
+    with pytest.raises(DegreeTooLow):
+        FullDiagonalMap(3, -1, ())  # an empty gamma' has the d + 1 entries of d = -1
+
+
 def test_polya_schur_derivative_map():
     # t^{n-k} -> (n-k) t^{n-k-1} realized as a diagonal map to degree n-1
     n = 5
