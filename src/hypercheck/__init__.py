@@ -1,108 +1,40 @@
 """Exact-arithmetic toolkit for symmetric hyperbolic polynomials,
-hook-shaped polynomials and diagonal zero-sum hyperbolicity preservers."""
+hook-shaped polynomials and diagonal zero-sum hyperbolicity preservers.
 
-from .hyperbolicity import (
-    SearchBudget,
-    Verdict,
-    cone_member,
-    conjecture_case,
-    cubic_normal_form,
-    decide_cubic,
-    decide_quartic_hook,
-    ek_plus_linear_check,
-    falsify_hyperbolicity,
-    falsify_unrestricted,
-)
-from .operators import (
-    DiagonalMap,
-    ExtendCertificate,
-    FullDiagonalMap,
-    apply,
-    associated_operator,
-    decide_extendable,
-    g0,
-    map_sending_g0_to,
-    necessary_sign_test,
-    operator_to_hook,
-    phi,
-    polya_schur_test,
-)
-from .rationals import Q, format_rational, parse_rational
-from .sympoly import (
-    HookPoly,
-    SymPoint,
-    dir_derivative_one,
-    elem_means,
-    eval_hook,
-    lift_variables,
-    mixed_derivative_eval,
-    restrict_line,
-)
-from .unipoly import (
-    RealRoot,
-    RootCounts,
-    RootProfile,
-    UniPoly,
-    ZeroSumPoly,
-    dee,
-    delta_n,
-    discriminant,
-    interlaces,
-    is_real_rooted,
-    resultant,
-    root_counts,
-    root_profile,
-    same_sign_count,
-)
+Each public name is imported from its module on first access (PEP 562),
+so importing one module of the package loads only what that module uses.
+"""
 
-__all__ = [
-    "Q",
-    "format_rational",
-    "parse_rational",
-    "RealRoot",
-    "RootCounts",
-    "RootProfile",
-    "UniPoly",
-    "ZeroSumPoly",
-    "dee",
-    "delta_n",
-    "discriminant",
-    "interlaces",
-    "is_real_rooted",
-    "resultant",
-    "root_counts",
-    "root_profile",
+import importlib
+
+_EXPORTS = {
+    "rationals": "Q format_rational parse_rational",
+    "unipoly": "RealRoot RootCounts RootProfile UniPoly ZeroSumPoly dee delta_n "
+    "discriminant interlaces is_real_rooted resultant root_counts root_profile "
     "same_sign_count",
-    "HookPoly",
-    "SymPoint",
-    "dir_derivative_one",
-    "elem_means",
-    "eval_hook",
-    "lift_variables",
-    "mixed_derivative_eval",
-    "restrict_line",
-    "DiagonalMap",
-    "ExtendCertificate",
-    "FullDiagonalMap",
-    "apply",
-    "associated_operator",
-    "decide_extendable",
-    "g0",
-    "map_sending_g0_to",
-    "necessary_sign_test",
-    "operator_to_hook",
-    "phi",
-    "polya_schur_test",
-    "SearchBudget",
-    "Verdict",
-    "cone_member",
-    "conjecture_case",
-    "cubic_normal_form",
-    "decide_cubic",
-    "decide_quartic_hook",
-    "ek_plus_linear_check",
-    "falsify_hyperbolicity",
+    "sympoly": "HookPoly SymPoint dir_derivative_one elem_means eval_hook "
+    "lift_variables mixed_derivative_eval restrict_line",
+    "operators": "DiagonalMap ExtendCertificate FullDiagonalMap apply "
+    "associated_operator decide_extendable g0 map_sending_g0_to necessary_sign_test "
+    "operator_to_hook phi polya_schur_test",
+    "hyperbolicity": "SearchBudget Verdict cone_member conjecture_case cubic_normal_form "
+    "decide_cubic decide_quartic_hook ek_plus_linear_check falsify_hyperbolicity "
     "falsify_unrestricted",
-]
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {"errors", "kernels", *_EXPORTS}
 
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

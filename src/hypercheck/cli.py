@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from math import lcm
 
 from .errors import HypercheckError, InvalidInput
 from .hyperbolicity import (
@@ -35,7 +36,7 @@ from .operators import (
     operator_to_hook,
     phi,
 )
-from .rationals import Q, format_rational, parse_rational, to_q
+from .rationals import Q, format_rational, parse_rational
 from .sympoly import HookPoly
 from .unipoly import UniPoly, ZeroSumPoly
 
@@ -43,15 +44,17 @@ from .unipoly import UniPoly, ZeroSumPoly
 # conjecture samples n-long points and check-cubic's witness search builds
 # them, so they share the bound on --n with extend and with every "n" and
 # "d" of a payload, from which check-quartic, cone-member and falsify
-# build n-long points.  phi's cost is isolating the roots of its image:
-# 12 roots take 0.2 s at 1024 bits, but 2.7 s with 300-digit denominators
-# at the default width, 2.5 s of it in root_profile and none in refining,
-# and 16 s with 1000-digit ones.  conjecture and demo-quintic evaluate a
-# mixed derivative at --delta-trials n-long points: at n = MAX_G0_N, the
-# worst n the falsifier admits (d = 3), 1,000 trials take 8.1 s, on top of
-# the 2.7 s the rest of the case takes (0.09 s at the quintic's n = 5).
+# build n-long points.  phi's cost is isolating the roots of its image,
+# which grows with the roots' common denominator: 12 roots take about 2 s
+# when it has 1024 bits, 14 s at ~4,000 bits and 69 s at ~12,000 bits,
+# while refining them to 1024 bits takes 0.2 s.  conjecture and
+# demo-quintic evaluate a mixed derivative at --delta-trials n-long points:
+# at n = MAX_G0_N, the worst n the falsifier admits (d = 3), 1,000 trials
+# take 8.1 s, on top of the 2.7 s the rest of the case takes (0.09 s at the
+# quintic's n = 5).
 MAX_WIDTH_BITS = 1024
 MAX_PHI_ROOTS = 12
+MAX_PHI_DEN_BITS = 1024
 MAX_G0_N = 1000
 MAX_DELTA_TRIALS = 1000
 
@@ -208,49 +211,45 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _status_exit(status: str) -> int:
-    return 2 if status == NOT_HYPERBOLIC else 0
-
-
 # -- subcommand handlers -----------------------------------------------------
+# Each returns (document, status): the JSON document to print and the status
+# of its verdict, or None when it has none; run prints the document.
 
 
 def _budget_from_args(args) -> SearchBudget:
     kwargs = {}
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         kwargs["grid"] = args.budget
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         kwargs["seed"] = args.seed
     return SearchBudget(**kwargs)
 
 
-def _cmd_check_cubic(args) -> int:
+def _verdict(v):
+    return verdict_to_json(v), v.status
+
+
+def _cmd_check_cubic(args):
     _check_n(args.n)
-    v = decide_cubic(
+    return _verdict(decide_cubic(
         parse_rational(args.a), parse_rational(args.b), parse_rational(args.c),
         args.n,
-    )
-    _emit(verdict_to_json(v), args.pretty)
-    return _status_exit(v.status)
+    ))
 
 
-def _cmd_check_quartic(args) -> int:
+def _cmd_check_quartic(args):
     p = hook_from_json(_load_payload(args.hook))
-    v = decide_quartic_hook(p)
-    _emit(verdict_to_json(v), args.pretty)
-    return _status_exit(v.status)
+    return _verdict(decide_quartic_hook(p))
 
 
-def _cmd_operator(args) -> int:
+def _cmd_operator(args):
     p = hook_from_json(_load_payload(args.hook))
-    _emit(map_to_json(associated_operator(p)), args.pretty)
-    return 0
+    return map_to_json(associated_operator(p)), None
 
 
-def _cmd_hook_of(args) -> int:
+def _cmd_hook_of(args):
     T = map_from_json(_load_payload(args.map))
-    _emit(hook_to_json(operator_to_hook(T)), args.pretty)
-    return 0
+    return hook_to_json(operator_to_hook(T)), None
 
 
 def _check_n(n) -> None:
@@ -258,13 +257,12 @@ def _check_n(n) -> None:
         raise InvalidInput(f"--n must be at most {MAX_G0_N}")
 
 
-def _cmd_g0(args) -> int:
+def _cmd_g0(args):
     _check_n(args.n)
-    _emit(poly_to_json(g0(args.n).inner), args.pretty)
-    return 0
+    return poly_to_json(g0(args.n).inner), None
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     _check_n(args.n)
     if (args.map is None) == (args.target is None):
         raise InvalidInput("provide exactly one of --map or --target")
@@ -275,46 +273,39 @@ def _cmd_extend(args) -> int:
         n = args.n if args.n is not None else max(2, target.ambient_degree)
         T = map_sending_g0_to(ZeroSumPoly(target), n)
     extendable, cert = decide_extendable(T)
-    _emit(
-        {"extendable": extendable, "certificate": certificate_to_json(cert)},
-        args.pretty,
-    )
-    return 0
+    return {"extendable": extendable, "certificate": certificate_to_json(cert)}, None
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args):
     if not 0 <= args.width_bits <= MAX_WIDTH_BITS:
         raise InvalidInput(f"--width-bits must be in [0, {MAX_WIDTH_BITS}]")
     roots = args.roots.split(",")
     if len(roots) > MAX_PHI_ROOTS:
         raise InvalidInput(f"--roots takes at most {MAX_PHI_ROOTS} rationals")
     roots = [parse_rational(part) for part in roots]
+    if lcm(*(r.denominator for r in roots)).bit_length() > MAX_PHI_DEN_BITS:
+        raise InvalidInput(
+            f"--roots must have a common denominator of at most {MAX_PHI_DEN_BITS} bits"
+        )
     width = Q(1, 1 << args.width_bits)
     enclosures = phi(roots, width=width)
-    _emit(
-        {
-            "enclosures": [
-                [format_rational(lo), format_rational(hi)] for lo, hi in enclosures
-            ],
-            "width": format_rational(width),
-        },
-        args.pretty,
-    )
-    return 0
+    return {
+        "enclosures": [
+            [format_rational(lo), format_rational(hi)] for lo, hi in enclosures
+        ],
+        "width": format_rational(width),
+    }, None
 
 
-def _cmd_falsify(args) -> int:
+def _cmd_falsify(args):
     p = hook_from_json(_load_payload(args.hook))
-    v = falsify_hyperbolicity(p, _budget_from_args(args))
-    _emit(verdict_to_json(v), args.pretty)
-    return _status_exit(v.status)
+    return _verdict(falsify_hyperbolicity(p, _budget_from_args(args)))
 
 
-def _cmd_cone_member(args) -> int:
+def _cmd_cone_member(args):
     p = hook_from_json(_load_payload(args.hook))
     x = point_from_json(_load_payload(args.point))
-    _emit({"member": cone_member(p, x)}, args.pretty)
-    return 0
+    return {"member": cone_member(p, x)}, None
 
 
 def _delta_trials(args) -> int:
@@ -331,7 +322,7 @@ def _delta_samples(report) -> dict:
     }
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args):
     _check_n(args.n)
     target = poly_from_json(_load_payload(args.target))
     report = conjecture_case(
@@ -340,7 +331,7 @@ def _cmd_conjecture(args) -> int:
         _budget_from_args(args),
         delta_trials=_delta_trials(args),
     )
-    payload = {
+    return {
         "n": report.n,
         "d": report.d,
         "hook": hook_to_json(report.hook),
@@ -348,12 +339,10 @@ def _cmd_conjecture(args) -> int:
         "delta_samples": _delta_samples(report),
         "extendable": report.extendable,
         "certificate_kind": report.certificate.kind,
-    }
-    _emit(payload, args.pretty)
-    return _status_exit(report.falsifier.status)
+    }, report.falsifier.status
 
 
-def _cmd_demo_quintic(args) -> int:
+def _cmd_demo_quintic(args):
     p = HookPoly.from_e_basis(5, 5, (0, 0, 7, -220, 4500))
     T = associated_operator(p)
     image = apply(T, g0(5)).inner
@@ -362,7 +351,7 @@ def _cmd_demo_quintic(args) -> int:
         ZeroSumPoly(image), 5, _budget_from_args(args),
         delta_trials=_delta_trials(args),
     )
-    payload = {
+    return {
         "hook": hook_to_json(p),
         "operator": map_to_json(T),
         "image_of_pivot": poly_to_json(image),
@@ -370,9 +359,7 @@ def _cmd_demo_quintic(args) -> int:
         "extendable": report.extendable,
         "certificate": certificate_to_json(report.certificate),
         "delta_samples": _delta_samples(report),
-    }
-    _emit(payload, args.pretty)
-    return _status_exit(report.falsifier.status)
+    }, report.falsifier.status
 
 
 class _Parser(argparse.ArgumentParser):
@@ -464,18 +451,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Print one JSON document; exit 2 on a NotHyperbolic verdict, 1 on an
+    error, else 0."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        document, status = args.func(args)
     except HypercheckError as exc:
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)},
-                sort_keys=True,
-            ),
-            file=sys.stdout,
-        )
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(error, sort_keys=True))
         return 1
+    _emit(document, args.pretty)
+    return 2 if status == NOT_HYPERBOLIC else 0
 
 
 def main() -> None:

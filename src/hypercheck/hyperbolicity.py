@@ -23,6 +23,7 @@ import random
 from math import comb, lcm
 
 from .errors import (
+    DegreeMismatch,
     HypothesisViolated,
     InvalidInput,
     NonInvertibleTransform,
@@ -211,7 +212,9 @@ def _find_witness(p: HookPoly):
 
 def cone_member(p: HookPoly, x) -> bool:
     """True iff p(x + t*1) has no root with t > 0 (Sturm count on the
-    open positive ray)."""
+    open positive ray).  x must have p.n coordinates."""
+    if len(x) != p.n:
+        raise DegreeMismatch(f"point has {len(x)} coordinates, the hook has n={p.n}")
     q = restrict_line(p, x)
     if q.is_zero():
         return False

@@ -157,9 +157,6 @@ class UniPoly:
     def __neg__(self):
         return UniPoly.from_ints([-c for c in self.nums], self.den)
 
-    def with_ambient(self, n: int) -> "UniPoly":
-        return UniPoly.from_ints(_fit(self.nums, n), self.den)
-
     def trimmed(self) -> "UniPoly":
         """Drop the degree slack: ambient degree = actual degree."""
         return UniPoly.from_ints(self.nums[: max(self.degree(), 0) + 1], self.den)

@@ -118,7 +118,7 @@ def test_criterion_3_operator_round_trip():
         roots = [r - mean for r in roots]
         g = ZeroSumPoly(UniPoly.from_roots(roots, ambient=n))
         lhs = apply(T, g).inner
-        rhs = _dilate(restrict_line(p, roots), Q(-1)).with_ambient(d)
+        rhs = UniPoly(_dilate(restrict_line(p, roots), Q(-1)).coeffs, d)
         assert lhs == rhs
     _report(3, True, "200 round-trips and defining-oracle matches, all exact")
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercheck import cli, hyperbolicity, operators
-from hypercheck.cli import MAX_DELTA_TRIALS, MAX_G0_N, MAX_PHI_ROOTS, run
+from hypercheck.cli import MAX_DELTA_TRIALS, MAX_G0_N, MAX_PHI_DEN_BITS, MAX_PHI_ROOTS, run
 
 
 def _capture(capsys, argv):
@@ -135,6 +135,25 @@ def test_phi(capsys):
     code, doc = _capture(capsys, ["phi", "--roots", "1/4,1/4,1/4,1/4"])
     assert code == 0
     assert doc["enclosures"] == [["1/3", "1/3"]] * 3
+
+
+@pytest.mark.parametrize("x", [["1", "2", "3"], ["1", "2", "3", "4", "5", "6"]])
+def test_cone_member_point_needs_n_coordinates(capsys, x):
+    """A point is refused unless it has the hook's n coordinates: the
+    answer would be for the polynomial in len(x) variables."""
+    hook = json.dumps({"n": 5, "d": 3, "a": ["0", "0", "1"]})
+    point = json.dumps({"x": x})
+    code, doc = _capture(capsys, ["cone-member", "--hook", hook, "--point", point])
+    assert code == 1 and doc["error"] == "DegreeMismatch"
+
+
+@pytest.mark.parametrize("bits, code", [(MAX_PHI_DEN_BITS, 0), (MAX_PHI_DEN_BITS + 1, 1)])
+def test_phi_common_denominator_bounded(capsys, bits, code):
+    den = 1 << (bits - 1)  # the common denominator has `bits` bits
+    roots = f"{den - 3}/{den},2/{den},1/{den}"
+    got, doc = _capture(capsys, ["phi", "--roots", roots])
+    assert got == code
+    assert ("enclosures" in doc) if code == 0 else (doc["error"] == "InvalidInput")
 
 
 def test_conjecture(capsys):
@@ -511,6 +530,84 @@ def test_numpy_loads_with_the_falsifier():
     dataclasses or inspect; the first falsify call loads numpy."""
     assert _fresh_interpreter(LOAD_PROBE) == [[True, False, False, False],
                                               [True, True]]
+
+
+# -- the package's exports resolve on first access ------------------------------
+
+# every public name of the package, by the module that defines it
+PUBLIC = {
+    "rationals": ["Q", "format_rational", "parse_rational"],
+    "unipoly": [
+        "RealRoot", "RootCounts", "RootProfile", "UniPoly", "ZeroSumPoly", "dee",
+        "delta_n", "discriminant", "interlaces", "is_real_rooted", "resultant",
+        "root_counts", "root_profile", "same_sign_count",
+    ],
+    "sympoly": [
+        "HookPoly", "SymPoint", "dir_derivative_one", "elem_means", "eval_hook",
+        "lift_variables", "mixed_derivative_eval", "restrict_line",
+    ],
+    "operators": [
+        "DiagonalMap", "ExtendCertificate", "FullDiagonalMap", "apply",
+        "associated_operator", "decide_extendable", "g0", "map_sending_g0_to",
+        "necessary_sign_test", "operator_to_hook", "phi", "polya_schur_test",
+    ],
+    "hyperbolicity": [
+        "SearchBudget", "Verdict", "cone_member", "conjecture_case",
+        "cubic_normal_form", "decide_cubic", "decide_quartic_hook",
+        "ek_plus_linear_check", "falsify_hyperbolicity", "falsify_unrestricted",
+    ],
+}
+SUBMODULES = ["errors", "hyperbolicity", "kernels", "operators", "rationals",
+              "sympoly", "unipoly"]
+
+# argv: source directory, PUBLIC and SUBMODULES as JSON; prints what each
+# step loaded and how the package's names resolved
+EXPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+public, submodules = json.loads(sys.argv[2]), json.loads(sys.argv[3])
+watched = lambda: [m for m in ("hypercheck.hyperbolicity", "hypercheck.kernels", "numpy")
+                   if m in sys.modules]
+import hypercheck
+out = {"bare": sorted(m for m in sys.modules if m.startswith("hypercheck."))}
+import hypercheck.unipoly, hypercheck.operators
+out["unipoly_operators"] = watched()
+out["submodules"] = [getattr(hypercheck, m) is sys.modules["hypercheck." + m]
+                     for m in submodules]
+namespace = {}
+exec("from hypercheck import *", namespace)
+namespace.pop("__builtins__")
+home = {name: module for module, names in public.items() for name in names}
+out["star"] = sorted(namespace)
+out["defining"] = [name for name, value in namespace.items()
+                   if vars(sys.modules["hypercheck." + home[name]])[name] is not value]
+print(json.dumps(out))
+"""
+
+
+def test_exports_resolve_lazily():
+    """A bare import loads no submodule; unipoly and operators load neither
+    hyperbolicity, kernels nor numpy; every module the package used to load
+    eagerly still resolves as an attribute; `import *` binds exactly the
+    public names, each the object its module defines."""
+    got = _fresh_interpreter(EXPORT_PROBE, json.dumps(PUBLIC), json.dumps(SUBMODULES))
+    names = sorted(name for names in PUBLIC.values() for name in names)
+    assert len(names) == 47
+    assert got == {"bare": [], "unipoly_operators": [],
+                   "submodules": [True] * len(SUBMODULES), "star": names,
+                   "defining": []}
+
+
+def test_unknown_export_is_an_attribute_error():
+    import hypercheck
+
+    assert sorted(hypercheck.__all__) == sorted(
+        name for names in PUBLIC.values() for name in names)
+    assert set(hypercheck.__all__) <= set(dir(hypercheck))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hypercheck.no_such_name
+    with pytest.raises(ImportError):
+        from hypercheck import no_such_name  # noqa: F401
 
 
 def test_package_never_imports_dataclasses():

@@ -142,7 +142,7 @@ def test_defining_oracle(seed):
     T = associated_operator(p)
     g, roots = rand_zero_sum_monic(rng, p.n)
     lhs = apply(T, g).inner
-    rhs = _dilate(restrict_line(p, roots), Q(-1)).with_ambient(p.d)
+    rhs = UniPoly(_dilate(restrict_line(p, roots), Q(-1)).coeffs, p.d)
     assert lhs == rhs
 
 
