@@ -16,26 +16,9 @@ import json
 import sys
 from math import lcm
 
+import hypercheck
+
 from .errors import HypercheckError, InvalidInput
-from .hyperbolicity import (
-    NOT_HYPERBOLIC,
-    SearchBudget,
-    cone_member,
-    conjecture_case,
-    decide_cubic,
-    decide_quartic_hook,
-    falsify_hyperbolicity,
-)
-from .operators import (
-    DiagonalMap,
-    apply,
-    associated_operator,
-    decide_extendable,
-    g0,
-    map_sending_g0_to,
-    operator_to_hook,
-    phi,
-)
 from .rationals import Q, format_rational, parse_rational
 from .sympoly import HookPoly
 from .unipoly import UniPoly, ZeroSumPoly
@@ -87,6 +70,12 @@ def _int_field(payload: dict, key: str, default=None) -> int:
     return value
 
 
+def _need(payload: dict, what: str, *keys) -> None:
+    for key in keys:
+        if key not in payload:
+            raise InvalidInput(f'{what} payload needs "{key}"')
+
+
 def _rat_list(values, what: str):
     if not isinstance(values, list):
         raise InvalidInput(f"{what} must be a list of rationals")
@@ -98,8 +87,7 @@ def poly_to_json(p: UniPoly) -> dict:
 
 
 def poly_from_json(payload: dict) -> UniPoly:
-    if "coeffs" not in payload:
-        raise InvalidInput('polynomial payload needs "coeffs"')
+    _need(payload, "polynomial", "coeffs")
     coeffs = _rat_list(payload["coeffs"], "coeffs")
     return UniPoly(coeffs, _int_field(payload, "n", len(coeffs) - 1))
 
@@ -114,9 +102,7 @@ def hook_to_json(p: HookPoly) -> dict:
 
 
 def hook_from_json(payload: dict) -> HookPoly:
-    for key in ("n", "d", "a"):
-        if key not in payload:
-            raise InvalidInput(f'hook payload needs "{key}"')
+    _need(payload, "hook", "n", "d", "a")
     n, d = _int_field(payload, "n"), _int_field(payload, "d")
     a = _rat_list(payload["a"], "a")
     basis = payload.get("basis", "etilde")
@@ -127,7 +113,7 @@ def hook_from_json(payload: dict) -> HookPoly:
     raise InvalidInput('"basis" must be "e" or "etilde"')
 
 
-def map_to_json(T: DiagonalMap) -> dict:
+def map_to_json(T: hypercheck.DiagonalMap) -> dict:
     return {
         "n": T.n,
         "d": T.d,
@@ -136,22 +122,19 @@ def map_to_json(T: DiagonalMap) -> dict:
     }
 
 
-def map_from_json(payload: dict) -> DiagonalMap:
-    for key in ("n", "d", "gamma"):
-        if key not in payload:
-            raise InvalidInput(f'map payload needs "{key}"')
+def map_from_json(payload: dict) -> hypercheck.DiagonalMap:
+    _need(payload, "map", "n", "d", "gamma")
     coords = payload.get("coords", "binomial-normalized")
     if coords != "binomial-normalized":
         raise InvalidInput('only "binomial-normalized" coords are supported')
-    return DiagonalMap(
+    return hypercheck.DiagonalMap(
         _int_field(payload, "n"), _int_field(payload, "d"),
         tuple(_rat_list(payload["gamma"], "gamma")),
     )
 
 
 def point_from_json(payload: dict):
-    if "x" not in payload:
-        raise InvalidInput('point payload needs "x"')
+    _need(payload, "point", "x")
     return _rat_list(payload["x"], "x")
 
 
@@ -212,26 +195,31 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 # -- subcommand handlers -----------------------------------------------------
-# Each returns (document, status): the JSON document to print and the status
-# of its verdict, or None when it has none; run prints the document.
+# Each returns (document, exit code): the JSON document to print and 2 for a
+# NotHyperbolic verdict, else 0.  Library calls go through the package's
+# exports, so that a subcommand loads only the modules it runs.
 
 
-def _budget_from_args(args) -> SearchBudget:
+def _budget_from_args(args) -> hypercheck.SearchBudget:
     kwargs = {}
     if args.budget is not None:
         kwargs["grid"] = args.budget
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    return SearchBudget(**kwargs)
+    return hypercheck.SearchBudget(**kwargs)
+
+
+def _exit_code(v) -> int:
+    return 2 if v.status == hypercheck.hyperbolicity.NOT_HYPERBOLIC else 0
 
 
 def _verdict(v):
-    return verdict_to_json(v), v.status
+    return verdict_to_json(v), _exit_code(v)
 
 
 def _cmd_check_cubic(args):
     _check_n(args.n)
-    return _verdict(decide_cubic(
+    return _verdict(hypercheck.decide_cubic(
         parse_rational(args.a), parse_rational(args.b), parse_rational(args.c),
         args.n,
     ))
@@ -239,17 +227,17 @@ def _cmd_check_cubic(args):
 
 def _cmd_check_quartic(args):
     p = hook_from_json(_load_payload(args.hook))
-    return _verdict(decide_quartic_hook(p))
+    return _verdict(hypercheck.decide_quartic_hook(p))
 
 
 def _cmd_operator(args):
     p = hook_from_json(_load_payload(args.hook))
-    return map_to_json(associated_operator(p)), None
+    return map_to_json(hypercheck.associated_operator(p)), 0
 
 
 def _cmd_hook_of(args):
     T = map_from_json(_load_payload(args.map))
-    return hook_to_json(operator_to_hook(T)), None
+    return hook_to_json(hypercheck.operator_to_hook(T)), 0
 
 
 def _check_n(n) -> None:
@@ -259,7 +247,7 @@ def _check_n(n) -> None:
 
 def _cmd_g0(args):
     _check_n(args.n)
-    return poly_to_json(g0(args.n).inner), None
+    return poly_to_json(hypercheck.g0(args.n).inner), 0
 
 
 def _cmd_extend(args):
@@ -271,9 +259,9 @@ def _cmd_extend(args):
     else:
         target = poly_from_json(_load_payload(args.target))
         n = args.n if args.n is not None else max(2, target.ambient_degree)
-        T = map_sending_g0_to(ZeroSumPoly(target), n)
-    extendable, cert = decide_extendable(T)
-    return {"extendable": extendable, "certificate": certificate_to_json(cert)}, None
+        T = hypercheck.map_sending_g0_to(ZeroSumPoly(target), n)
+    extendable, cert = hypercheck.decide_extendable(T)
+    return {"extendable": extendable, "certificate": certificate_to_json(cert)}, 0
 
 
 def _cmd_phi(args):
@@ -288,24 +276,24 @@ def _cmd_phi(args):
             f"--roots must have a common denominator of at most {MAX_PHI_DEN_BITS} bits"
         )
     width = Q(1, 1 << args.width_bits)
-    enclosures = phi(roots, width=width)
+    enclosures = hypercheck.phi(roots, width=width)
     return {
         "enclosures": [
             [format_rational(lo), format_rational(hi)] for lo, hi in enclosures
         ],
         "width": format_rational(width),
-    }, None
+    }, 0
 
 
 def _cmd_falsify(args):
     p = hook_from_json(_load_payload(args.hook))
-    return _verdict(falsify_hyperbolicity(p, _budget_from_args(args)))
+    return _verdict(hypercheck.falsify_hyperbolicity(p, _budget_from_args(args)))
 
 
 def _cmd_cone_member(args):
     p = hook_from_json(_load_payload(args.hook))
     x = point_from_json(_load_payload(args.point))
-    return {"member": cone_member(p, x)}, None
+    return {"member": hypercheck.cone_member(p, x)}, 0
 
 
 def _delta_trials(args) -> int:
@@ -325,7 +313,7 @@ def _delta_samples(report) -> dict:
 def _cmd_conjecture(args):
     _check_n(args.n)
     target = poly_from_json(_load_payload(args.target))
-    report = conjecture_case(
+    report = hypercheck.conjecture_case(
         ZeroSumPoly(target),
         args.n,
         _budget_from_args(args),
@@ -339,15 +327,15 @@ def _cmd_conjecture(args):
         "delta_samples": _delta_samples(report),
         "extendable": report.extendable,
         "certificate_kind": report.certificate.kind,
-    }, report.falsifier.status
+    }, _exit_code(report.falsifier)
 
 
 def _cmd_demo_quintic(args):
     p = HookPoly.from_e_basis(5, 5, (0, 0, 7, -220, 4500))
-    T = associated_operator(p)
-    image = apply(T, g0(5)).inner
+    T = hypercheck.associated_operator(p)
+    image = hypercheck.apply(T, hypercheck.g0(5)).inner
     # conjecture_case recovers this same p and T from the image of the pivot
-    report = conjecture_case(
+    report = hypercheck.conjecture_case(
         ZeroSumPoly(image), 5, _budget_from_args(args),
         delta_trials=_delta_trials(args),
     )
@@ -359,7 +347,7 @@ def _cmd_demo_quintic(args):
         "extendable": report.extendable,
         "certificate": certificate_to_json(report.certificate),
         "delta_samples": _delta_samples(report),
-    }, report.falsifier.status
+    }, _exit_code(report.falsifier)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,13 +443,13 @@ def run(argv) -> int:
     error, else 0."""
     try:
         args = build_parser().parse_args(argv)
-        document, status = args.func(args)
+        document, code = args.func(args)
     except HypercheckError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True))
         return 1
     _emit(document, args.pretty)
-    return 2 if status == NOT_HYPERBOLIC else 0
+    return code
 
 
 def main() -> None:

@@ -20,6 +20,7 @@ never loads it.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb, lcm
 
 from .errors import (
@@ -40,7 +41,7 @@ from .operators import (
     map_sending_g0_to,
     operator_to_hook,
 )
-from .rationals import Q, QONE, QZERO, FrozenRecord, Record, _simplest_pos, qsign, to_q
+from .rationals import Q, QONE, QZERO, FrozenRecord, Record, qsign, simplest_ratio, to_q
 from .sympoly import HookPoly, SymPoint, elem_ints, mixed_derivative_eval, restrict_line
 from .unipoly import (
     UniPoly,
@@ -149,11 +150,9 @@ def _closed_form(p: HookPoly):
     counts = root_counts(q)
     # roots at infinity (degree drop) count toward either sign, like zero
     # roots: they are limits of arbitrarily large one-signed roots
-    slack = counts.n_zero + counts.degree_drop
-    real = counts.n_nonreal == 0
-    if real and max(counts.n_positive, counts.n_negative) + slack >= 3:
+    if counts.one_signed(3 - counts.degree_drop):
         return True, detail
-    return False, {**detail, "real_rooted": real}
+    return False, {**detail, "real_rooted": counts.n_nonreal == 0}
 
 
 def decide_cubic(a, b, c, n: int) -> Verdict:
@@ -192,10 +191,9 @@ def _find_witness(p: HookPoly):
     distinct-entry slice by the degree principle, and the violating
     region is open).
     """
-    u = [QONE] + [QZERO] * (p.n - 1)
-    counts = root_counts(restrict_line(p, u))
-    if counts.n_nonreal:
-        return (SymPoint(tuple(u)), counts)
+    witness = _exact_check(p, (QONE,) + (QZERO,) * (p.n - 1))
+    if witness is not None:
+        return witness
     base = DEFAULT_BUDGET
     for grid in (base.grid, 2 * base.grid, 4 * base.grid, 8 * base.grid):
         wider = base.replace(
@@ -225,13 +223,10 @@ def cone_member(p: HookPoly, x) -> bool:
 
 
 def _compositions(n: int, k: int):
-    """Ordered compositions of n into k positive parts."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    """Ordered compositions of n into k positive parts, in lexicographic
+    order: the gaps between k - 1 cut points of 1..n-1 and the ends."""
+    for cuts in combinations(range(1, n), k - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
 
 
 def _batch_restriction(a_float, n: int, d: int, values):
@@ -327,18 +322,9 @@ def _exact_check(p: HookPoly, x):
 
 def _snap_point(x, den: int):
     """Each coordinate a/b replaced by the simplest rational within 1/den
-    of it, [(a*den - b)/(b*den), (a*den + b)/(b*den)], found on integers;
-    the interval is symmetric, so a negative coordinate snaps to the
-    negated snap of |a|/b."""
-    snapped = []
-    for c in x:
-        a, b = abs(c.numerator), c.denominator
-        if a * den <= b:
-            snapped.append(QZERO)
-            continue
-        num, d = _simplest_pos(a * den - b, b * den, a * den + b, b * den)
-        snapped.append(Q(num if c.numerator > 0 else -num, d))
-    return tuple(snapped)
+    of it, [(a*den - b)/(b*den), (a*den + b)/(b*den)], found on integers."""
+    return tuple(Q(*simplest_ratio(a * den - b, b * den, a * den + b, b * den))
+                 for a, b in ((c.numerator, c.denominator) for c in x))
 
 
 def _slice_points(mults, candidates):
@@ -437,13 +423,19 @@ def _prescreen(p, a_float, batch, budget):
         defects = realness_defects(np.concatenate([c for _, c in group]))
         start = 0
         for j, c in group:
-            own = defects[start : start + len(c)]
+            results[j] = _rank(defects[start : start + len(c)], budget)
             start += len(c)
-            order = np.argsort(-own)
-            hits = order[own[order] > budget.defect_threshold]
-            best = int(order[0]) if own[order[0]] > 0 else None
-            results[j] = (hits[: budget.max_candidates], best)
     return results
+
+
+def _rank(defects, budget):
+    """(hits, best) of a float array of defects: the indices above the
+    threshold by decreasing defect, at most max_candidates of them, and the
+    index of the largest defect (None unless it is positive)."""
+    order = (-defects).argsort()
+    hits = order[defects[order] > budget.defect_threshold]
+    best = int(order[0]) if defects[order[0]] > 0 else None
+    return hits[: budget.max_candidates], best
 
 
 def _search_chunk(p, a_float, chunk, budget):
@@ -536,16 +528,10 @@ def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     den = 16
     nums = [[rng.randint(-den, den) for _ in range(n)] for _ in range(budget.trials)]
     vals = np.array(nums) / den
-    coeffs = _trim_structural_zeros(
-        _batch_restriction(a_float, n, d, vals)
-    )
+    coeffs = _trim_structural_zeros(_batch_restriction(a_float, n, d, vals))
     if coeffs.shape[1] < 3:
         return Verdict(NO_COUNTEREXAMPLE, detail={"trials": budget.trials})
-    defects = realness_defects(coeffs)
-    order = np.argsort(-defects)
-    for i in order[: budget.max_candidates]:
-        if defects[i] <= budget.defect_threshold:
-            break
+    for i in _rank(realness_defects(coeffs), budget)[0]:
         x = tuple(Q(c, den) for c in nums[int(i)])
         snapped = _snap_point(x, SNAP_DENOMINATOR)
         for cand in ([snapped] if snapped != x else []) + [x]:
@@ -584,8 +570,7 @@ def conjecture_case(
     d = inner.ambient_degree
     if inner.is_zero():
         raise HypothesisViolated("zero target")
-    counts = root_counts(inner)
-    if counts.n_nonreal or not counts.one_sided(d - 1):
+    if not root_counts(inner).one_signed(d - 1):
         raise HypothesisViolated(
             "target must be real rooted with d-1 roots of one sign"
         )

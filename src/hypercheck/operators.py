@@ -197,8 +197,7 @@ def necessary_sign_test(T: DiagonalMap) -> bool:
     image = delta_n(_pivot_preimage(T)).inner
     if image.is_zero():
         return True
-    counts = root_counts(image)
-    return not counts.n_nonreal and counts.one_sided(T.d - 1)
+    return root_counts(image).one_signed(T.d - 1)
 
 
 def _pivot_preimage(T: DiagonalMap) -> UniPoly:
@@ -211,10 +210,7 @@ def _pivot_preimage(T: DiagonalMap) -> UniPoly:
 
 
 def _one_sign_real_rooted(f: UniPoly) -> bool:
-    counts = root_counts(f)
-    return counts.n_nonreal == 0 and (
-        counts.n_positive == 0 or counts.n_negative == 0
-    )
+    return root_counts(f).one_signed(f.degree())
 
 
 def _disc_in_lambda(h0: UniPoly, slot: int, big_degree: int) -> UniPoly:

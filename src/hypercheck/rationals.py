@@ -2,9 +2,9 @@
 
 All algebraic predicates in this package are sign conditions, so every
 computation that feeds a verdict runs on exact rationals: Q is the
-standard library's fractions.Fraction.  simplest_between, which turns
-isolating intervals back into exact rational roots, walks the continued
-fraction of its interval on integer numerators and denominators.  Record
+standard library's fractions.Fraction.  simplest_ratio, which turns
+isolating intervals back into exact rational roots and snaps witnesses,
+walks the continued fraction of an interval on integer endpoints.  Record
 and FrozenRecord are the base of the package's value records (verdicts,
 reports, certificates, points).
 """
@@ -66,33 +66,32 @@ def qsign(q) -> int:
 def simplest_between(lo, hi) -> Q:
     """The rational with smallest denominator in the closed interval [lo, hi].
 
-    Ties on denominator are broken by smallest |numerator|.  Used to
-    reconstruct exact rational roots from shrinking isolating intervals.
-    Found by one continued-fraction walk on integer numerators and
-    denominators (_simplest_pos); the result is built as Q once.  The
-    benchmark's tracer (hcbench/tracing.py) wraps this function by name,
-    so removing or renaming it makes every traced benchmark run fail.
+    Ties on denominator are broken by smallest |numerator|.  Found by
+    simplest_ratio's continued-fraction walk on integer numerators and
+    denominators; the result is built as Q once.  The benchmark's tracer
+    (hcbench/tracing.py) wraps this function by name, so removing or
+    renaming it makes every traced benchmark run fail.
     """
     lo, hi = Q(lo), Q(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    if lo <= 0 <= hi:
-        return QZERO
-    if hi < 0:
-        num, den = _simplest_pos(
-            -hi.numerator, hi.denominator, -lo.numerator, lo.denominator
-        )
-        return Q(-num, den)
-    return Q(*_simplest_pos(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+    return Q(*simplest_ratio(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
 
 
-def _simplest_pos(ln, ld, hn, hd):
-    """(num, den) of the simplest rational in [ln/ld, hn/hd], 0 < lo <= hi:
-    while no integer lies in [lo, hi], the answer is f + 1/x with
+def simplest_ratio(ln, ld, hn, hd):
+    """(num, den) of the simplest rational in [ln/ld, hn/hd], lo <= hi and
+    ld, hd > 0, on integers (for callers that hold their endpoints so): 0
+    when the interval holds it, minus the answer for [-hi, -lo] when hi < 0,
+    and otherwise, while no integer lies in [lo, hi], f + 1/x with
     f = floor(lo) and x the simplest rational in [1/(hi - f), 1/(lo - f)];
     the first interval holding an integer ends the walk with its smallest
     one, and folding the continued fraction back gives num/den in lowest
     terms."""
+    if ln <= 0 <= hn:
+        return 0, 1
+    if hn < 0:
+        num, den = simplest_ratio(-hn, hd, -ln, ld)
+        return -num, den
     quotients = []
     while True:
         f, r = divmod(ln, ld)

@@ -35,8 +35,9 @@ class HookPoly(FrozenRecord):
     @staticmethod
     def from_e_basis(n: int, d: int, a_e) -> "HookPoly":
         """Convert coefficients over e_1^(d-i) e_i to the mean basis."""
-        a = [to_q(c) * Q(n) ** (d - i) * comb(n, i) for i, c in enumerate(a_e, start=1)]
-        return HookPoly(n, d, tuple(a))
+        a_e = HookPoly(n, d, a_e).a  # the shape first: 0 ** (d - i) fails for i > d
+        return HookPoly(n, d, tuple(c * Q(n) ** (d - i) * comb(n, i)
+                                    for i, c in enumerate(a_e, start=1)))
 
     def scaled(self, c) -> "HookPoly":
         c = to_q(c)

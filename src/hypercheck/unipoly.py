@@ -46,7 +46,7 @@ from itertools import zip_longest
 from math import ceil, gcd, lcm
 
 from .errors import DegreeMismatch, DegreeTooLow, NotRealRooted, ZeroPolynomial
-from .rationals import Q, QONE, QZERO, FrozenRecord, Record, _simplest_pos, to_q
+from .rationals import Q, QONE, QZERO, FrozenRecord, Record, simplest_ratio, to_q
 
 
 def _fit(nums, ambient):
@@ -413,11 +413,9 @@ class RealRoot:
         self._bisect(extra_bits)
         if self.exact is not None:
             return True
-        s = (self._c > 0) - (self._a < 0)  # the sign on all of [lo, hi], or 0
-        left, right = sorted((s * self._a, s * self._c))  # s [lo, hi], over den
-        num, d = _simplest_pos(left, self._den, right, self._den) if s else (0, 1)
-        if _horner(self._ints, s * num, d) == 0:
-            self.exact = Q(s * num, d)
+        num, d = simplest_ratio(self._a, self._den, self._c, self._den)
+        if _horner(self._ints, num, d) == 0:
+            self.exact = Q(num, d)
             return True
         return False
 
@@ -598,9 +596,9 @@ class RootCounts(FrozenRecord):
                  n_nonreal: int, degree_drop: int):
         self._init(n_positive, n_negative, n_zero, n_nonreal, degree_drop)
 
-    def one_sided(self, k: int) -> bool:
-        """At least k roots >= 0 or at least k roots <= 0."""
-        return max(self.n_positive, self.n_negative) + self.n_zero >= k
+    def one_signed(self, k: int) -> bool:
+        """Real rooted, with at least k roots >= 0 or at least k roots <= 0."""
+        return not self.n_nonreal and max(self.n_positive, self.n_negative) + self.n_zero >= k
 
 
 def root_counts(p: UniPoly) -> RootCounts:
@@ -680,7 +678,7 @@ def same_sign_count(p: UniPoly, k: int) -> bool:
     counts = root_counts(p)
     if counts.n_nonreal:
         raise NotRealRooted("same_sign_count requires a real-rooted polynomial")
-    return counts.one_sided(k)
+    return counts.one_signed(k)
 
 
 # -- resultants and discriminants ---------------------------------------

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercheck import cli, hyperbolicity, operators
@@ -526,10 +526,44 @@ def test_exact_subcommands_run_without_numpy():
 
 
 def test_numpy_loads_with_the_falsifier():
-    """Importing the CLI loads the kernels module but not numpy,
-    dataclasses or inspect; the first falsify call loads numpy."""
-    assert _fresh_interpreter(LOAD_PROBE) == [[True, False, False, False],
+    """Importing the CLI loads neither the kernels module, numpy,
+    dataclasses nor inspect; the first falsify call loads kernels and
+    numpy."""
+    assert _fresh_interpreter(LOAD_PROBE) == [[False, False, False, False],
                                               [True, True]]
+
+
+# subcommands that never run the falsifier, one call each
+NO_FALSIFIER = [
+    ["extend", "--target", '{"n":5,"coeffs":["24","-68","66","-23","0","1"]}', "--n", "5"],
+    ["extend", "--map", '{"n":4,"d":3,"gamma":["1","0","1","1"]}'],
+    ["phi", "--roots", "1/2,1/4,1/4"],
+    ["g0", "--n", "3"],
+    ["operator", "--hook", '{"n":4,"d":4,"a":["1","0","0","1"]}'],
+    ["hook-of", "--map", '{"n":4,"d":3,"gamma":["1","0","1","1"]}'],
+]
+
+# argv: source directory, JSON list of CLI calls; prints per call its exit
+# code and the falsifier's modules loaded after it
+SUBCOMMAND_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import hypercheck.cli
+loaded = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hypercheck.cli.run(argv)
+    loaded.append([code] + [m for m in ("hypercheck.hyperbolicity", "hypercheck.kernels")
+                            if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_subcommands_load_only_what_they_run():
+    """extend, phi, g0, operator and hook-of load neither hyperbolicity nor
+    kernels: the CLI reaches the library through the package's exports."""
+    got = _fresh_interpreter(SUBCOMMAND_PROBE, json.dumps(NO_FALSIFIER))
+    assert got == [[0]] * len(NO_FALSIFIER)
 
 
 # -- the package's exports resolve on first access ------------------------------
@@ -768,8 +802,18 @@ fuzz_argv = st.one_of(
 )
 
 
+# e-basis hooks with more coefficients than d, at n = 0: the conversion
+# divided by zero before the shape was checked
+E_BASIS_SHAPES = ['{"n":0,"d":0,"a":["2"],"basis":"e"}',
+                  '{"n":0,"d":1,"a":["1","2"],"basis":"e"}']
+
+
 @settings(max_examples=200, deadline=None)
 @given(fuzz_argv)
+@example(("operator", "--hook", E_BASIS_SHAPES[0]))
+@example(("check-quartic", "--hook", E_BASIS_SHAPES[0]))
+@example(("falsify", "--hook", E_BASIS_SHAPES[1], "--budget", "2"))
+@example(("cone-member", "--hook", E_BASIS_SHAPES[1], "--point", '{"x":[]}'))
 def test_cli_fuzz_prints_one_json_document(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -193,6 +193,25 @@ def test_falsifier_finds_cubic_witness():
     assert max(abs(c) for c in x.x) == 1
 
 
+def _recursive_compositions(n, k):
+    """Reference: _compositions as it was, recursing on the first part."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(1, n - k + 2):
+        for rest in _recursive_compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def test_compositions_keep_the_recursive_order():
+    """Pattern order decides which witness the falsifier reports."""
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            got = list(hyperbolicity._compositions(n, k))
+            assert got == list(_recursive_compositions(n, k)), (n, k)
+            assert len(got) == comb(n - 1, k - 1)
+
+
 def _without_closed_form(monkeypatch):
     """Turn off the closed-form shortcut, so that hyperbolic cubics and hook
     quartics run through every round of every chunk."""

@@ -9,9 +9,13 @@ rounds are left unpinned, since another LAPACK build may break near-ties
 in the prescreen order differently.  So are a sample of extend requests
 that no benchmark round builds (random_extend) and one of phi requests
 that refine their roots, which no benchmark round does (random_phi).
+The check-quartic requests of random_witness are pinned by their argv
+alone.
 """
 
+import hashlib
 import importlib.util
+import json
 import os
 from collections import Counter
 
@@ -69,4 +73,14 @@ def test_random_phi_outputs_pinned():
     tool = _output_digest()
     assert tool.digest_requests(tool.random_phi()) == (
         123, "eb086fbf445f7a6eb730bc668351aa730e91e3642ea25c2d2049f1ef93b072dc"
+    )
+
+
+def test_random_witness_requests_pinned():
+    """The check-quartic requests random_witness selects with the quartic
+    closed form; the list is exact, unlike the falsifier's witnesses."""
+    requests = _output_digest().random_witness()
+    argv = json.dumps([call["cli"] for call in requests]).encode()
+    assert (len(requests), hashlib.sha256(argv).hexdigest()) == (
+        26, "f8eed6e122aaff830065604245be2ccc0845761b45e52c85221cc83481c43a0f"
     )

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import zip_longest
+from itertools import product, zip_longest
 from math import gcd, lcm
 
 import pytest
@@ -14,6 +14,7 @@ from hypercheck.errors import DegreeMismatch, NotRealRooted, ZeroPolynomial
 from hypercheck.rationals import Q, qsign, simplest_between
 from hypercheck.unipoly import (
     RealRoot,
+    RootCounts,
     UniPoly,
     ZeroSumPoly,
     _fit,
@@ -477,6 +478,20 @@ def test_same_sign_count():
     assert not same_sign_count(p, 4)
     with pytest.raises(NotRealRooted):
         same_sign_count(UniPoly([1, 0, 1]), 1)
+
+
+def test_one_signed_is_each_former_test():
+    """one_signed(k) is the one-signed test of necessary_sign_test and
+    conjecture_case, of _one_sign_real_rooted at k = degree, and of the
+    quartic closed form at k = 3 - degree drop, as each was written."""
+    for pos, neg, zero, nonreal, drop in product(range(4), range(4), range(3), (0, 2), range(3)):
+        counts = RootCounts(pos, neg, zero, nonreal, drop)
+        real = nonreal == 0
+        for k in range(7):
+            assert counts.one_signed(k) == (real and max(pos, neg) + zero >= k)
+        degree = pos + neg + zero + nonreal
+        assert counts.one_signed(degree) == (real and (pos == 0 or neg == 0))
+        assert counts.one_signed(3 - drop) == (real and max(pos, neg) + zero + drop >= 3)
 
 
 def _real_count_by_closed_form(p):

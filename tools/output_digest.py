@@ -39,8 +39,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "hcbench")]
 
 import workloads  # noqa: E402
 from hypercheck import cli, hyperbolicity  # noqa: E402
-from hypercheck.sympoly import HookPoly, restrict_line  # noqa: E402
-from hypercheck.unipoly import root_counts  # noqa: E402
+from hypercheck.sympoly import HookPoly  # noqa: E402
 
 
 def outcome(call):
@@ -111,23 +110,17 @@ def random_extend(count: int = 200, seed: int = 5):
 
 def random_witness(count: int = 3000, seed: int = 5):
     """check-quartic requests on hooks with integer coefficients in [-5, 5]
-    and n in [4, 6], drawn from random.Random(seed), kept when the
-    restriction along the first coordinate vector, shifted by -1/n, is real
-    rooted but has fewer than three roots of one sign (zero roots and
-    roots at infinity counting for either): decide_quartic_hook finds them
-    not hyperbolic, and its witness search has to run the falsifier."""
+    and n in [4, 6], drawn from random.Random(seed), kept when the quartic
+    closed form fails with a real-rooted restriction: decide_quartic_hook
+    finds them not hyperbolic, and its witness search has to run the
+    falsifier, since the coordinate-vector restriction is real rooted."""
     rng = random.Random(seed)
     requests = []
     for _ in range(count):
         n = rng.randint(4, 6)
         a = [rng.randint(-5, 5) for _ in range(4)]
-        q = restrict_line(HookPoly(n, 4, tuple(a)), [1] + [0] * (n - 1))
-        q = q.shift(Fraction(-1, n))
-        if q.is_zero():
-            continue
-        counts = root_counts(q)
-        slack = counts.n_zero + counts.degree_drop
-        if counts.n_nonreal or max(counts.n_positive, counts.n_negative) + slack >= 3:
+        holds, detail = hyperbolicity._closed_form(HookPoly(n, 4, tuple(a)))
+        if holds or not detail["real_rooted"]:
             continue
         hook = {"n": n, "d": 4, "a": [str(c) for c in a]}
         requests.append({"cli": ["check-quartic", "--hook", json.dumps(hook)]})
