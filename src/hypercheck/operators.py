@@ -82,6 +82,8 @@ class FullDiagonalMap(FrozenRecord):
         gamma_prime = tuple(to_q(c) for c in gamma_prime)
         if len(gamma_prime) != d + 1:
             raise DegreeMismatch(f"expected {d + 1} entries")
+        if d > n:
+            raise DegreeMismatch("target degree exceeds source degree")
         self._init(n, d, gamma_prime)
 
     def apply(self, g: UniPoly) -> UniPoly:
@@ -213,78 +215,40 @@ def _one_sign_real_rooted(f: UniPoly) -> bool:
     return root_counts(f).one_signed(f.degree())
 
 
-def _disc_in_lambda(h0: UniPoly, slot: int, big_degree: int) -> UniPoly:
-    """disc(h0 + lambda * t^slot) at formal degree big_degree, as an
-    exact polynomial in lambda.
+def _critical_probes(value, degree: int):
+    """(crit, probes) for a one-parameter family whose root structure
+    changes only where crit(lambda) vanishes, crit a nonzero integer
+    polynomial of degree <= `degree` with values value(lam) at the integers
+    lam = 0, 1, -1, 2, -2, ...
 
-    The discriminant of a degree-N polynomial has degree <= 2N - 2 in any
-    single coefficient.  With h0 = H / D on integers, D^(2N-2) times it is
-    disc(H + D*lambda*t^slot), an integer polynomial in lambda, so exact
-    interpolation of integer discriminants at integer sample points
-    (avoiding the degree-dropping one when slot == N) recovers it.
+    Divided differences of an integer polynomial's values at integers are
+    integers, so crit comes from Newton's divided differences on integers
+    and Horner's rule, at ambient degree `degree`.  The rational probes are
+    a point inside each open interval between consecutive real roots of
+    crit, points beyond both ends, and every exact rational root.
     """
-    bound = max(2 * big_degree - 2, 0)
-    H = list(h0.nums) + [0] * max(0, slot + 1 - len(h0.nums))
-    samples = []
-    lam = 0
-    while len(samples) < bound + 1:
-        fl = list(H)
-        fl[slot] += h0.den * lam
-        p = UniPoly.from_ints(fl)
-        if p.degree() == big_degree:
-            samples.append((lam, discriminant(p).numerator))
-        lam = -lam + 1 if lam <= 0 else -lam
-    return UniPoly.from_ints(_lagrange_interpolate(samples).nums, h0.den**bound)
-
-
-def _lagrange_interpolate(samples) -> UniPoly:
-    """The interpolating polynomial of the (x, y) samples, distinct
-    integers x, at ambient degree len(samples) - 1.  The y are the values
-    of an integer polynomial of degree < len(samples), so every divided
-    difference is an integer: Newton's divided differences on integers,
-    then Horner's rule in the monomial basis."""
-    xs = [x for x, _ in samples]
-    c = [y for _, y in samples]
+    xs = [(k + 1) // 2 * (-1) ** (k + 1) for k in range(degree + 1)]
+    c = [value(x) for x in xs]
     for j in range(1, len(c)):
         for i in range(len(c) - 1, j - 1, -1):
             c[i] = (c[i] - c[i - 1]) // (xs[i] - xs[i - j])
     out = [c[-1]]
-    for x, ck in zip(reversed(xs[:-1]), reversed(c[:-1])):
-        # out <- out * (t - x) + ck
-        out = (
-            [ck - x * out[0]]
-            + [low - x * high for low, high in zip(out, out[1:])]
-            + [out[-1]]
-        )
-    return UniPoly.from_ints(out)
-
-
-def _sweep_candidates(crit_poly: UniPoly):
-    """Rational probe points for a one-parameter family whose qualitative
-    root structure only changes where crit_poly vanishes: one point inside
-    each open interval between consecutive critical values, points beyond
-    both ends, and every exact rational critical value."""
-    if crit_poly.is_zero() or crit_poly.degree() < 1:
-        return [QZERO, QONE, Q(-1)]
-    prof = root_profile(crit_poly)
-    roots = [r for r, _ in prof.real_roots]
+    for x, ck in zip(reversed(xs[:-1]), reversed(c[:-1])):  # out * (t - x) + ck
+        out = [ck - x * out[0]] + [lo - x * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
+    crit = UniPoly.from_ints(out)
+    roots = [r for r, _ in root_profile(crit).real_roots]
     for r in roots:
         r.try_rational()
     if not roots:
-        return [QZERO]
-    candidates = [roots[0].interval()[0] - 1]
+        return crit, [QZERO]
+    probes = [roots[0].interval()[0] - 1]
     for a, b in zip(roots, roots[1:]):
-        ahi, blo = a.interval()[1], b.interval()[0]
-        while ahi >= blo:
+        while a.interval()[1] >= b.interval()[0]:
             a.refine()
             b.refine()
-            ahi, blo = a.interval()[1], b.interval()[0]
-        candidates.append((ahi + blo) / 2)
-    candidates.append(roots[-1].interval()[1] + 1)
-    for r in roots:
-        if r.is_exact():
-            candidates.append(r.exact)
-    return candidates
+        probes.append((a.interval()[1] + b.interval()[0]) / 2)
+    probes.append(roots[-1].interval()[1] + 1)
+    return crit, probes + [r.exact for r in roots if r.is_exact()]
 
 
 def decide_extendable(T: DiagonalMap):
@@ -295,8 +259,17 @@ def decide_extendable(T: DiagonalMap):
     f0 from _pivot_preimage (the kernel of delta_d is exactly
     span(t^(d-1))), so extendability is equivalent to some f_lambda being
     real rooted with one-signed roots.
-    The sweep over lambda is exhaustive: real-rootedness and root signs
-    only change where disc(f_lambda) vanishes.
+
+    The sweep over lambda is exhaustive, and only a discriminant says where
+    to probe.  Write f_lambda = t^m * h_lambda, t^m the common power of t,
+    which would make disc(f_lambda) vanish identically.  The root structure
+    of h_lambda changes only where two roots meet, one escapes to infinity
+    or one crosses 0, and the last two cannot happen here.  gamma_0 = 0
+    gives T(g0) degree <= d - 2, short of the d - 1 roots of one sign the
+    sign test asks for, so f0 has degree d, and N = deg h0 = d - m.  N <= 1
+    is the degree <= 1 branch; at N >= 2, m is the valuation of f0, whose
+    t^(d-1) coefficient is 0, so lambda sits on t^(N-1) and moves neither
+    the top coefficient of h_lambda nor h_lambda(0) = h0(0) != 0.
     """
     f0 = _pivot_preimage(T)
     g = delta_n(f0).inner
@@ -320,8 +293,6 @@ def decide_extendable(T: DiagonalMap):
             kind="MultiplicityObstruction", obstruction=tuple(obstruction)
         )
 
-    # factor out the common power of t so the discriminant sweep is not
-    # identically degenerate; f_lambda = t^m * (h0 + lambda * t^slot)
     m = min(f0.valuation(), d - 1)
     h0 = UniPoly.from_ints(f0.nums[m:], f0.den)
     slot = d - 1 - m
@@ -330,17 +301,14 @@ def decide_extendable(T: DiagonalMap):
         # degree <= 1 families are always real rooted; probe both signs
         cands = [QZERO, QONE, Q(-1)]
     else:
-        # root structure of h_lambda changes only where its discriminant
-        # vanishes, where its degree drops (slot == top coefficient), or
-        # where a root crosses 0 (slot == constant coefficient); fold the
-        # latter two in as linear factors and subdivide at all of them
-        crit = _disc_in_lambda(h0, slot, big_degree)
-        if slot == big_degree:
-            lead = h0.nums[slot] if slot < len(h0.nums) else 0
-            crit = crit * UniPoly.from_ints([lead, h0.den], h0.den)
-        if slot == 0:
-            crit = crit * UniPoly.from_ints([h0.nums[0], h0.den], h0.den)
-        cands = _sweep_candidates(crit)
+        # slot = N - 1 (see the docstring); with H = den * h0 on integers,
+        # disc(H + den*lam*t^slot) = den^(2N-2) disc(h_lam), of degree <= 2N - 2
+        def disc(lam):
+            H = list(h0.nums)
+            H[slot] += h0.den * lam
+            return discriminant(UniPoly.from_ints(H)).numerator
+
+        _, cands = _critical_probes(disc, 2 * big_degree - 2)
     for lam in cands:
         # f0 + lam t^(d-1) over the denominator f0.den * lam.denominator
         coeffs = [c * lam.denominator for c in f0.nums]

@@ -98,6 +98,24 @@ def test_cubic_agrees_with_sampling_oracle():
             assert sampled.status == NO_COUNTEREXAMPLE
 
 
+def test_cubics_at_p1_zero_are_hyperbolic():
+    """At p(1) = a + b + c = 0 the t^3 and t^2 coefficients of every
+    restriction vanish (Euler's identity), so every restriction has degree
+    <= 1 and is real rooted: hyperbolic under README's definition, which,
+    unlike Garding's, does not ask for p(1) != 0."""
+    rng = random.Random(22)
+    for _ in range(120):
+        n = rng.randint(3, 7)
+        b, c = (Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+        if b == c == 0:
+            continue
+        assert decide_cubic(-b - c, b, c, n).status == HYPERBOLIC
+        p = HookPoly(n, 3, (-b - c, b, c))
+        for _ in range(5):
+            x = [Q(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n)]
+            assert restrict_line(p, x).degree() <= 1
+
+
 # -- decide_quartic_hook --------------------------------------------------------
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hypercheck.errors import DegreeMismatch, DegreeTooLow, NotInSimplex
 from hypercheck.operators import (
     DiagonalMap,
-    _disc_in_lambda,
-    _lagrange_interpolate,
+    _critical_probes,
     FullDiagonalMap,
     apply,
     associated_operator,
@@ -22,7 +21,7 @@ from hypercheck.operators import (
     phi,
     polya_schur_test,
 )
-from hypercheck.rationals import Q, QZERO
+from hypercheck.rationals import Q, QONE, QZERO
 from hypercheck.sympoly import HookPoly, restrict_line
 from hypercheck.unipoly import (
     UniPoly,
@@ -225,6 +224,14 @@ def test_full_map_refuses_negative_degree():
         FullDiagonalMap(3, -1, ())  # an empty gamma' has the d + 1 entries of d = -1
 
 
+def test_full_map_refuses_target_degree_above_source():
+    # apply read g.nums[n - k] at k > n from the other end: t^2 + 7 went to t^3 + 5
+    with pytest.raises(DegreeMismatch):
+        FullDiagonalMap(2, 3, (1, 0, 0, 5))
+    T = FullDiagonalMap(2, 2, (1, 0, 5))
+    assert T.apply(UniPoly([7, 0, 1], 2)) == UniPoly([35, 0, 1], 2)
+
+
 def test_polya_schur_derivative_map():
     # t^{n-k} -> (n-k) t^{n-k-1} realized as a diagonal map to degree n-1
     n = 5
@@ -338,6 +345,25 @@ def test_extend_zero_image():
     ok, cert = decide_extendable(T)
     assert ok and cert.kind == "Extension"
     assert delta_n(cert.f).inner.is_zero()
+
+
+small_q = st.fractions(-6, 6, max_denominator=3).map(lambda f: Q(f.numerator, f.denominator))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_top_gamma_zero_fails_the_sign_test(data):
+    """gamma_0 = 0 leaves T(g0) of degree <= d - 2, short of the d - 1
+    roots of one sign the sign test asks for, so decide_extendable's sweep
+    never sees a lambda on the top coefficient."""
+    d = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(d, d + 3))
+    gamma = (QZERO, QZERO) + tuple(data.draw(st.lists(small_q, min_size=d - 1, max_size=d - 1)))
+    T = DiagonalMap(n, d, gamma)
+    assume(not apply(T, g0(n)).inner.is_zero())
+    ok, cert = decide_extendable(T)
+    assert not ok and cert.kind == "SweepRefutation"
+    assert cert.detail == {"reason": "necessary sign test fails"}
 
 
 # -- phi -----------------------------------------------------------------------
@@ -479,13 +505,36 @@ def _fraction_disc_in_lambda(h0, slot, big_degree):
     return _fraction_lagrange(samples)
 
 
-def _lambda_order(count, skip):
-    """The sample points 0, 1, -1, 2, -2, ... of _disc_in_lambda, without
-    `skip` (the value where the degree drops)."""
+def _former_sweep_candidates(crit_poly: UniPoly):
+    """Reference: the probe list of the former _sweep_candidates, as it was."""
+    if crit_poly.is_zero() or crit_poly.degree() < 1:
+        return [QZERO, QONE, Q(-1)]
+    prof = root_profile(crit_poly)
+    roots = [r for r, _ in prof.real_roots]
+    for r in roots:
+        r.try_rational()
+    if not roots:
+        return [QZERO]
+    candidates = [roots[0].interval()[0] - 1]
+    for a, b in zip(roots, roots[1:]):
+        ahi, blo = a.interval()[1], b.interval()[0]
+        while ahi >= blo:
+            a.refine()
+            b.refine()
+            ahi, blo = a.interval()[1], b.interval()[0]
+        candidates.append((ahi + blo) / 2)
+    candidates.append(roots[-1].interval()[1] + 1)
+    for r in roots:
+        if r.is_exact():
+            candidates.append(r.exact)
+    return candidates
+
+
+def _lambda_order(count):
+    """The first `count` sample points 0, 1, -1, 2, -2, ... of the sweep."""
     xs, lam = [], 0
     while len(xs) < count:
-        if lam != skip:
-            xs.append(lam)
+        xs.append(lam)
         lam = -lam + 1 if lam <= 0 else -lam
     return xs
 
@@ -494,41 +543,51 @@ coefficient = st.one_of(st.just(0), st.integers(-(10**9), 10**9))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(coefficient, min_size=1, max_size=11), st.integers(-6, 6))
-def test_newton_interpolation_matches_lagrange(coeffs, skip):
-    """On the values of an integer polynomial of degree < the number of
-    samples, as _disc_in_lambda sends, at the sample points of the lambda
-    sweep with one of them dropped: the polynomial's own coefficients at
-    that ambient degree, as the Lagrange reference gives them (the zero
-    polynomial only up to the ambient degree)."""
-    xs = _lambda_order(len(coeffs), skip)
-    samples = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in xs]
-    new = _lagrange_interpolate(samples)
-    old = _fraction_lagrange([(Q(x), Q(y)) for x, y in samples])
-    assert new.coeffs == tuple(coeffs)
-    if any(coeffs):
-        assert new.coeffs == old.coeffs
-    assert new.trimmed() == old.trimmed()
+@given(st.lists(coefficient, min_size=1, max_size=11))
+def test_newton_interpolation_matches_lagrange(coeffs):
+    """Given the values of a nonzero integer polynomial of degree < the
+    number of samples, asked at the sample points of the lambda sweep in
+    order: the polynomial's own coefficients at that ambient degree, as the
+    Lagrange reference gives them, and the former probes on it.  A constant
+    has no critical value, so its one probe covers the whole line (the
+    sweep's discriminants never are constant)."""
+    assume(any(coeffs))
+    xs = _lambda_order(len(coeffs))
+    ys = [sum(c * x**k for k, c in enumerate(coeffs)) for x in xs]
+    asked = []
+
+    def value(x):
+        asked.append(x)
+        return ys[xs.index(x)]
+
+    crit, probes = _critical_probes(value, len(coeffs) - 1)
+    assert asked == xs
+    old = _fraction_lagrange([(Q(x), Q(y)) for x, y in zip(xs, ys)])
+    assert crit.coeffs == tuple(coeffs) == old.coeffs
+    assert probes == (_former_sweep_candidates(old) if old.degree() >= 1 else [QZERO])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-9, 9), min_size=2, max_size=6),
     st.integers(-5, 5),
-    st.booleans(),
 )
-def test_disc_in_lambda_matches_reference(coeffs, top, drop):
-    """disc(h0 + lambda t^slot) equals the Lagrange reference; with slot at
-    the top degree and an integer leading coefficient, the sample at
-    lambda = -lead drops the degree and is skipped."""
+def test_disc_in_lambda_matches_reference(coeffs, top):
+    """At the one slot the sweep reaches, N - 1 for N = deg h0 >= 2 with
+    h0(0) != 0: the integer discriminants of H + den*lambda*t^(N-1), H =
+    den * h0, interpolate to den^(2N-2) times the Lagrange reference
+    disc(h0 + lambda t^(N-1)), and give the former probes on it."""
     h0 = UniPoly([Q(c, 1 + i % 3) for i, c in enumerate(coeffs)] + [Q(top)])
     big_degree = len(coeffs)
-    slot = big_degree if drop else 0
-    assume(h0.degree() == big_degree or slot == big_degree)
-    new = _disc_in_lambda(h0, slot, big_degree)
+    slot = big_degree - 1
+    assume(top != 0 and coeffs[0] != 0)
+
+    def disc(lam):
+        H = list(h0.nums)
+        H[slot] += h0.den * lam
+        return discriminant(UniPoly.from_ints(H)).numerator
+
+    crit, probes = _critical_probes(disc, 2 * big_degree - 2)
     old = _fraction_disc_in_lambda(h0, slot, big_degree)
-    # a family that is degenerate for every lambda (h0 = 0) gives the zero
-    # polynomial at ambient degree 2N - 2, where the Lagrange sum kept 0
-    assert new.trimmed() == old.trimmed()
-    if not old.is_zero():
-        assert new.coeffs == old.coeffs
+    assert UniPoly.from_ints(crit.nums, h0.den ** (2 * big_degree - 2)).coeffs == old.coeffs
+    assert probes == _former_sweep_candidates(old)

@@ -127,6 +127,22 @@ def test_restrict_line_ambient_degree():
     assert q.ambient_degree == 3
 
 
+def test_euler_identity_on_restrictions():
+    """p(x + t*1) has t^d coefficient p(1) and, by Euler's identity
+    (grad p(1) = (d p(1) / n) * 1 for a symmetric form), t^(d-1)
+    coefficient d * p(1) * m1(x); so at p(1) = 0 every restriction has
+    degree <= d - 2.  Every other hook is moved to p(1) = 0."""
+    rng = random.Random(26)
+    for i in range(300):
+        p = rand_hook(rng, n=rng.randint(5, 8), d=rng.randint(3, 5))
+        if i % 2 and any(p.a[1:]):
+            p = HookPoly(p.n, p.d, (p.a[0] - sum(p.a),) + p.a[1:])
+        x = rand_point(rng, p.n)
+        q = restrict_line(p, x).coeffs
+        assert q[p.d] == sum(p.a) == eval_hook(p, [QONE] * p.n)
+        assert q[p.d - 1] == p.d * sum(p.a) * elem_means(x, 1)[1]
+
+
 def _fraction_means(x, d):
     """m_k(x) = e_k(x) / binom(len(x), k) by the Fraction recurrence."""
     e = [QONE] + [QZERO] * d
