@@ -1,4 +1,4 @@
-"""Decision procedures and falsifiers for symmetric hyperbolicity.
+"""Decision procedures and a falsifier for symmetric hyperbolicity.
 
 Exact semialgebraic tests decide cubic and hook-quartic hyperbolicity
 outright (a quartic only when p(1) != 0), and the falsifier consults
@@ -73,7 +73,7 @@ class Verdict(Record):
 
 
 class SearchBudget(FrozenRecord):
-    """Budget knobs for the sampling falsifiers.
+    """Budget knobs for the sampling falsifier.
 
     grid: points per free axis on the slice grid;
     max_points: cap on total grid size per multiplicity pattern, and on
@@ -81,7 +81,7 @@ class SearchBudget(FrozenRecord):
     over the cap is prescreened alone);
     max_candidates: prescreen hits forwarded to exact verification;
     defect_threshold: minimum float realness defect to count as a hit;
-    trials: sample count for the unrestricted falsifier; seed: determinism.
+    seed: the random stream of conjecture_case's mixed-derivative samples.
 
     REFINE_ROUNDS, REFINE_GRID and SNAP_DENOMINATOR are fixed parts of
     the method, not of a request: three passes of a 9-point local grid
@@ -92,17 +92,15 @@ class SearchBudget(FrozenRecord):
     widens max_points, max_candidates and defect_threshold.
     """
 
-    __slots__ = ("grid", "max_points", "max_candidates", "defect_threshold",
-                 "trials", "seed")
+    __slots__ = ("grid", "max_points", "max_candidates", "defect_threshold", "seed")
 
     def __init__(self, grid: int = 64, max_points: int = 200_000,
                  max_candidates: int = 24, defect_threshold: float = 1e-7,
-                 trials: int = 2000, seed: int = 0):
+                 seed: int = 0):
         for name, value, low in (
             ("grid", grid, 2),
             ("max_points", max_points, 1),
             ("max_candidates", max_candidates, 0),
-            ("trials", trials, 0),
         ):
             if value < low:
                 raise InvalidInput(f"{name} must be at least {low}, got {value}")
@@ -111,7 +109,7 @@ class SearchBudget(FrozenRecord):
         res = min(grid, max(3, max_points))
         if (res - 1) * (REFINE_GRID - 1) ** REFINE_ROUNDS >= 2**53:
             raise InvalidInput("grid denominators must stay below 2**53")
-        self._init(grid, max_points, max_candidates, defect_threshold, trials, seed)
+        self._init(grid, max_points, max_candidates, defect_threshold, seed)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -513,34 +511,6 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
         if i == 0 and d in (3, 4) and sum(p.a) != 0 and _closed_form(p)[0]:
             break
     return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": len(patterns)})
-
-
-def falsify_unrestricted(p: HookPoly, budget: SearchBudget = None) -> Verdict:
-    """Baseline falsifier without the distinct-entry reduction: random
-    rational points, float prescreen, exact verification of the hits."""
-    import numpy as np
-    budget = budget or DEFAULT_BUDGET
-    if not budget.trials:
-        return Verdict(NO_COUNTEREXAMPLE, detail={"trials": 0})
-    rng = random.Random(budget.seed)
-    d, n = p.d, p.n
-    a_float = [float(c) for c in p.a]
-    den = 16
-    nums = [[rng.randint(-den, den) for _ in range(n)] for _ in range(budget.trials)]
-    vals = np.array(nums) / den
-    coeffs = _trim_structural_zeros(_batch_restriction(a_float, n, d, vals))
-    if coeffs.shape[1] < 3:
-        return Verdict(NO_COUNTEREXAMPLE, detail={"trials": budget.trials})
-    for i in _rank(realness_defects(coeffs), budget)[0]:
-        x = tuple(Q(c, den) for c in nums[int(i)])
-        snapped = _snap_point(x, SNAP_DENOMINATOR)
-        for cand in ([snapped] if snapped != x else []) + [x]:
-            witness = _exact_check(p, cand)
-            if witness is not None:
-                return Verdict(
-                    NOT_HYPERBOLIC, witness=witness, detail={"trial": int(i)}
-                )
-    return Verdict(NO_COUNTEREXAMPLE, detail={"trials": budget.trials})
 
 
 # -- conjecture evidence ---------------------------------------------------

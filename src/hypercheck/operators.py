@@ -302,13 +302,15 @@ def decide_extendable(T: DiagonalMap):
         cands = [QZERO, QONE, Q(-1)]
     else:
         # slot = N - 1 (see the docstring); with H = den * h0 on integers,
-        # disc(H + den*lam*t^slot) = den^(2N-2) disc(h_lam), of degree <= 2N - 2
+        # disc(H + den*lam*t^slot) = den^(2N-2) disc(h_lam) has degree
+        # exactly N in lam: isobaric weight N(N-1) at degree 2N - 2 bounds it,
+        # and lam^N has coefficient +-(N-1)^(N-1) H(0)^(N-2) den^N != 0
         def disc(lam):
             H = list(h0.nums)
             H[slot] += h0.den * lam
             return discriminant(UniPoly.from_ints(H)).numerator
 
-        _, cands = _critical_probes(disc, 2 * big_degree - 2)
+        _, cands = _critical_probes(disc, big_degree)
     for lam in cands:
         # f0 + lam t^(d-1) over the denominator f0.den * lam.denominator
         coeffs = [c * lam.denominator for c in f0.nums]

@@ -669,18 +669,6 @@ def is_real_rooted(p: UniPoly) -> bool:
     return root_counts(p).n_nonreal == 0
 
 
-def same_sign_count(p: UniPoly, k: int) -> bool:
-    """True iff at least k roots are >= 0 or at least k roots are <= 0.
-
-    Zero roots count toward either side (weak-inequality convention).
-    Degree drop is excluded.  Raises NotRealRooted on non-real input.
-    """
-    counts = root_counts(p)
-    if counts.n_nonreal:
-        raise NotRealRooted("same_sign_count requires a real-rooted polynomial")
-    return counts.one_signed(k)
-
-
 # -- resultants and discriminants ---------------------------------------
 
 

@@ -31,7 +31,6 @@ from hypercheck.hyperbolicity import (
     decide_quartic_hook,
     ek_plus_linear_check,
     falsify_hyperbolicity,
-    falsify_unrestricted,
 )
 from hypercheck.rationals import Q, qsign, simplest_between
 from hypercheck.sympoly import HookPoly, elem_ints, lift_variables, restrict_line
@@ -40,10 +39,23 @@ from hypercheck.unipoly import (
     ZeroSumPoly,
     interlaces,
     is_real_rooted,
+    root_counts,
     root_profile,
 )
 
-FAST = SearchBudget(grid=24, max_points=40_000, trials=400)
+FAST = SearchBudget(grid=24, max_points=40_000)
+
+
+def _exact_sample_witness(p):
+    """The first of 400 seeded random points of [-1, 1]^n with denominator
+    16 whose line restriction has a non-real root, or None."""
+    rng = random.Random(0)
+    for _ in range(400):
+        x = [Q(rng.randint(-16, 16), 16) for _ in range(p.n)]
+        q = restrict_line(p, x)
+        if not q.is_zero() and root_counts(q).n_nonreal:
+            return x
+    return None
 
 
 def _witness_is_valid(p, verdict):
@@ -80,9 +92,9 @@ def test_cubic_boundary_is_hyperbolic():
 
 
 def test_cubic_agrees_with_sampling_oracle():
-    """The closed-form decision must never contradict an exact non-real
-    line restriction found by sampling, and every NotHyperbolic verdict
-    must carry a verifiable witness."""
+    """The closed-form decision must never contradict a non-real line
+    restriction at an exactly checked random point, and every
+    NotHyperbolic verdict must carry a verifiable witness."""
     rng = random.Random(0)
     for _ in range(60):
         n = rng.randint(3, 5)
@@ -94,8 +106,7 @@ def test_cubic_agrees_with_sampling_oracle():
         if v.status == NOT_HYPERBOLIC:
             assert _witness_is_valid(p, v)
         else:
-            sampled = falsify_unrestricted(p, FAST)
-            assert sampled.status == NO_COUNTEREXAMPLE
+            assert _exact_sample_witness(p) is None
 
 
 def test_cubics_at_p1_zero_are_hyperbolic():
@@ -150,9 +161,18 @@ def test_quartic_agrees_with_sampling_oracle():
         if v.status == NOT_HYPERBOLIC:
             assert _witness_is_valid(p, v)
         else:
-            assert falsify_unrestricted(p, FAST).status == NO_COUNTEREXAMPLE
+            assert _exact_sample_witness(p) is None
     # p(1) = 0 hooks that the closed form would call hyperbolic
     assert refused == [(6, (-2, 3, 0, -1)), (5, (-3, 0, 2, 1))]
+
+
+def test_exact_sample_witness_finds_a_witness():
+    """The oracle of the two tests above finds a verified witness on m1^4 +
+    m4 and none on the hyperbolic m1^4."""
+    p = HookPoly(4, 4, (1, 0, 0, 1))
+    x = _exact_sample_witness(p)
+    assert x is not None and root_profile(restrict_line(p, x)).n_nonreal > 0
+    assert _exact_sample_witness(HookPoly(4, 4, (1, 0, 0, 0))) is None
 
 
 def test_quartic_refuses_p1_zero_it_would_call_hyperbolic(capsys):
@@ -890,23 +910,23 @@ def test_integer_snap_matches_fractions(case):
     assert _parts([got]) == _parts([_fraction_snap_point(x, den)])
 
 
-@pytest.mark.parametrize("falsifier", [falsify_hyperbolicity, falsify_unrestricted])
+@pytest.mark.parametrize("falsifier", [falsify_hyperbolicity])
 @pytest.mark.parametrize(
     "a, budget, snap",
     [
         ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8), 4096),
-        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8, trials=400), 3),
+        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8), 3),
         ((3, -1, -3, 1), FAST, 4096),
-        ((1, 0, -4, 1), SearchBudget(grid=8, trials=400), 5),
+        ((1, 0, -4, 1), SearchBudget(grid=8), 5),
     ],
     ids=[f"a{i}-budget{i}" for i in range(4)],
 )
 def test_falsifiers_check_the_fraction_path_points(
     monkeypatch, falsifier, a, budget, snap
 ):
-    """Both falsifiers check exactly the points, in the same order, that
-    they checked with the Fraction slice and snap: the same `seen` keys,
-    the same verdicts."""
+    """The falsifier checks exactly the points, in the same order, that it
+    checked with the Fraction slice and snap: the same `seen` keys, the
+    same verdicts."""
     check = hyperbolicity._exact_check
     monkeypatch.setattr(hyperbolicity, "SNAP_DENOMINATOR", snap)
 
@@ -950,7 +970,7 @@ def test_budget_rejects_inexact_grids(kwargs):
 
 @pytest.mark.parametrize(
     "kwargs", [{"max_points": 0}, {"max_points": -5}, {"grid": 8, "max_points": -5},
-               {"trials": -1}, {"max_candidates": -1}]
+               {"max_candidates": -1}]
 )
 def test_budget_rejects_empty_caps(kwargs):
     with pytest.raises(InvalidInput):
@@ -961,8 +981,6 @@ def test_budget_accepts_smallest_caps():
     p = HookPoly(5, 4, (0, 0, 0, 3))
     v = falsify_hyperbolicity(p, SearchBudget(grid=8, max_points=1))
     assert v.status == NO_COUNTEREXAMPLE
-    v = falsify_unrestricted(p, SearchBudget(trials=0))
-    assert (v.status, v.detail) == (NO_COUNTEREXAMPLE, {"trials": 0})
     # no hit reaches exact verification, so no witness can be found
     v = falsify_hyperbolicity(
         HookPoly(4, 4, (1, 0, -4, 1)), SearchBudget(grid=8, max_candidates=0)
@@ -977,26 +995,6 @@ def test_budget_accepts_largest_exact_grid():
     SearchBudget(grid=2**44, max_points=2**60)
     SearchBudget(grid=2**60, max_points=2**44)
     SearchBudget(grid=2**60, max_points=64)
-
-
-def test_restricted_and_unrestricted_agree():
-    rng = random.Random(3)
-    for _ in range(15):
-        n = rng.randint(3, 5)
-        d = rng.randint(3, min(4, n))
-        a = tuple(Q(rng.randint(-3, 3)) for _ in range(d))
-        if all(c == 0 for c in a):
-            continue
-        p = HookPoly(n, d, a)
-        exact = (
-            decide_cubic(*a, n)
-            if d == 3
-            else decide_quartic_hook(p)
-        )
-        sampled = falsify_unrestricted(p, FAST)
-        if sampled.status == NOT_HYPERBOLIC:
-            assert exact.status == NOT_HYPERBOLIC
-            assert _witness_is_valid(p, sampled)
 
 
 # -- conjecture evidence -------------------------------------------------------

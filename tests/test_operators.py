@@ -1,3 +1,4 @@
+import contextlib
 import random
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hypercheck import operators
 from hypercheck.errors import DegreeMismatch, DegreeTooLow, NotInSimplex
 from hypercheck.operators import (
     DiagonalMap,
@@ -591,3 +593,31 @@ def test_disc_in_lambda_matches_reference(coeffs, top):
     old = _fraction_disc_in_lambda(h0, slot, big_degree)
     assert UniPoly.from_ints(crit.nums, h0.den ** (2 * big_degree - 2)).coeffs == old.coeffs
     assert probes == _former_sweep_candidates(old)
+
+
+def test_sweep_samples_the_discriminant_at_its_degree(monkeypatch):
+    """On planted targets (t - s) * prod(t - r_i), d - 1 roots r_i of one
+    sign and s = -sum r_i, the discriminant decide_extendable interpolates
+    from N + 1 samples has degree exactly N, and its probes are those of
+    2N - 1 samples."""
+    calls = []
+
+    def recording(value, degree):
+        calls.append((value, degree))
+        return _critical_probes(value, degree)
+
+    monkeypatch.setattr(operators, "_critical_probes", recording)
+    rng = random.Random(27)
+    for _ in range(40):
+        d, sign = rng.randint(3, 6), rng.choice((1, -1))
+        roots = [Q(sign * rng.randint(1, 6), rng.randint(1, 3)) for _ in range(d - 1)]
+        g = UniPoly.from_roots(roots + [-sum(roots)], ambient=d)
+        # the known crash on unextendable targets (hcbench UNEXTENDABLE_TARGETS)
+        # comes after the probes
+        with contextlib.suppress(UnboundLocalError):
+            decide_extendable(map_sending_g0_to(ZeroSumPoly(g), d))
+    assert {degree for _, degree in calls} == {3, 4, 5, 6}
+    for value, degree in calls:
+        crit, probes = _critical_probes(value, degree)
+        assert crit.degree() == degree
+        assert _critical_probes(value, 2 * degree - 2)[1] == probes

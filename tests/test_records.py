@@ -27,7 +27,7 @@ CASES = [
     (Verdict, dict(status="Hyperbolic", witness=None, detail={"k": 1}),
      ("status", "NotHyperbolic")),
     (SearchBudget, dict(grid=8, max_points=100, max_candidates=2,
-                        defect_threshold=1e-6, trials=10, seed=3),
+                        defect_threshold=1e-6, seed=3),
      ("grid", 9)),
     (ConjectureReport, dict(n=5, d=4, hook=HOOK, falsifier=Verdict("Hyperbolic"),
                             delta_trials=3, delta_negative=0, delta_min=Q(1, 2),
@@ -93,7 +93,7 @@ def test_defaults():
     assert Verdict("Hyperbolic").detail is not Verdict("Hyperbolic").detail
     cert = ExtendCertificate("Extension")
     assert (cert.f, cert.obstruction, cert.detail) == (None, (), {})
-    assert SearchBudget() == SearchBudget(64, 200_000, 24, 1e-7, 2000, 0)
+    assert SearchBudget() == SearchBudget(64, 200_000, 24, 1e-7, 0)
 
 
 def test_diagonal_map_ignores_gamma_1():
@@ -129,7 +129,7 @@ def test_zero_sum_rejects_nonzero_subleading_coefficient():
 
 
 @pytest.mark.parametrize("fields", [
-    {"grid": 1}, {"max_points": 0}, {"max_candidates": -1}, {"trials": -1},
+    {"grid": 1}, {"max_points": 0}, {"max_candidates": -1},
     {"grid": 2**54, "max_points": 2**60}, {"grid": 2**44 + 1, "max_points": 2**44 + 1},
     {"grid": 2**60, "max_points": 2**44 + 1},
 ])

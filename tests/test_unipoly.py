@@ -34,7 +34,6 @@ from hypercheck.unipoly import (
     resultant,
     root_counts,
     root_profile,
-    same_sign_count,
     signed_remainder_sequence,
     squarefree_part,
     sturm_chain,
@@ -470,14 +469,6 @@ def test_root_counts_examples():
     assert root_counts(UniPoly([5], 3)).degree_drop == 3
     with pytest.raises(ZeroPolynomial):
         root_counts(UniPoly([0], 3))
-
-
-def test_same_sign_count():
-    p = UniPoly.from_roots([0, 0, 3, -1])
-    assert same_sign_count(p, 3)  # zeros count toward either side
-    assert not same_sign_count(p, 4)
-    with pytest.raises(NotRealRooted):
-        same_sign_count(UniPoly([1, 0, 1]), 1)
 
 
 def test_one_signed_is_each_former_test():
