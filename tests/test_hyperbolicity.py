@@ -970,7 +970,7 @@ def test_budget_rejects_inexact_grids(kwargs):
 
 @pytest.mark.parametrize(
     "kwargs", [{"max_points": 0}, {"max_points": -5}, {"grid": 8, "max_points": -5},
-               {"max_candidates": -1}]
+               {"grid": 1}, {"max_candidates": -1}]
 )
 def test_budget_rejects_empty_caps(kwargs):
     with pytest.raises(InvalidInput):

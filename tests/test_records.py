@@ -129,7 +129,7 @@ def test_zero_sum_rejects_nonzero_subleading_coefficient():
 
 
 @pytest.mark.parametrize("fields", [
-    {"grid": 1}, {"max_points": 0}, {"max_candidates": -1},
+    {"grid": 1}, {"max_points": 0}, {"max_candidates": -1}, {"grid": 0},
     {"grid": 2**54, "max_points": 2**60}, {"grid": 2**44 + 1, "max_points": 2**44 + 1},
     {"grid": 2**60, "max_points": 2**44 + 1},
 ])
