@@ -107,8 +107,20 @@ def test_extend_requires_exactly_one_input(capsys):
 
 
 def test_demo_quintic(capsys):
-    code, doc = _capture(capsys, ["demo-quintic", "--delta-trials", "50"])
+    code = run(["demo-quintic", "--delta-trials", "50"])
+    out = capsys.readouterr().out
     assert code == 0
+    assert out == (
+        '{"certificate":{"kind":"MultiplicityObstruction","obstruction":[["1/1",3],'
+        '["2/1",3]]},"delta_samples":{"min":"109455095665/1327104","negative":0,'
+        '"trials":50},"extendable":false,"falsifier":{"detail":{"patterns":14},'
+        '"status":"NoCounterexampleFound"},"hook":{"a":["0/1","0/1","1750/1",'
+        '"-5500/1","4500/1"],"basis":"etilde","d":5,"n":5},"image_of_pivot":{"coeffs":'
+        '["-18000/1","51000/1","-49500/1","17250/1","0/1","-750/1"],"n":5},"operator":'
+        '{"coords":"binomial-normalized","d":5,"gamma":["-750/1","0/1","-17250/1",'
+        '"-24750/1","-17000/1","-4500/1"],"n":5}}\n'
+    )
+    doc = json.loads(out)
     assert doc["falsifier"]["status"] == "NoCounterexampleFound"
     assert doc["extendable"] is False
     assert doc["certificate"]["kind"] == "MultiplicityObstruction"
@@ -411,6 +423,148 @@ def test_sweep_and_phi_outputs_pinned(capsys, argv, expected):
     """Recorded with the per-step Fraction bisection and the Lagrange
     interpolation of the lambda sweep; must not move by a byte."""
     assert run(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+# -- one document per subcommand, pinned byte for byte ---------------------------
+
+PRETTY_QUARTIC = """{
+  "detail": {
+    "real_rooted": false,
+    "shifted_restriction": {
+      "coeffs": [
+        "-3/256 ~ -0.0117188",
+        "1/8 ~ 0.125",
+        "-3/8 ~ -0.375",
+        "0/1 ~ 0",
+        "2/1 ~ 2"
+      ],
+      "n": 4
+    }
+  },
+  "status": "NotHyperbolic",
+  "witness": {
+    "nonreal_roots": 2,
+    "x": [
+      "1/1 ~ 1",
+      "0/1 ~ 0",
+      "0/1 ~ 0",
+      "0/1 ~ 0"
+    ]
+  }
+}"""
+
+PRETTY_PHI = """{
+  "enclosures": [
+    [
+      "356974224536635/541356939625344 ~ 0.659406",
+      "89243556134159/135339234906335 ~ 0.659406"
+    ],
+    [
+      "92191357544353/270678469812672 ~ 0.340594",
+      "184382715088707/541356939625340 ~ 0.340594"
+    ]
+  ],
+  "width": "1/1099511627776 ~ 9.09495e-13"
+}"""
+
+DOCUMENTS_PINNED = [
+    pytest.param(
+        ["check-cubic", "--a", "1", "--b", "0", "--c", "1"], 2,
+        '{"detail":{"boundary_form":"27/1","product":"54/1","value_at_ones":"2/1"},'
+        '"status":"NotHyperbolic","witness":{"nonreal_roots":2,"x":["1/1","0/1","0/1"]}}',
+        id="check-cubic-not-hyperbolic",
+    ),
+    pytest.param(
+        ["check-cubic", "--a", "0", "--b", "1", "--c", "0"], 0,
+        '{"detail":{"boundary_form":"-1/1","product":"-1/1","value_at_ones":"1/1"},'
+        '"status":"Hyperbolic"}',
+        id="check-cubic-hyperbolic",
+    ),
+    pytest.param(
+        ["check-quartic", "--hook", '{"n":4,"d":4,"a":["-3","2","3","-1"]}'], 2,
+        '{"detail":{"real_rooted":true,"shifted_restriction":{"coeffs":["3/256",'
+        '"-1/32","-5/16","0/1","1/1"],"n":4}},"status":"NotHyperbolic",'
+        '"witness":{"nonreal_roots":2,"x":["-1/1","-1/1","1/1","1/1"]}}',
+        id="check-quartic",
+    ),
+    pytest.param(
+        ["operator", "--hook", '{"n":5,"d":3,"a":["2","-1/3","4"]}'], 0,
+        '{"coords":"binomial-normalized","d":3,"gamma":["-17/3","0/1","-35/3","-4/1"],'
+        '"n":5}',
+        id="operator",
+    ),
+    pytest.param(
+        ["hook-of", "--map", '{"n":5,"d":3,"gamma":["-17/3","0","-35/3","-4"]}'], 0,
+        '{"a":["2/1","-1/3","4/1"],"basis":"etilde","d":3,"n":5}',
+        id="hook-of",
+    ),
+    pytest.param(
+        ["g0", "--n", "4"], 0, '{"coeffs":["-3/1","8/1","-6/1","0/1","1/1"],"n":4}',
+        id="g0",
+    ),
+    pytest.param(
+        ["extend", "--map", '{"n":4,"d":3,"gamma":["1","0","0","0"]}'], 0,
+        '{"certificate":{"f":{"coeffs":["0/1","0/1","0/1","1/1"],"n":3},'
+        '"kind":"Extension"},"extendable":true}',
+        id="extend-extension",
+    ),
+    pytest.param(
+        ["extend", "--map", '{"n":4,"d":3,"gamma":["1","0","1","1"]}'], 0,
+        '{"certificate":{"detail":{"reason":"necessary sign test fails"},'
+        '"kind":"SweepRefutation"},"extendable":false}',
+        id="extend-sign-test",
+    ),
+    # the forced roots 2 -+ sqrt(2) are irrational: printed as isolating intervals
+    pytest.param(
+        ["extend", "--target", '{"n":5,"coeffs":["32","-124","144","-44","0","1"]}',
+         "--n", "5"], 0,
+        '{"certificate":{"kind":"MultiplicityObstruction","obstruction":'
+        '[[["9827865/16777216","19655735/33554432"],3],'
+        '[["114561995/33554432","7160125/2097152"],3]]},"extendable":false}',
+        id="extend-irrational-obstruction",
+    ),
+    pytest.param(
+        ["falsify", "--hook", '{"n":3,"d":3,"a":["1","0","1"]}', "--budget", "24"], 2,
+        '{"detail":{"pattern":[1,2]},"status":"NotHyperbolic",'
+        '"witness":{"nonreal_roots":2,"x":["-1/1","1/2","1/2"]}}',
+        id="falsify",
+    ),
+    pytest.param(
+        ["cone-member", "--hook", '{"n":3,"d":3,"a":["0","0","1"]}',
+         "--point", '{"x":["1","2","-3"]}'], 0,
+        '{"member":false}',
+        id="cone-member",
+    ),
+    pytest.param(
+        ["conjecture", "--target", '{"n":3,"coeffs":["6","-7","0","1"]}', "--n", "4",
+         "--delta-trials", "5", "--budget", "8"], 0,
+        '{"certificate_kind":"Extension","d":3,"delta_samples":{"min":"5619253/186624",'
+        '"negative":0,"trials":5},"extendable":true,"falsifier":{"detail":'
+        '{"patterns":3},"status":"NoCounterexampleFound"},"hook":{"a":["0/1","2/1",'
+        '"-3/1"],"basis":"etilde","d":3,"n":4},"n":4}',
+        id="conjecture",
+    ),
+    pytest.param(
+        ["--pretty", "check-quartic", "--hook", '{"n":4,"d":4,"a":["1","0","0","1"]}'],
+        2, PRETTY_QUARTIC, id="pretty-check-quartic",
+    ),
+    pytest.param(
+        ["--pretty", "phi", "--roots", "1/2,1/3,1/6"], 0, PRETTY_PHI, id="pretty-phi",
+    ),
+    pytest.param(
+        ["check-cubic", "--a", "0", "--b", "0", "--c", "0"], 1,
+        '{"error": "ZeroPolynomial", "message": "zero cubic"}',
+        id="error",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", DOCUMENTS_PINNED)
+def test_documents_pinned(capsys, argv, code, expected):
+    """Every subcommand's document, and --pretty and error documents, must
+    not move by a byte."""
+    assert run(argv) == code
     assert capsys.readouterr().out == expected + "\n"
 
 
