@@ -2,7 +2,8 @@
 
 Every subcommand reads inline JSON (or @file payloads), runs one library
 decision procedure, and prints a single JSON document on stdout.
-Rationals are always serialized as canonical "num/den" strings; --pretty
+Handlers build documents from library values, and to_json serializes
+them in one walk: rationals become canonical "num/den" strings; --pretty
 switches to indented output with decimal approximations appended for
 human reading.  Exit codes: 0 = decided / no counterexample found,
 2 = NotHyperbolic, 1 = error.
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from math import lcm
 
 import hypercheck
@@ -21,7 +23,7 @@ import hypercheck
 from .errors import HypercheckError, InvalidInput
 from .rationals import Q, format_rational, parse_rational
 from .sympoly import HookPoly
-from .unipoly import UniPoly, ZeroSumPoly
+from .unipoly import RealRoot, UniPoly, ZeroSumPoly
 
 # input-size bounds: g0 writes n + 1 coefficients of up to n bits, and
 # conjecture samples n-long points and check-cubic's witness search builds
@@ -54,7 +56,7 @@ def _load_payload(text: str) -> dict:
             raise InvalidInput(f"cannot read payload file: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InvalidInput(f"malformed JSON payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidInput("payload must be a JSON object")
@@ -82,10 +84,6 @@ def _rat_list(values, what: str):
     return [parse_rational(str(v)) for v in values]
 
 
-def poly_to_json(p: UniPoly) -> dict:
-    return {"n": p.ambient_degree, "coeffs": [format_rational(c) for c in p.coeffs]}
-
-
 def poly_from_json(payload: dict) -> UniPoly:
     _need(payload, "polynomial", "coeffs")
     coeffs = _rat_list(payload["coeffs"], "coeffs")
@@ -93,12 +91,7 @@ def poly_from_json(payload: dict) -> UniPoly:
 
 
 def hook_to_json(p: HookPoly) -> dict:
-    return {
-        "n": p.n,
-        "d": p.d,
-        "basis": "etilde",
-        "a": [format_rational(c) for c in p.a],
-    }
+    return {"n": p.n, "d": p.d, "basis": "etilde", "a": p.a}
 
 
 def hook_from_json(payload: dict) -> HookPoly:
@@ -114,12 +107,7 @@ def hook_from_json(payload: dict) -> HookPoly:
 
 
 def map_to_json(T: hypercheck.DiagonalMap) -> dict:
-    return {
-        "n": T.n,
-        "d": T.d,
-        "gamma": [format_rational(c) for c in T.gamma],
-        "coords": "binomial-normalized",
-    }
+    return {"n": T.n, "d": T.d, "gamma": T.gamma, "coords": "binomial-normalized"}
 
 
 def map_from_json(payload: dict) -> hypercheck.DiagonalMap:
@@ -139,59 +127,54 @@ def point_from_json(payload: dict):
 
 
 def verdict_to_json(v) -> dict:
-    out = {"status": v.status, "detail": {}}
-    for key, value in v.detail.items():
-        if isinstance(value, UniPoly):
-            out["detail"][key] = poly_to_json(value)
-        elif hasattr(value, "denominator") and not isinstance(value, int):
-            out["detail"][key] = format_rational(value)
-        else:
-            out["detail"][key] = value
+    out = {"status": v.status, "detail": v.detail}
     if v.witness is not None:
         point, prof = v.witness
-        out["witness"] = {
-            "x": [format_rational(c) for c in point.x],
-            "nonreal_roots": prof.n_nonreal,
-        }
+        out["witness"] = {"x": point.x, "nonreal_roots": prof.n_nonreal}
     return out
 
 
 def certificate_to_json(cert) -> dict:
     out = {"kind": cert.kind}
     if cert.f is not None:
-        out["f"] = poly_to_json(cert.f)
+        out["f"] = cert.f
     if cert.obstruction:
-        out["obstruction"] = [
-            [format_rational(root.exact), mult] if root.is_exact()
-            else [[format_rational(root.interval()[0]),
-                   format_rational(root.interval()[1])], mult]
-            for root, mult in cert.obstruction
-        ]
+        out["obstruction"] = cert.obstruction
     if cert.detail:
         out["detail"] = cert.detail
     return out
 
 
-def _approximate(node):
-    """Append decimal approximations to rational strings (pretty mode)."""
-    if isinstance(node, dict):
-        return {k: _approximate(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_approximate(v) for v in node]
-    if isinstance(node, str) and "/" in node:
+def to_json(value, pretty: bool = False):
+    """The JSON form of a document of library values: a rational as its
+    "num/den" string, with " ~ <decimal>" appended when pretty; a UniPoly
+    as {"n", "coeffs"}; a RealRoot as its exact value or [lo, hi]
+    interval; containers entry by entry; anything else as it is."""
+    kind = type(value)
+    if kind is Q:
+        if not pretty:
+            return format_rational(value)
+        num, den = value.numerator, value.denominator
         try:
-            q = parse_rational(node)
-        except HypercheckError:
-            return node
-        return f"{node} ~ {float(q.numerator) / float(q.denominator):.6g}"
-    return node
+            approx = float(num) / float(den)
+        except OverflowError:  # a decimal with no bound on its exponent
+            wide = Context(Emax=MAX_EMAX, Emin=MIN_EMIN)
+            approx = wide.normalize(wide.divide(num, den))
+        return f"{format_rational(value)} ~ {approx:.6g}"
+    if kind is dict:
+        return {key: to_json(entry, pretty) for key, entry in value.items()}
+    if kind is list or kind is tuple:
+        return [to_json(entry, pretty) for entry in value]
+    if kind is UniPoly:
+        return {"n": value.ambient_degree, "coeffs": to_json(value.coeffs, pretty)}
+    if kind is RealRoot:
+        return to_json(value.exact if value.is_exact() else value.interval(), pretty)
+    return value
 
 
-def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(_approximate(payload), indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+def _emit(document, pretty: bool) -> None:
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    print(json.dumps(to_json(document, pretty), sort_keys=True, **layout))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -247,7 +230,7 @@ def _check_n(n) -> None:
 
 def _cmd_g0(args):
     _check_n(args.n)
-    return poly_to_json(hypercheck.g0(args.n).inner), 0
+    return hypercheck.g0(args.n).inner, 0
 
 
 def _cmd_extend(args):
@@ -276,13 +259,7 @@ def _cmd_phi(args):
             f"--roots must have a common denominator of at most {MAX_PHI_DEN_BITS} bits"
         )
     width = Q(1, 1 << args.width_bits)
-    enclosures = hypercheck.phi(roots, width=width)
-    return {
-        "enclosures": [
-            [format_rational(lo), format_rational(hi)] for lo, hi in enclosures
-        ],
-        "width": format_rational(width),
-    }, 0
+    return {"enclosures": hypercheck.phi(roots, width=width), "width": width}, 0
 
 
 def _cmd_falsify(args):
@@ -303,20 +280,15 @@ def _delta_trials(args) -> int:
 
 
 def _delta_samples(report) -> dict:
-    return {
-        "trials": report.delta_trials,
-        "negative": report.delta_negative,
-        "min": format_rational(report.delta_min),
-    }
+    return {"trials": report.delta_trials, "negative": report.delta_negative,
+            "min": report.delta_min}
 
 
 def _cmd_conjecture(args):
     _check_n(args.n)
     target = poly_from_json(_load_payload(args.target))
     report = hypercheck.conjecture_case(
-        ZeroSumPoly(target),
-        args.n,
-        _budget_from_args(args),
+        ZeroSumPoly(target), args.n, _budget_from_args(args),
         delta_trials=_delta_trials(args),
     )
     return {
@@ -342,7 +314,7 @@ def _cmd_demo_quintic(args):
     return {
         "hook": hook_to_json(p),
         "operator": map_to_json(T),
-        "image_of_pivot": poly_to_json(image),
+        "image_of_pivot": image,
         "falsifier": verdict_to_json(report.falsifier),
         "extendable": report.extendable,
         "certificate": certificate_to_json(report.certificate),

@@ -11,6 +11,7 @@ reports, certificates, points).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction as Q
 
 from .errors import InvalidInput
@@ -43,9 +44,13 @@ def parse_rational(text: str) -> Q:
 
 
 def format_rational(q) -> str:
-    """Canonical "num/den" string with den > 0 and gcd(num, den) = 1."""
+    """Canonical "num/den" string with den > 0 and gcd(num, den) = 1, exact
+    at any size: decimal prints integers past the int-to-str digit limit."""
     q = to_q(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def proportional(xs, ys) -> bool:

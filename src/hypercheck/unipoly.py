@@ -539,15 +539,25 @@ def isolate_real_roots(p: UniPoly, chain=None):
         return [RealRoot.from_rational(Q(-p.nums[0], p.nums[1]))]
     chain = chain or sturm_chain(p)
     ints, m = chain[0], len(chain[0]) - 1
+    bound = cauchy_bound(p)  # B / L
+    B, L = bound.numerator, bound.denominator
+    low, high = ([_horner(q, x, L) for q in chain] for x in (-B, B))
     roots = []
-
-    def recurse(a, c, den, va, vc, fa, fc):
+    # depth-first, left part first, on an explicit stack: close roots far
+    # from 0 take more bisection levels than Python's recursion limit
+    stack = [(-B, B, L, _variations(low), _variations(high), low[0], high[0])]
+    while stack:
+        item = stack.pop()
+        if type(item) is RealRoot:  # an exact root found between two parts
+            roots.append(item)
+            continue
         # (a/den, c/den] holds va - vc roots, va and vc the Sturm variations
         # at its ends, fa and fc the values of ints there times den^m
+        a, c, den, va, vc, fa, fc = item
         if va - vc == 1:
             roots.append(RealRoot(p)._hold(ints, a, c, den, fa, fc))
         if va - vc <= 1:
-            return
+            continue
         mid, den2 = a + c, 2 * den
         vals = [_horner(q, mid, den2) for q in chain]
         if vals[0] == 0:
@@ -565,18 +575,12 @@ def isolate_real_roots(p: UniPoly, chain=None):
                         break
                 mid, den2, e = (2 * mid, 2 * den2, e) if e % 2 else (mid, den2, e // 2)
             t = (den2 // den).bit_length() - 1  # den2 = den 2^t
-            recurse(a << t, mid - e, den2, va, vl, fa << t * m, fl)
-            roots.append(pivot)
-            recurse(mid + e, c << t, den2, vr, vc, fr, fc << t * m)
-            return
+            stack += [(mid + e, c << t, den2, vr, vc, fr, fc << t * m), pivot,
+                      (a << t, mid - e, den2, va, vl, fa << t * m, fl)]
+            continue
         vm = _variations(vals)
-        recurse(2 * a, mid, den2, va, vm, fa << m, vals[0])
-        recurse(mid, 2 * c, den2, vm, vc, vals[0], fc << m)
-
-    bound = cauchy_bound(p)  # B / L
-    B, L = bound.numerator, bound.denominator
-    low, high = ([_horner(q, x, L) for q in chain] for x in (-B, B))
-    recurse(-B, B, L, _variations(low), _variations(high), low[0], high[0])
+        stack += [(mid, 2 * c, den2, vm, vc, vals[0], fc << m),
+                  (2 * a, mid, den2, va, vm, fa << m, vals[0])]
     for r in roots:
         if r.exact is None:
             r.try_rational()

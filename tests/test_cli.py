@@ -219,6 +219,53 @@ def test_pretty_appends_decimals(capsys):
     assert '"54/1 ~ 54"' in out
 
 
+def test_pretty_decimals_past_the_float_range(capsys):
+    """Rationals whose numerator, denominator or value overflows a float
+    still get decimals, from decimal arithmetic."""
+    a = 10**400
+    code = run(["--pretty", "check-cubic", "--a", str(a), "--b", "0", "--c", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["detail"]["product"] == f"{27 * a * (a + 1)}/1 ~ 2.7e+801"
+    assert doc["detail"]["value_at_ones"] == f"{a + 1}/1 ~ 1e+400"
+    code = run(["--pretty", "phi", "--roots", "1/2,1/4,1/4", "--width-bits", "1024"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [[end.split(" ~ ")[1] for end in pair] for pair in doc["enclosures"]] == [
+        ["0.609612", "0.609612"], ["0.390388", "0.390388"],
+    ]
+    assert doc["width"] == f"1/{1 << 1024} ~ 5.56268e-309"
+
+
+def test_outputs_past_the_int_to_str_digit_limit(capsys):
+    """A product of about 6,000 digits is printed exactly, although str()
+    refuses integers of more than 4,300 digits."""
+    big = "1" + "0" * 1500
+    code, doc = _capture(capsys, ["check-cubic", "--a", big, "--b", "0", "--c", big])
+    assert code == 2
+    assert doc["detail"]["product"] == "54" + "0" * 6000 + "/1"
+
+
+def test_payload_integer_past_the_digit_limit_rejected(capsys):
+    """json.loads raises ValueError, not JSONDecodeError, on an integer
+    literal of more than 4,300 digits."""
+    hook = '{"n": 1' + "0" * 5000 + ', "d": 4, "a": ["1", "0", "0", "1"]}'
+    code, doc = _capture(capsys, ["check-quartic", "--hook", hook])
+    assert code == 1 and doc["error"] == "InvalidInput"
+
+
+def test_extend_target_with_close_roots_far_from_zero(capsys):
+    """(t - a)(t - b)(t + a + b), b = a + 1 = 10^180 + 1: isolating a and b
+    takes more bisection levels than Python's recursion limit."""
+    a, b = 10**180, 10**180 + 1
+    c = -a - b
+    coeffs = [str(-a * b * c), str(a * b + b * c + c * a), "0", "1"]
+    target = json.dumps({"n": 3, "coeffs": coeffs})
+    code, doc = _capture(capsys, ["extend", "--target", target, "--n", "3"])
+    assert code == 0
+    assert doc["extendable"] is True and doc["certificate"]["kind"] == "Extension"
+
+
 def test_errors_are_machine_readable(capsys):
     code, doc = _capture(
         capsys, ["check-cubic", "--a", "0", "--b", "0", "--c", "0"]
@@ -914,7 +961,7 @@ simplex_point = st.lists(st.integers(0, 6), min_size=2, max_size=5).map(
         f"{p}/{sum(parts) or 1}" for p in sorted(parts, reverse=True)
     )
 )
-fuzz_argv = st.one_of(
+fuzz_command = st.one_of(
     st.tuples(
         st.just("check-cubic"), st.just("--a"), fuzz_rational, st.just("--b"),
         fuzz_rational, st.just("--c"), fuzz_rational, st.just("--n"),
@@ -954,6 +1001,9 @@ fuzz_argv = st.one_of(
         st.sampled_from(["-1", "0", "2", str(MAX_DELTA_TRIALS + 1)]),
     ),
 )
+fuzz_argv = st.tuples(st.sampled_from([(), ("--pretty",)]), fuzz_command).map(
+    lambda parts: parts[0] + parts[1]
+)
 
 
 # e-basis hooks with more coefficients than d, at n = 0: the conversion
@@ -968,12 +1018,18 @@ E_BASIS_SHAPES = ['{"n":0,"d":0,"a":["2"],"basis":"e"}',
 @example(("check-quartic", "--hook", E_BASIS_SHAPES[0]))
 @example(("falsify", "--hook", E_BASIS_SHAPES[1], "--budget", "2"))
 @example(("cone-member", "--hook", E_BASIS_SHAPES[1], "--point", '{"x":[]}'))
+# decimals of rationals past the float range, integers past the int-to-str
+# digit limit in an output and in a payload
+@example(("--pretty", "phi", "--roots", "1/2,1/4,1/4", "--width-bits", "1024"))
+@example(("check-cubic", "--a", str(10**1500), "--b", "0", "--c", str(10**1500)))
+@example(("check-quartic", "--hook", '{"n": 1' + "0" * 5000 + ', "d": 4, "a": ["1"]}'))
 def test_cli_fuzz_prints_one_json_document(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run(list(argv))
     out = buf.getvalue()
-    assert out.count("\n") == 1
+    # one line, or one indented document under --pretty
+    assert out.endswith("\n") and (argv[0] == "--pretty" or out.count("\n") == 1)
     doc = json.loads(out)
     assert code in (0, 1, 2)
     assert (code == 2) == (doc.get("status") == "NotHyperbolic")

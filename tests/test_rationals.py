@@ -1,3 +1,4 @@
+import sys
 from math import ceil, floor
 
 import pytest
@@ -29,6 +30,15 @@ def test_format_is_canonical():
     assert format_rational(Q(6, 4)) == "3/2"
     assert format_rational(Q(1, -2)) == "-1/2"
     assert format_rational(0) == "0/1"
+
+
+def test_format_is_exact_past_the_int_to_str_digit_limit():
+    """str() refuses integers of more than 4,300 digits; format_rational
+    prints every digit, and changes no interpreter-wide setting."""
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(Q(-(10**6000) - 7, 3)) == "-1" + "0" * 5999 + "7/3"
+    assert format_rational(Q(3, 10**5000)) == "3/1" + "0" * 5000
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_parse_rejects_garbage():

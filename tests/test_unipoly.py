@@ -1190,6 +1190,16 @@ def test_isolation_emits_roots_in_order(roots, lead, monkeypatch):
     assert _states(isolate_real_roots(p)) == _states(old)
 
 
+def test_isolation_runs_past_the_recursion_limit():
+    """Roots 1 apart near 10^180 have a Cauchy bound near 10^360, so
+    separating them takes about 1,200 bisection levels, more than Python's
+    default recursion limit of 1,000: isolation keeps its own stack."""
+    roots = [10**180, 10**180 + 1]
+    p = UniPoly.from_roots(roots)
+    assert [r.exact for r in isolate_real_roots(p)] == roots
+    assert [(r.exact, m) for r, m in root_profile(p).real_roots] == [(r, 1) for r in roots]
+
+
 def test_root_profile_builds_each_sturm_chain_once(monkeypatch):
     """root_profile isolates a square-free factor on the Sturm chain that
     Yun's decomposition built for it."""
