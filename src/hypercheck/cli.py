@@ -145,7 +145,7 @@ def certificate_to_json(cert) -> dict:
     return out
 
 
-def to_json(value, pretty: bool = False):
+def to_json(value, pretty: bool):
     """The JSON form of a document of library values: a rational as its
     "num/den" string, with " ~ <decimal>" appended when pretty; a UniPoly
     as {"n", "coeffs"}; a RealRoot as its exact value or [lo, hi]
@@ -178,8 +178,8 @@ def _emit(document, pretty: bool) -> None:
 
 
 # -- subcommand handlers -----------------------------------------------------
-# Each returns (document, exit code): the JSON document to print and 2 for a
-# NotHyperbolic verdict, else 0.  Library calls go through the package's
+# Each returns (document, exit code): the document of library values that
+# _emit prints and 2 for a NotHyperbolic verdict, else 0.  Library calls go through the package's
 # exports, so that a subcommand loads only the modules it runs.
 
 
