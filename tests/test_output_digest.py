@@ -1,16 +1,19 @@
-"""The outputs of the exact workloads' seed-1 and seed-11 rounds, pinned
-by digest.
+"""The outputs of three workloads' seed-1 and seed-11 rounds, pinned by
+digest.
 
 tools/output_digest.py runs every request of a benchmark round through
-hypercheck and hashes the requests, exit codes and outputs.  The two
-workloads pinned here decide everything in exact arithmetic, so their
-digests must not move with numpy or LAPACK; the float-ranked falsify
-rounds are left unpinned, since another LAPACK build may break near-ties
-in the prescreen order differently.  So are a sample of extend requests
-that no benchmark round builds (random_extend) and one of phi requests
-that refine their roots, which no benchmark round does (random_phi).
-The check-quartic requests of random_witness are pinned by their argv
-alone.
+hypercheck and hashes the requests, exit codes and outputs.  Two of the
+workloads pinned here, exact-count and extend-sweep, decide everything in
+exact arithmetic, so their digests must not move with numpy or LAPACK.
+The third, falsify-exhaust, runs the float-ranked falsifier on hyperbolic
+hooks and the quintic; every output of its rounds is a
+NoCounterexampleFound document with a pattern count, which no near-tie in
+the prescreen order can change.  The falsify rounds that find witnesses
+are left unpinned, since another LAPACK build may break such near-ties
+differently.  So are a sample of extend requests that no benchmark round
+builds (random_extend) and one of phi requests that refine their roots,
+which no benchmark round does (random_phi).  The check-quartic requests
+of random_witness are pinned by their argv alone.
 """
 
 import hashlib
@@ -37,6 +40,10 @@ PINNED = {
     "exact-count": {
         1: (100, "3011ccc332236c5bdce7ad56cac1f3986d7670cd34e28a2a0844ffd438839a58"),
         11: (100, "73089c58242fd328ba35c548aebdc07560a11b9ff16b657c6c65ab9f3323f671"),
+    },
+    "falsify-exhaust": {
+        1: (50, "6ba64828d4d898a553a99d8cb620b921098f1b6d277ae200f0a25fadc3d4f66a"),
+        11: (50, "faab35c3a8264f5c7033bee9ca36458226075bb4bd606c5d426742d25df02d76"),
     },
     "extend-sweep": {
         1: (90, "968dc2f34ec4337e631dc900c9ecb01b03cb43afb56b5f13d81e23ef37395d72"),
