@@ -1,9 +1,10 @@
 """Decision procedures and a falsifier for symmetric hyperbolicity.
 
 Exact semialgebraic tests decide cubic and hook-quartic hyperbolicity
-outright (a quartic only when p(1) != 0), and the falsifier consults
-them.  For higher degrees only falsification is available: the
-degree principle guarantees that a symmetric polynomial of degree d is
+outright (a quartic only when p(1) != 0 or a_4 = 0), and the falsifier
+consults them, also on a hook's quotient by m1 (the same witnesses).
+For higher degrees only falsification is available: the degree principle
+guarantees that a symmetric polynomial of degree d is
 hyperbolic iff its line restriction is real rooted at every point with
 at most d - 1 distinct entries, so the falsifier searches exactly that
 space.  Candidate points are ranked by a float eigenvalue prescreen (see
@@ -153,6 +154,16 @@ def _closed_form(p: HookPoly):
     return False, {**detail, "real_rooted": counts.n_nonreal == 0}
 
 
+def _closed_form_proves(p: HookPoly) -> bool:
+    """True when a closed form proves p hyperbolic, after m1 is divided out
+    while d > 3 and a_d = 0 (see falsify_hyperbolicity).  A cubic's closed
+    form decides it, at p(1) = 0 too, where every restriction is linear; a
+    quartic's only when p(1) != 0."""
+    while p.d > 3 and p.a[-1] == 0:
+        p = HookPoly(p.n, p.d - 1, p.a[:-1])
+    return (p.d == 3 or p.d == 4 and sum(p.a) != 0) and _closed_form(p)[0]
+
+
 def decide_cubic(a, b, c, n: int) -> Verdict:
     """Exact hyperbolicity of a*m1^3 + b*m1*m2 + c*m3 in n >= 3 variables
     by its closed form."""
@@ -168,13 +179,13 @@ def decide_cubic(a, b, c, n: int) -> Verdict:
 
 
 def decide_quartic_hook(p: HookPoly) -> Verdict:
-    """Exact hyperbolicity of a hook quartic by its closed form.  When
-    p(1) = 0 the closed form also holds on some non-hyperbolic quartics,
-    so a p(1) = 0 hook it would call hyperbolic raises HypothesisViolated."""
+    """Exact hyperbolicity of a hook quartic by its closed form.  At p(1) =
+    0 it also holds on non-hyperbolic quartics, which raise HypothesisViolated,
+    unless a_4 = 0: p is then m1 times a cubic whose restrictions are linear."""
     if p.d != 4:
         raise WrongDegree(f"expected degree 4, got {p.d}")
     holds, detail = _closed_form(p)
-    if holds and sum(p.a) == 0:
+    if holds and sum(p.a) == 0 and p.a[-1] != 0:
         raise HypothesisViolated("the quartic closed form needs p(1) != 0")
     witness = None if holds else _find_witness(p)
     return Verdict(HYPERBOLIC if holds else NOT_HYPERBOLIC, witness, detail)
@@ -477,10 +488,11 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     a pattern round by round: after each round the chunk's first pattern
     not yet done has its new hits verified, and is done once it stops
     refining.  The search stops at the first witness, before any later
-    round, pattern or chunk.  A cubic or hook quartic with p(1) != 0 that
-    its closed form proves hyperbolic has no witness, so its search stops
-    after the first chunk, the pattern (1, n - 1).  Only exact verification
-    can produce NotHyperbolic, and the procedure never claims hyperbolicity.
+    round, pattern or chunk.  A hook with a_d = 0 is m1 * q, p(x + t*1) =
+    (m1(x) + t) * q(x + t*1), so p and q have the same witnesses; when a
+    closed form proves p or q hyperbolic (_closed_form_proves), the search
+    stops after the first chunk, the pattern (1, n - 1).  Only exact
+    verification can produce NotHyperbolic; it never claims hyperbolicity.
     """
     budget = budget or DEFAULT_BUDGET
     d, n = p.d, p.n
@@ -508,7 +520,7 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
                 if mults in refining:
                     break
                 head += 1
-        if i == 0 and d in (3, 4) and sum(p.a) != 0 and _closed_form(p)[0]:
+        if i == 0 and _closed_form_proves(p):
             break
     return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": len(patterns)})
 

@@ -194,6 +194,27 @@ def test_quartic_refuses_p1_zero_it_would_call_hyperbolic(capsys):
     assert v.status == NOT_HYPERBOLIC and _witness_is_valid(p, v)
 
 
+def test_quartic_decides_m1_times_a_p1_zero_cubic(capsys):
+    """A quartic with a_4 = 0 and p(1) = 0 is m1 times a cubic with p(1) =
+    0, whose restrictions are linear, so it is hyperbolic: the closed form
+    holds, and check-quartic says so with the closed form's detail."""
+    hook = {"n": 5, "d": 4, "a": ["1", "-1", "0", "0"]}
+    p = HookPoly(5, 4, (1, -1, 0, 0))
+    v = decide_quartic_hook(p)
+    assert v == Verdict(HYPERBOLIC, detail=hyperbolicity._closed_form(p)[1])
+    assert run(["check-quartic", "--hook", json.dumps(hook)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == HYPERBOLIC
+    rng = random.Random(4)
+    for _ in range(12):
+        n = rng.randint(4, 6)
+        b, c = rng.randint(-4, 4), rng.randint(-4, 4)
+        if b == c == 0:
+            continue
+        p = HookPoly(n, 4, (-b - c, b, c, 0))
+        assert decide_quartic_hook(p).status == HYPERBOLIC
+        assert _exact_sample_witness(p) is None
+
+
 # -- cone membership -------------------------------------------------------------
 
 
@@ -268,13 +289,43 @@ def _closed_form_holds(rng, d, count):
     return hooks
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_closed_form_shortcut_keeps_the_verdict(monkeypatch, d):
+def _m1_multiples(rng):
+    """Random integer hooks that m1 divides and that the closed form of the
+    quotient proves hyperbolic: eight quintics with a_5 = 0, then cubics,
+    quartics and quintics that reduce to a cubic with p(1) = 0."""
+    hooks = []
+    while len(hooks) < 8:
+        n = rng.randint(5, 7)
+        a = tuple(rng.randint(-4, 4) for _ in range(4)) + (0,)
+        if any(a) and hyperbolicity._closed_form_proves(HookPoly(n, 5, a)):
+            hooks.append(HookPoly(n, 5, a))
+    for d in (3, 4, 5):
+        while len(hooks) < 8 + 4 * (d - 2):
+            b, c = rng.randint(-4, 4), rng.randint(-4, 4)
+            if b or c:
+                hooks.append(HookPoly(rng.randint(d, d + 2), d,
+                                      (-b - c, b, c) + (0,) * (d - 3)))
+    return hooks
+
+
+_SHORTCUT_CASES = {
+    3: (lambda: _closed_form_holds(random.Random(3), 3, 40), 12),
+    4: (lambda: _closed_form_holds(random.Random(4), 4, 40), 12),
+    "m1": (lambda: _m1_multiples(random.Random(5)), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHORTCUT_CASES, key=str))
+def test_closed_form_shortcut_keeps_the_verdict(monkeypatch, case):
     """On cubics and hook quartics with p(1) != 0 that the closed form proves
+    hyperbolic, and on hooks that m1 divides whose quotient it proves
     hyperbolic, the full search finds no witness, and the search that stops
-    after the first chunk prints the same verdict."""
-    budget = SearchBudget(grid=12)
-    for p in _closed_form_holds(random.Random(d), d, 40):
+    after the first chunk prints the same verdict.  The m1 case takes about
+    0.7 s on a 2-CPU x86-64 host."""
+    hooks, grid = _SHORTCUT_CASES[case]
+    budget = SearchBudget(grid=grid)
+    for p in hooks():
+        assert hyperbolicity._closed_form_proves(p)
         short = falsify_hyperbolicity(p, budget)
         with monkeypatch.context() as mp:
             _without_closed_form(mp)
@@ -292,10 +343,25 @@ def test_closed_form_shortcut_prescreens_the_first_chunk_only(monkeypatch):
         return prescreen(p, a_float, batch, budget)
 
     monkeypatch.setattr(hyperbolicity, "_prescreen", recording)
-    p = HookPoly(5, 4, (0, 0, Q(5, 2), 0))
+    for p, patterns in ((HookPoly(5, 4, (0, 0, Q(5, 2), 0)), 10),
+                        (HookPoly(5, 5, (0, 0, 0, 8, 0)), 14)):
+        prescreened.clear()
+        v = falsify_hyperbolicity(p, SearchBudget(grid=8))
+        assert v == Verdict(NO_COUNTEREXAMPLE, detail={"patterns": patterns})
+        assert prescreened and set(prescreened) == {(1, 4)}
+
+
+def test_m1_times_a_p1_zero_quartic_is_searched_to_its_witness():
+    """m1 times the p(1) = 0 quartic above is not hyperbolic, though the
+    quotient's closed form holds: the search goes past the first chunk and
+    finds a verified witness in the second pattern, which is a witness of
+    the quotient too."""
+    p, q = HookPoly(6, 5, (4, -1, -6, 3, 0)), HookPoly(6, 4, (4, -1, -6, 3))
+    assert hyperbolicity._closed_form(q)[0]
+    assert not hyperbolicity._closed_form_proves(p)
     v = falsify_hyperbolicity(p, SearchBudget(grid=8))
-    assert v == Verdict(NO_COUNTEREXAMPLE, detail={"patterns": 10})
-    assert prescreened and set(prescreened) == {(1, 4)}
+    assert v.status == NOT_HYPERBOLIC and v.detail == {"pattern": [2, 4]}
+    assert _witness_is_valid(p, v) and _witness_is_valid(q, v)
 
 
 def test_falsifier_silent_on_hyperbolic():

@@ -129,7 +129,9 @@ def test_each_call_solves_its_distinct_rows(monkeypatch):
     """On the m1^5 hook (n = 5, grid 8) the clipped refinements restrict to
     the same polynomial at many points: every kernel call hands eigvals one
     matrix per distinct usable row, and most rows repeat, within a pattern
-    and across the patterns prescreened together in one chunk."""
+    and across the patterns prescreened together in one chunk.  Its closed
+    form would stop the search after the first chunk, so it is turned off,
+    as _without_closed_form does in test_hyperbolicity."""
     from hypercheck import hyperbolicity
     from hypercheck.hyperbolicity import (
         NO_COUNTEREXAMPLE,
@@ -149,6 +151,7 @@ def test_each_call_solves_its_distinct_rows(monkeypatch):
         return kernel(coeffs)
 
     monkeypatch.setattr(hyperbolicity, "realness_defects", recording)
+    monkeypatch.setattr(hyperbolicity, "_closed_form", lambda p: (False, {}))
     hook = HookPoly(5, 5, (1, 0, 0, 0, 0))
     assert falsify_hyperbolicity(hook, SearchBudget(grid=8)).status == NO_COUNTEREXAMPLE
     assert solved == [k for k in distinct if k]

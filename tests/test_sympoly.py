@@ -143,6 +143,25 @@ def test_euler_identity_on_restrictions():
         assert q[p.d - 1] == p.d * sum(p.a) * elem_means(x, 1)[1]
 
 
+def test_restriction_of_a_hook_that_m1_divides():
+    """A hook with a_d = 0 is m1 * q, q = HookPoly(n, d - 1, a[:-1]), and
+    its restriction is (m1(x) + t) * q(x + t*1): the two have the same
+    non-real roots at every x, which the falsifier's closed-form stop
+    rests on."""
+    rng = random.Random(29)
+    for _ in range(200):
+        d = rng.randint(4, 6)
+        n = rng.randint(d, d + 2)
+        p = rand_hook(rng, n, d)
+        if not any(p.a[:-1]):
+            continue
+        p = HookPoly(n, d, p.a[:-1] + (QZERO,))
+        x = rand_point(rng, n)
+        m1 = elem_means(x, 1)[1]
+        quotient = restrict_line(HookPoly(n, d - 1, p.a[:-1]), x)
+        assert restrict_line(p, x) == UniPoly([m1, QONE]) * quotient
+
+
 def _fraction_means(x, d):
     """m_k(x) = e_k(x) / binom(len(x), k) by the Fraction recurrence."""
     e = [QONE] + [QZERO] * d
