@@ -152,14 +152,13 @@ def test_restriction_of_a_hook_that_m1_divides():
     for _ in range(200):
         d = rng.randint(4, 6)
         n = rng.randint(d, d + 2)
-        p = rand_hook(rng, n, d)
-        if not any(p.a[:-1]):
+        a = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d - 1))
+        if not any(a):
             continue
-        p = HookPoly(n, d, p.a[:-1] + (QZERO,))
+        p, q = HookPoly(n, d, a + (QZERO,)), HookPoly(n, d - 1, a)
         x = rand_point(rng, n)
         m1 = elem_means(x, 1)[1]
-        quotient = restrict_line(HookPoly(n, d - 1, p.a[:-1]), x)
-        assert restrict_line(p, x) == UniPoly([m1, QONE]) * quotient
+        assert restrict_line(p, x) == UniPoly([m1, QONE]) * restrict_line(q, x)
 
 
 def _fraction_means(x, d):
