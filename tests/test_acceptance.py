@@ -273,7 +273,7 @@ def test_criterion_8_degree_principle_equivalence():
     the hook not hyperbolic, on every hook the decider decides; all
     witnesses exactly verified."""
     rng = random.Random(108)
-    budget = SearchBudget(grid=32, max_points=60_000)
+    budget = SearchBudget(grid=32)
     agreements, refused = 0, []
     for _ in range(200):
         n = rng.randint(3, 6)

@@ -43,7 +43,7 @@ from hypercheck.unipoly import (
     root_profile,
 )
 
-FAST = SearchBudget(grid=24, max_points=40_000)
+FAST = SearchBudget(grid=24)
 
 
 def _exact_sample_witness(p):
@@ -215,6 +215,37 @@ def test_quartic_decides_m1_times_a_p1_zero_cubic(capsys):
         assert _exact_sample_witness(p) is None
 
 
+def test_quartic_witness_search_needs_only_the_first_grid(monkeypatch):
+    """On 40 seeded quartics whose closed form fails although their e_1
+    restriction is real rooted, the witness search finds a verified witness
+    on its first grid, 64, at the falsifier's fixed caps and threshold, so
+    widening those would not change a witness."""
+    grids = []
+    falsify = hyperbolicity.falsify_hyperbolicity
+
+    def counting(p, budget=None):
+        grids.append(budget.grid)
+        return falsify(p, budget)
+
+    monkeypatch.setattr(hyperbolicity, "falsify_hyperbolicity", counting)
+    rng, hooks = random.Random(31), []
+    while len(hooks) < 40:
+        n = rng.randint(4, 12)
+        a = tuple(Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4))
+        p, e1 = HookPoly(n, 4, a), [Q(1)] + [Q(0)] * (n - 1)
+        if any(a) and not hyperbolicity._closed_form(p)[0]:
+            if root_counts(restrict_line(p, e1)).n_nonreal == 0:
+                hooks.append(p)
+    assert len({p.n for p in hooks}) == 9
+    for p in hooks:
+        grids.clear()
+        v = decide_quartic_hook(p)
+        assert v.status == NOT_HYPERBOLIC and grids == [64], p
+        x, counts = v.witness
+        assert root_counts(restrict_line(p, list(x.x))) == counts
+        assert counts.n_nonreal > 0
+
+
 # -- cone membership -------------------------------------------------------------
 
 
@@ -339,9 +370,9 @@ def test_closed_form_shortcut_prescreens_the_first_chunk_only(monkeypatch):
     prescreened = []
     prescreen = hyperbolicity._prescreen
 
-    def recording(p, a_float, batch, budget):
+    def recording(p, a_float, batch):
         prescreened.extend(mults for mults, _, _ in batch)
-        return prescreen(p, a_float, batch, budget)
+        return prescreen(p, a_float, batch)
 
     monkeypatch.setattr(hyperbolicity, "_prescreen", recording)
     for p, patterns in ((HookPoly(5, 4, (0, 0, Q(5, 2), 0)), 10),
@@ -399,9 +430,9 @@ def test_falsifier_stops_at_first_witness_pattern(monkeypatch):
     search = hyperbolicity._search_chunk
     verify = hyperbolicity._verify_candidates
 
-    def searching(p, a_float, chunk, budget):
+    def searching(p, a_float, chunk, grid):
         prescreened.append(list(chunk))
-        return search(p, a_float, chunk, budget)
+        return search(p, a_float, chunk, grid)
 
     def verifying(p, mults, candidates, seen):
         verified.append(mults)
@@ -495,7 +526,7 @@ def test_integer_grid_rows_match_fraction_rows(monkeypatch, mults, res, refine_g
             )
             assert row_den == (res - 1) * (refine_grid - 1) ** (rnd + 1)
             assert _exact_rows(rows, row_den) == expected
-            hyperbolicity._prescreen(p, a_float, [(mults, rows, row_den)], FAST)
+            hyperbolicity._prescreen(p, a_float, [(mults, rows, row_den)])
             assert seen_vals.pop().tolist() == np.repeat(
                 _float_slice_rows(mults, expected), mults, axis=1
             ).tolist()
@@ -589,7 +620,7 @@ def test_trim_matches_reference(rows):
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-def _reference_prescreen(p, a_float, mults, nums, den, budget):
+def _reference_prescreen(p, a_float, mults, nums, den):
     """Reference: _prescreen as it was, one pattern's rows per batch."""
     w = nums / den
     last = np.zeros(len(w))
@@ -604,9 +635,9 @@ def _reference_prescreen(p, a_float, mults, nums, den, budget):
         return [], None
     defects = hyperbolicity.realness_defects(coeffs)
     order = np.argsort(-defects)
-    hits = order[defects[order] > budget.defect_threshold]
+    hits = order[defects[order] > hyperbolicity.DEFECT_THRESHOLD]
     best = int(order[0]) if len(order) and defects[order[0]] > 0 else None
-    return hits[: budget.max_candidates], best
+    return hits[: hyperbolicity.MAX_CANDIDATES], best
 
 
 def _reference_refine_rows(center, den, g):
@@ -619,14 +650,14 @@ def _reference_refine_rows(center, den, g):
     return np.stack(mesh, axis=-1).reshape(-1, len(axes)), den
 
 
-def _reference_search_composition(p, a_float, mults, budget):
+def _reference_search_composition(p, a_float, mults, grid):
     """Reference: _search_composition as it was, one pattern at a time.
     Returns the candidates and the chain of best rows, one per round, as
     (numerators, denominator), or None where a round had no best row."""
     free = len(mults) - 1
-    res = budget.grid
-    if free >= 1 and res**free > budget.max_points and res > 3:
-        res = max(3, int(budget.max_points ** (1.0 / free)))
+    res, cap = grid, hyperbolicity.MAX_POINTS
+    if free >= 1 and res**free > cap and res > 3:
+        res = max(3, int(cap ** (1.0 / free)))
     rows, den = hyperbolicity._grid_rows(res, free)
     candidates, chain = [], []
     for r in range(hyperbolicity.REFINE_ROUNDS + 1):
@@ -634,7 +665,7 @@ def _reference_search_composition(p, a_float, mults, budget):
             rows, den = _reference_refine_rows(
                 rows[best], den, hyperbolicity.REFINE_GRID - 1
             )
-        hits, best = _reference_prescreen(p, a_float, mults, rows, den, budget)
+        hits, best = _reference_prescreen(p, a_float, mults, rows, den)
         candidates.extend((rows[i], den) for i in hits)
         chain.append(None if best is None else (rows[best].tolist(), den))
         if best is None:
@@ -642,7 +673,7 @@ def _reference_search_composition(p, a_float, mults, budget):
     return candidates, chain
 
 
-def _chunked_search(monkeypatch, p, chunks, budget):
+def _chunked_search(monkeypatch, p, chunks, grid):
     """Candidates and chains of best rows per pattern from every round
     _search_chunk yields over the given chunks, plus the widths of the
     kernel calls."""
@@ -650,8 +681,8 @@ def _chunked_search(monkeypatch, p, chunks, budget):
     prescreen = hyperbolicity._prescreen
     kernel = hyperbolicity.realness_defects
 
-    def recording(p, a_float, batch, budget):
-        out = prescreen(p, a_float, batch, budget)
+    def recording(p, a_float, batch):
+        out = prescreen(p, a_float, batch)
         for (mults, rows, den), (_, best) in zip(batch, out):
             row = None if best is None else (rows[best].tolist(), den)
             chains.setdefault(mults, []).append(row)
@@ -667,7 +698,7 @@ def _chunked_search(monkeypatch, p, chunks, budget):
         mp.setattr(hyperbolicity, "_prescreen", recording)
         mp.setattr(hyperbolicity, "realness_defects", measuring)
         for chunk in chunks:
-            for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, budget):
+            for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, grid):
                 for mults, found in hits.items():
                     candidates.setdefault(mults, []).extend(found)
     return candidates, chains, widths
@@ -677,15 +708,21 @@ def _as_lists(candidates):
     return [(nums.dtype, nums.tolist(), den) for nums, den in candidates]
 
 
+def _fix(monkeypatch, **constants):
+    """Set fixed parts of the falsifier (MAX_POINTS=150, ...) for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(hyperbolicity, name, value)
+
+
+# hook, budget and the falsifier constants the case sets
 _CHUNK_CASES = {
     # p(1) = 0: the t^d column vanishes on every row and is trimmed
-    "structural_zeros": (HookPoly(5, 4, (1, 0, 0, -1)), SearchBudget(grid=8)),
-    "quintic": (HookPoly(5, 5, (0, 0, 7, -220, 4500)), SearchBudget(grid=8)),
+    "structural_zeros": (HookPoly(5, 4, (1, 0, 0, -1)), SearchBudget(grid=8), {}),
+    "quintic": (HookPoly(5, 5, (0, 0, 7, -220, 4500)), SearchBudget(grid=8), {}),
     # pattern (2, 3) has no positive defect on its grid, (3, 2) refines on
-    "stops_mid_chunk": (HookPoly(5, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8)),
+    "stops_mid_chunk": (HookPoly(5, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8), {}),
     "small_max_points": (
-        HookPoly(6, 5, (1, -2, 3, 5, -7)),
-        SearchBudget(grid=8, max_points=150),
+        HookPoly(6, 5, (1, -2, 3, 5, -7)), SearchBudget(grid=8), {"MAX_POINTS": 150},
     ),
 }
 
@@ -695,16 +732,18 @@ def test_chunked_prescreen_matches_pattern_by_pattern(monkeypatch, name):
     """Per pattern, the lockstep prescreen returns the candidates (numerators,
     denominator, order) and the chain of best rows of the pattern-by-pattern
     one, on the falsifier's chunks and on one chunk of every pattern."""
-    p, budget = _CHUNK_CASES[name]
+    p, budget, fixed = _CHUNK_CASES[name]
+    _fix(monkeypatch, **fixed)
+    grid = budget.grid
     patterns = [m for k in range(2, p.d) for m in hyperbolicity._compositions(p.n, k)]
     a_float = [float(c) for c in p.a]
     expected = {
-        m: _reference_search_composition(p, a_float, m, budget) for m in patterns
+        m: _reference_search_composition(p, a_float, m, grid) for m in patterns
     }
-    chunks = list(hyperbolicity._chunks(patterns, budget))
+    chunks = list(hyperbolicity._chunks(patterns, grid))
     assert [m for chunk in chunks for m in chunk] == patterns
     for schedule in (chunks, [patterns]):
-        candidates, chains, widths = _chunked_search(monkeypatch, p, schedule, budget)
+        candidates, chains, widths = _chunked_search(monkeypatch, p, schedule, grid)
         for m in patterns:
             ref_candidates, ref_chain = expected[m]
             assert _as_lists(candidates[m]) == _as_lists(ref_candidates), m
@@ -726,22 +765,24 @@ def test_chunked_prescreen_matches_pattern_by_pattern(monkeypatch, name):
         # rounds of 9, 81 and 729 rows for k = 2, 3, 4: the cap of 150 cuts
         # the third chunk after 9 + 9 + 81 rows, and a k = 4 pattern is alone
         assert [len(chunk) for chunk in chunks] == [1, 2, 3] + [1] * 19
-        uncapped = hyperbolicity._chunks(patterns, SearchBudget(grid=8))
+        monkeypatch.undo()
+        uncapped = hyperbolicity._chunks(patterns, grid)
         assert [len(chunk) for chunk in uncapped] == [1, 2, 4, 8, 10]
 
 
 def test_kernel_calls_stay_under_max_points(monkeypatch):
-    """No kernel call gets more rows than max_points or, where one pattern's
+    """No kernel call gets more rows than MAX_POINTS or, where one pattern's
     round alone exceeds it, that pattern's rows."""
     # no candidates, so that every chunk is prescreened
-    budget = SearchBudget(grid=8, max_points=150, max_candidates=0)
+    cap = 150
+    _fix(monkeypatch, MAX_POINTS=cap, MAX_CANDIDATES=0)
     bounds, calls = [], []
     prescreen = hyperbolicity._prescreen
     kernel = hyperbolicity.realness_defects
 
-    def bounding(p, a_float, batch, budget):
-        bounds.append(max([budget.max_points] + [len(rows) for _, rows, _ in batch]))
-        return prescreen(p, a_float, batch, budget)
+    def bounding(p, a_float, batch):
+        bounds.append(max([cap] + [len(rows) for _, rows, _ in batch]))
+        return prescreen(p, a_float, batch)
 
     def measuring(coeffs):
         calls.append((len(coeffs), bounds[-1]))
@@ -750,11 +791,11 @@ def test_kernel_calls_stay_under_max_points(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_prescreen", bounding)
     monkeypatch.setattr(hyperbolicity, "realness_defects", measuring)
     p = HookPoly(6, 5, (1, -2, 3, 5, -7))
-    falsify_hyperbolicity(p, budget)
+    falsify_hyperbolicity(p, SearchBudget(grid=8))
     assert all(rows <= bound for rows, bound in calls)
     # both sides of the cap were reached: a full chunk and a lone pattern
-    assert any(budget.max_points // 2 < rows <= budget.max_points for rows, _ in calls)
-    assert any(rows > budget.max_points for rows, _ in calls)
+    assert any(cap // 2 < rows <= cap for rows, _ in calls)
+    assert any(rows > cap for rows, _ in calls)
 
 
 # -- exact checks after each round against all rounds first -----------------
@@ -767,9 +808,9 @@ def _reference_falsify(p, budget):
     patterns = [m for k in range(2, min(p.d - 1, p.n) + 1)
                 for m in hyperbolicity._compositions(p.n, k)]
     seen = set()
-    for chunk in hyperbolicity._chunks(patterns, budget):
+    for chunk in hyperbolicity._chunks(patterns, budget.grid):
         candidates = {mults: [] for mults in chunk}
-        for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, budget):
+        for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, budget.grid):
             for mults, found in hits.items():
                 candidates[mults] += found
         for mults in chunk:
@@ -805,24 +846,24 @@ def _recorded(monkeypatch, falsifier, p, budget):
 
 _ORDER_CASES = {
     # a falsify-refute hook: the witness is a round-0 hit of the first pattern
-    "round_0_first_pattern": (HookPoly(4, 4, (9, 8, 3, 5)), SearchBudget(grid=8)),
+    "round_0_first_pattern": (HookPoly(4, 4, (9, 8, 3, 5)), SearchBudget(grid=8), {}),
     # the witness is a hit of round 1 of the third pattern of its chunk
     "later_round": (
-        HookPoly(5, 5, (8, -2, -2, 4, -3)),
-        SearchBudget(grid=2, defect_threshold=0.5),
+        HookPoly(5, 5, (8, -2, -2, 4, -3)), SearchBudget(grid=2),
+        {"DEFECT_THRESHOLD": 0.5},
     ),
-    "second_pattern": (HookPoly(4, 4, (3, -1, -3, 1)), FAST),
+    "second_pattern": (HookPoly(4, 4, (3, -1, -3, 1)), FAST, {}),
     # the head (2, 4) refines through every round before the round-0 hits
     # of (3, 3) are verified
     "head_refines_to_the_end": (
-        HookPoly(6, 5, (-3, -6, -9, -8, 5)),
-        SearchBudget(grid=3, defect_threshold=0.3),
+        HookPoly(6, 5, (-3, -6, -9, -8, 5)), SearchBudget(grid=3),
+        {"DEFECT_THRESHOLD": 0.3},
     ),
     # hyperbolic (m1 m3 and m1^2 m3): every round of every chunk runs
-    "hyperbolic": (HookPoly(5, 4, (0, 0, Q(5, 2), 0)), SearchBudget(grid=8)),
+    "hyperbolic": (HookPoly(5, 4, (0, 0, Q(5, 2), 0)), SearchBudget(grid=8), {}),
     "hyperbolic_small_max_points": (
-        HookPoly(6, 5, (0, 0, Q(5, 2), 0, 0)),
-        SearchBudget(grid=8, max_points=150),
+        HookPoly(6, 5, (0, 0, Q(5, 2), 0, 0)), SearchBudget(grid=8),
+        {"MAX_POINTS": 150},
     ),
     **_CHUNK_CASES,
 }
@@ -834,7 +875,8 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
     as prescreening every round of a chunk first, and gives the same
     verdict; it never prescreens more rounds."""
     _without_closed_form(monkeypatch)
-    p, budget = _ORDER_CASES[name]
+    p, budget, fixed = _ORDER_CASES[name]
+    _fix(monkeypatch, **fixed)
     verdict, checked, rounds = _recorded(monkeypatch, falsify_hyperbolicity, p, budget)
     ref_verdict, ref_checked, ref_rounds = _recorded(
         monkeypatch, _reference_falsify, p, budget
@@ -860,7 +902,7 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
 def test_refute_witness_takes_one_prescreen_round(monkeypatch):
     """A witness among the first round's hits of the first pattern ends the
     search before any refinement round is prescreened."""
-    p, budget = _ORDER_CASES["round_0_first_pattern"]
+    p, budget, _ = _ORDER_CASES["round_0_first_pattern"]
     assert _recorded(monkeypatch, falsify_hyperbolicity, p, budget)[2] == 1
     assert _recorded(monkeypatch, _reference_falsify, p, budget)[2] == 4
 
@@ -1019,49 +1061,49 @@ def test_falsifiers_check_the_fraction_path_points(
     assert verdict.witness == ref_verdict.witness
 
 
+# a grid below 2 is the one budget refused: the caps and the 2**53 guard on
+# grid denominators went with the fields (see the test below)
 @pytest.mark.parametrize(
     "kwargs",
-    [
-        # denominators (res - 1) * 8**3 with res = 2**44 + 1 reach 2**53
-        {"grid": 2**44 + 1, "max_points": 2**44 + 1},
-        {"grid": 2**60, "max_points": 2**44 + 1},
-        {"grid": 2**44 + 1, "max_points": 2**60},
-        {"grid": 2**54, "max_points": 2**60},
-        {"grid": 2**60, "max_points": 2**60},
-    ],
+    [{"grid": 1}, {"grid": 0}, {"grid": -1}, {"grid": -(2**60)},
+     {"grid": 1, "seed": 3}],
 )
 def test_budget_rejects_inexact_grids(kwargs):
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="grid must be at least 2"):
         SearchBudget(**kwargs)
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"max_points": 0}, {"max_points": -5}, {"grid": 8, "max_points": -5},
-               {"grid": 1}, {"max_candidates": -1}]
+    "kwargs", [{"grid": 0}, {"grid": -5}, {"grid": -5, "seed": 8},
+               {"grid": 1}, {"grid": -1}]
 )
 def test_budget_rejects_empty_caps(kwargs):
     with pytest.raises(InvalidInput):
         SearchBudget(**kwargs)
 
 
-def test_budget_accepts_smallest_caps():
+def test_budget_accepts_smallest_caps(monkeypatch):
     p = HookPoly(5, 4, (0, 0, 0, 3))
-    v = falsify_hyperbolicity(p, SearchBudget(grid=8, max_points=1))
+    _fix(monkeypatch, MAX_POINTS=1)
+    v = falsify_hyperbolicity(p, SearchBudget(grid=8))
     assert v.status == NO_COUNTEREXAMPLE
     # no hit reaches exact verification, so no witness can be found
-    v = falsify_hyperbolicity(
-        HookPoly(4, 4, (1, 0, -4, 1)), SearchBudget(grid=8, max_candidates=0)
-    )
+    monkeypatch.undo()
+    _fix(monkeypatch, MAX_CANDIDATES=0)
+    v = falsify_hyperbolicity(HookPoly(4, 4, (1, 0, -4, 1)), SearchBudget(grid=8))
     assert v.status == NO_COUNTEREXAMPLE
 
 
 def test_budget_accepts_largest_exact_grid():
-    # denominator (2**44 - 1) * 8**3 < 2**53; the capped grid is what counts
+    """Every grid is accepted: _grid_size caps it at MAX_POINTS a side, so
+    the largest denominator (res - 1) * 8**3 stays far below 2**53."""
     assert (hyperbolicity.REFINE_ROUNDS, hyperbolicity.REFINE_GRID) == (3, 9)
-    SearchBudget(grid=2**44, max_points=2**44)
-    SearchBudget(grid=2**44, max_points=2**60)
-    SearchBudget(grid=2**60, max_points=2**44)
-    SearchBudget(grid=2**60, max_points=64)
+    for grid in (2**44, 2**60, hyperbolicity.MAX_POINTS + 1):
+        SearchBudget(grid=grid)
+        for free in range(1, 5):
+            res = hyperbolicity._grid_size(free, grid)
+            assert res**free <= hyperbolicity.MAX_POINTS
+            assert (res - 1) * 8**3 < 2**27 < 2**53
 
 
 # -- conjecture evidence -------------------------------------------------------
@@ -1094,6 +1136,14 @@ def test_conjecture_case_rejects_bad_target():
     bad = UniPoly.from_roots([1, -1, 2, -2], ambient=4)  # two of each sign
     with pytest.raises(HypothesisViolated):
         conjecture_case(ZeroSumPoly(bad), 4, delta_trials=1)
+
+
+def test_conjecture_case_rejects_negative_trials():
+    target = UniPoly([0, 0, 0, 0, 1], 4)  # t^4
+    with pytest.raises(InvalidInput, match="delta_trials"):
+        conjecture_case(ZeroSumPoly(target), 4, delta_trials=-1)
+    report = conjecture_case(ZeroSumPoly(target), 4, budget=FAST, delta_trials=0)
+    assert (report.delta_trials, report.delta_negative) == (0, 0)
 
 
 # -- e_k + linear --------------------------------------------------------------
@@ -1231,6 +1281,9 @@ def test_ek_plus_linear_guards():
         ek_plus_linear_check(2, 3, [-1, 0, 0], trials=1)  # ell(1) < 0
     with pytest.raises(InvalidInput):
         ek_plus_linear_check(2, 3, [1, 1], trials=1)
+    with pytest.raises(InvalidInput, match="trials"):
+        ek_plus_linear_check(2, 3, [0, 0, 0], trials=-3)
+    assert ek_plus_linear_check(2, 3, [0, 0, 0], trials=0).passed == 0
 
 
 # -- cubic normal form ------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercheck.errors import (
+    DegreeMismatch,
     DegreeTooHigh,
     DegreeTooLow,
     ShrinkNotAllowed,
@@ -364,6 +365,19 @@ def test_mixed_derivative_matches_fraction_reference(d):
         assert mixed_derivative_eval(p, u, w, x) == _mixed_derivative_by_fractions(
             p, u, w, x
         )
+
+
+@pytest.mark.parametrize(
+    "lengths", [(3, 3, 5), (5, 3, 3), (3, 4, 3), (2, 3, 3), (4, 4, 4)]
+)
+def test_mixed_derivative_refuses_points_of_another_length(lengths):
+    """Every vector needs n = 3 coordinates: a zip would drop the last ones
+    of a longer point (193, the value at (1, 2, 3), for (1, ..., 5))."""
+    p = HookPoly(3, 3, (1, 0, 1))
+    x, u, w = (list(range(1, k + 1)) for k in lengths)
+    with pytest.raises(DegreeMismatch):
+        mixed_derivative_eval(p, u, w, x)
+    assert mixed_derivative_eval(p, (1, 1, 1), (1, 1, 1), (1, 2, 3)) == 193
 
 
 # -- variable lifting -----------------------------------------------------------
