@@ -16,7 +16,7 @@ _EXPORTS = {
     "operators": "DiagonalMap ExtendCertificate FullDiagonalMap apply "
     "associated_operator decide_extendable g0 map_sending_g0_to necessary_sign_test "
     "operator_to_hook phi polya_schur_test",
-    "hyperbolicity": "SearchBudget Verdict cone_member conjecture_case cubic_normal_form "
+    "hyperbolicity": "Verdict cone_member conjecture_case cubic_normal_form "
     "decide_cubic decide_quartic_hook ek_plus_linear_check falsify_hyperbolicity",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
@@ -27,8 +27,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name in _HOME:
-        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if home := _HOME.get(name):  # a loaded submodule is a global of the package
+        module = globals().get(home) or importlib.import_module(f"{__name__}.{home}")
+        return getattr(module, name)
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

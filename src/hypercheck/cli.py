@@ -183,13 +183,9 @@ def _emit(document, pretty: bool) -> None:
 # exports, so that a subcommand loads only the modules it runs.
 
 
-def _budget_from_args(args) -> hypercheck.SearchBudget:
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["grid"] = args.budget
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return hypercheck.SearchBudget(**kwargs)
+def _given(**options) -> dict:
+    """The options given; the library's defaults stand for the others."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def _exit_code(v) -> int:
@@ -264,7 +260,7 @@ def _cmd_phi(args):
 
 def _cmd_falsify(args):
     p = hook_from_json(_load_payload(args.hook))
-    return _verdict(hypercheck.falsify_hyperbolicity(p, _budget_from_args(args)))
+    return _verdict(hypercheck.falsify_hyperbolicity(p, **_given(grid=args.budget)))
 
 
 def _cmd_cone_member(args):
@@ -288,8 +284,8 @@ def _cmd_conjecture(args):
     _check_n(args.n)
     target = poly_from_json(_load_payload(args.target))
     report = hypercheck.conjecture_case(
-        ZeroSumPoly(target), args.n, _budget_from_args(args),
-        delta_trials=_delta_trials(args),
+        ZeroSumPoly(target), args.n, delta_trials=_delta_trials(args),
+        **_given(grid=args.budget, seed=args.seed),
     )
     return {
         "n": report.n,
@@ -308,8 +304,8 @@ def _cmd_demo_quintic(args):
     image = hypercheck.apply(T, hypercheck.g0(5)).inner
     # conjecture_case recovers this same p and T from the image of the pivot
     report = hypercheck.conjecture_case(
-        ZeroSumPoly(image), 5, _budget_from_args(args),
-        delta_trials=_delta_trials(args),
+        ZeroSumPoly(image), 5, delta_trials=_delta_trials(args),
+        **_given(grid=args.budget, seed=args.seed),
     )
     return {
         "hook": hook_to_json(p),

@@ -11,12 +11,11 @@ space.  Candidate points are ranked by a float eigenvalue prescreen (see
 kernels), which runs on chunks of 1, 2, 4, ... multiplicity patterns at
 a time.  Exact rational Sturm computations verify the hits after each
 prescreen round, pattern by pattern and within a pattern round by round,
-and the search, refinement included, stops at the first witness.  A
-request sets only the grid and a seed (SearchBudget), the rest is fixed.
-Every reported witness is exact, and sampling procedures never return
-"Hyperbolic", only "NoCounterexampleFound".  Only the falsifier's
-functions import numpy, so a process that makes exact decisions alone
-never loads it.
+and the search, refinement included, stops at the first witness.  Its one
+setting is the slice grid.  Every reported witness is exact, and sampling
+procedures never return "Hyperbolic", only "NoCounterexampleFound".  Only
+the falsifier's functions import numpy, so a process that makes exact
+decisions alone never loads it.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .operators import (
     map_sending_g0_to,
     operator_to_hook,
 )
-from .rationals import Q, QONE, QZERO, FrozenRecord, Record, qsign, simplest_ratio, to_q
+from .rationals import Q, QONE, QZERO, Record, qsign, simplest_ratio, to_q
 from .sympoly import HookPoly, SymPoint, elem_ints, mixed_derivative_eval, restrict_line
 from .unipoly import (
     UniPoly,
@@ -59,7 +58,15 @@ NOT_HYPERBOLIC = "NotHyperbolic"
 NO_COUNTEREXAMPLE = "NoCounterexampleFound"
 
 
-# fixed parts of the falsifier (see SearchBudget)
+# Fixed by the method; a request sets only the grid.  At most MAX_POINTS
+# rows a grid and a prescreen round of a chunk (a pattern over it goes
+# alone) bound a kernel call's memory; MAX_CANDIDATES hits a pattern and
+# round bound the exact work false alarms cost; DEFECT_THRESHOLD keeps
+# float rounding from counting as a hit; REFINE_ROUNDS = 3 passes of a
+# REFINE_GRID = 9 point local grid narrow the best cell 8**3-fold at
+# 9**free rows a round; SNAP_DENOMINATOR keeps witnesses short.  The exact
+# deciders' witness search raises only the grid: on 600 sampled quartics,
+# wider caps and a lower threshold found the same witnesses at the same grid.
 REFINE_ROUNDS = 3
 REFINE_GRID = 9
 SNAP_DENOMINATOR = 4096
@@ -76,32 +83,6 @@ class Verdict(Record):
         # witness: (SymPoint, RootCounts)
         self._init(status, witness, {} if detail is None else detail)
 
-
-class SearchBudget(FrozenRecord):
-    """What a request sets of the sampling falsifier: grid, the points per
-    free axis of the slice grid, and seed, the random stream of
-    conjecture_case's mixed-derivative samples.
-
-    The rest is fixed by the method: at most MAX_POINTS rows a grid and a
-    prescreen round of a chunk (a pattern over it goes alone) bound a
-    kernel call's memory; MAX_CANDIDATES hits a pattern and round bound the
-    exact work false alarms cost; DEFECT_THRESHOLD keeps float rounding
-    from counting as a hit; REFINE_ROUNDS = 3 passes of a REFINE_GRID = 9
-    point local grid narrow the best cell 8**3-fold at 9**free rows a
-    round; SNAP_DENOMINATOR keeps witnesses short.  The exact deciders'
-    witness search raises only the grid: on 600 sampled quartics, wider
-    caps and a lower threshold found the same witnesses at the same grid.
-    """
-
-    __slots__ = ("grid", "seed")
-
-    def __init__(self, grid: int = 64, seed: int = 0):
-        if grid < 2:
-            raise InvalidInput(f"grid must be at least 2, got {grid}")
-        self._init(grid, seed)
-
-
-DEFAULT_BUDGET = SearchBudget()
 
 # multiplicity patterns falsify_hyperbolicity accepts; the benchmark's and
 # the tests' hooks have at most 63 (n = 8, d = 5)
@@ -192,7 +173,7 @@ def _find_witness(p: HookPoly):
     if witness is not None:
         return witness
     for grid in (64, 128, 256, 512):
-        v = falsify_hyperbolicity(p, SearchBudget(grid))
+        v = falsify_hyperbolicity(p, grid)
         if v.status == NOT_HYPERBOLIC:
             return v.witness
     raise WitnessSearchExhausted("witness search exhausted for a non-hyperbolic input")
@@ -456,7 +437,7 @@ def _search_chunk(p, a_float, chunk, grid: int):
             break
 
 
-def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
+def falsify_hyperbolicity(p: HookPoly, grid: int = 64) -> Verdict:
     """Search for an exact witness of non-hyperbolicity.
 
     By the degree principle it suffices to look at points with at most
@@ -475,9 +456,12 @@ def falsify_hyperbolicity(p: HookPoly, budget: SearchBudget = None) -> Verdict:
     closed form proves p or q hyperbolic (_closed_form_proves), the search
     stops after the first chunk, the pattern (1, n - 1).  Only exact
     verification can produce NotHyperbolic; it never claims hyperbolicity.
-    Of the budget, only the grid is read.
+    grid is the points per free axis of the slice grid, an integer >= 2.
     """
-    grid = (budget or DEFAULT_BUDGET).grid
+    if not isinstance(grid, int):
+        raise InvalidInput(f"grid must be an integer, got {grid!r}")
+    if grid < 2:
+        raise InvalidInput(f"grid must be at least 2, got {grid}")
     d, n = p.d, p.n
     # compositions of n into k parts, 2 <= k <= d - 1
     count = sum(comb(n - 1, k - 1) for k in range(2, min(d - 1, n) + 1))
@@ -528,11 +512,10 @@ class ConjectureReport(Record):
 
 
 def conjecture_case(
-    q: ZeroSumPoly, n: int, budget: SearchBudget = None, delta_trials: int = 1000
+    q: ZeroSumPoly, n: int, grid: int = 64, seed: int = 0, delta_trials: int = 1000
 ) -> ConjectureReport:
     if delta_trials < 0:
         raise InvalidInput(f"delta_trials must be at least 0, got {delta_trials}")
-    budget = budget or DEFAULT_BUDGET
     inner = q.inner
     d = inner.ambient_degree
     if inner.is_zero():
@@ -543,8 +526,8 @@ def conjecture_case(
         )
     T = map_sending_g0_to(q, n)
     p = operator_to_hook(T)
-    verdict = falsify_hyperbolicity(p, budget)
-    rng = random.Random(budget.seed)
+    verdict = falsify_hyperbolicity(p, grid)
+    rng = random.Random(seed)
     ones = tuple([QONE] * n)
     negative = 0
     minimum = None

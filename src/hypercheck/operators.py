@@ -365,25 +365,25 @@ def phi(r, width=DEFAULT_ENCLOSURE_WIDTH):
     prof = root_profile(delta_n(UniPoly.from_roots(r, ambient=d)).inner)
     if prof.n_nonreal or prof.n_negative > 1:
         raise InterlacingLawViolated("delta_d image violated the interlacing law")
-    roots = prof.roots_with_multiplicity()  # ascending, length d
-    for root in roots:
-        root.try_rational()
-    while roots[0].interval()[1] >= 0:  # until the dropped root shows < 0
-        roots[0].refine()
+    pairs = prof.real_roots  # (root, multiplicity), ascending, d in all
+    for root in prof.roots_with_multiplicity():  # once per listing; each call
+        root.try_rational()  # refines further, and the enclosures depend on it
+    while pairs[0][0].interval()[1] >= 0:  # until the dropped root shows < 0
+        pairs[0][0].refine()
 
-    def enclosures(roots, k):  # after k more passes, in one call per root
-        for root in dict.fromkeys(roots):
-            root._bisect(k * roots.count(root))
-        (lo_low, hi_low), *bounds = (root.interval() for root in roots)
+    def enclosures(pairs, k):  # after k more passes, in one call per root
+        for root, mult in pairs:
+            root._bisect(k * mult)
+        (lo_low, hi_low), *bounds = (r.interval() for r, m in pairs for _ in range(m))
         return [(max(lo, QZERO) / -lo_low, hi / -hi_low) for lo, hi in bounds]
 
     def fits(k):  # on copies of the roots; exact roots never change
-        twin = {s: s if s.is_exact() else s._copy() for s in dict.fromkeys(roots)}
-        return all(b - a <= width for a, b in enclosures([twin[s] for s in roots], k))
+        twins = [(r if r.is_exact() else r._copy(), m) for r, m in pairs]
+        return all(b - a <= width for a, b in enclosures(twins, k))
 
-    out = enclosures(roots, 0)
+    out = enclosures(pairs, 0)
     if any(hi - lo > width for lo, hi in out):
         # fits is monotone, as the intervals nest: double k to a fit, then bisect
         top = next(1 << i for i in count() if fits(1 << i))
-        out = enclosures(roots, bisect_left(range(top), True, top // 2 + 1, key=fits))
+        out = enclosures(pairs, bisect_left(range(top), True, top // 2 + 1, key=fits))
     return out[::-1]  # weakly decreasing

@@ -520,6 +520,14 @@ class RealRoot:
         # polynomials, hence never roots of their gcd
         return a < b and count_roots_halfopen(sturm_chain(h), a, b) >= 1
 
+    def __eq__(self, other):  # the same exact value, or polynomial and interval
+        if not isinstance(other, RealRoot):
+            return NotImplemented
+        return self.exact == other.exact and (self.exact is not None or (
+            self.poly == other.poly and self.interval() == other.interval()))
+
+    __hash__ = None  # refinement changes a root in place
+
     def __repr__(self):
         if self.exact is not None:
             return f"RealRoot({self.exact})"

@@ -16,7 +16,6 @@ from hypercheck.hyperbolicity import (
     HYPERBOLIC,
     NO_COUNTEREXAMPLE,
     NOT_HYPERBOLIC,
-    SearchBudget,
     decide_cubic,
     decide_quartic_hook,
     ek_plus_linear_check,
@@ -273,7 +272,6 @@ def test_criterion_8_degree_principle_equivalence():
     the hook not hyperbolic, on every hook the decider decides; all
     witnesses exactly verified."""
     rng = random.Random(108)
-    budget = SearchBudget(grid=32)
     agreements, refused = 0, []
     for _ in range(200):
         n = rng.randint(3, 6)
@@ -287,7 +285,7 @@ def test_criterion_8_degree_principle_equivalence():
         except HypothesisViolated:
             refused.append((n, a))
             continue
-        restricted = falsify_hyperbolicity(p, budget)
+        restricted = falsify_hyperbolicity(p, 32)
         assert (restricted.status == NOT_HYPERBOLIC) == (
             exact.status == NOT_HYPERBOLIC
         ), (n, d, a)

@@ -202,8 +202,8 @@ def test_determinism(capsys):
 
 
 def test_falsify_ignores_seed(capsys):
-    """falsify_hyperbolicity never reads the seed: --seed 0 and --seed 7
-    print the same bytes."""
+    """falsify_hyperbolicity takes no seed, and falsify accepts --seed
+    without passing it on: --seed 0 and --seed 7 print the same bytes."""
     hook = json.dumps({"n": 3, "d": 3, "a": ["1", "0", "1"]})
     outs = []
     for seed in ("0", "7"):
@@ -787,9 +787,9 @@ PUBLIC = {
         "necessary_sign_test", "operator_to_hook", "phi", "polya_schur_test",
     ],
     "hyperbolicity": [
-        "SearchBudget", "Verdict", "cone_member", "conjecture_case",
-        "cubic_normal_form", "decide_cubic", "decide_quartic_hook",
-        "ek_plus_linear_check", "falsify_hyperbolicity",
+        "Verdict", "cone_member", "conjecture_case", "cubic_normal_form",
+        "decide_cubic", "decide_quartic_hook", "ek_plus_linear_check",
+        "falsify_hyperbolicity",
     ],
 }
 SUBMODULES = ["errors", "hyperbolicity", "kernels", "operators", "rationals",
@@ -827,7 +827,7 @@ def test_exports_resolve_lazily():
     public names, each the object its module defines."""
     got = _fresh_interpreter(EXPORT_PROBE, json.dumps(PUBLIC), json.dumps(SUBMODULES))
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 45
+    assert len(names) == 44
     assert got == {"bare": [], "unipoly_operators": [],
                    "submodules": [True] * len(SUBMODULES), "star": names,
                    "defining": []}
@@ -873,7 +873,7 @@ def test_exhausted_witness_search_is_json(capsys, monkeypatch):
     never finds a witness the CLI reports a typed error."""
     monkeypatch.setattr(
         hyperbolicity, "falsify_hyperbolicity",
-        lambda p, budget=None: hyperbolicity.Verdict(hyperbolicity.NO_COUNTEREXAMPLE),
+        lambda p, grid: hyperbolicity.Verdict(hyperbolicity.NO_COUNTEREXAMPLE),
     )
     hook = json.dumps({"n": 4, "d": 4, "a": ["-3", "2", "3", "-1"]})
     code = run(["check-quartic", "--hook", hook])

@@ -22,7 +22,6 @@ from hypercheck.hyperbolicity import (
     HYPERBOLIC,
     NO_COUNTEREXAMPLE,
     NOT_HYPERBOLIC,
-    SearchBudget,
     Verdict,
     cone_member,
     conjecture_case,
@@ -43,7 +42,7 @@ from hypercheck.unipoly import (
     root_profile,
 )
 
-FAST = SearchBudget(grid=24)
+FAST = 24  # grid
 
 
 def _exact_sample_witness(p):
@@ -190,7 +189,7 @@ def test_quartic_refuses_p1_zero_it_would_call_hyperbolic(capsys):
     assert run(["check-quartic", "--hook", json.dumps(hook)]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "HypothesisViolated"
     # the falsifier, which takes no shortcut at p(1) = 0, finds a witness
-    v = falsify_hyperbolicity(p, SearchBudget(grid=16))
+    v = falsify_hyperbolicity(p, 16)
     assert v.status == NOT_HYPERBOLIC and _witness_is_valid(p, v)
 
 
@@ -223,9 +222,9 @@ def test_quartic_witness_search_needs_only_the_first_grid(monkeypatch):
     grids = []
     falsify = hyperbolicity.falsify_hyperbolicity
 
-    def counting(p, budget=None):
-        grids.append(budget.grid)
-        return falsify(p, budget)
+    def counting(p, grid):
+        grids.append(grid)
+        return falsify(p, grid)
 
     monkeypatch.setattr(hyperbolicity, "falsify_hyperbolicity", counting)
     rng, hooks = random.Random(31), []
@@ -355,13 +354,12 @@ def test_closed_form_shortcut_keeps_the_verdict(monkeypatch, case):
     after the first chunk prints the same verdict.  The m1 case takes under
     1 s on a 2-CPU x86-64 host."""
     hooks, grid = _SHORTCUT_CASES[case]
-    budget = SearchBudget(grid=grid)
     for p in hooks():
         assert hyperbolicity._closed_form_proves(p)
-        short = falsify_hyperbolicity(p, budget)
+        short = falsify_hyperbolicity(p, grid)
         with monkeypatch.context() as mp:
             _without_closed_form(mp)
-            full = falsify_hyperbolicity(p, budget)
+            full = falsify_hyperbolicity(p, grid)
         assert full.status == NO_COUNTEREXAMPLE
         assert short == full, p
 
@@ -378,7 +376,7 @@ def test_closed_form_shortcut_prescreens_the_first_chunk_only(monkeypatch):
     for p, patterns in ((HookPoly(5, 4, (0, 0, Q(5, 2), 0)), 10),
                         (HookPoly(5, 5, (0, 0, 0, 8, 0)), 14)):
         prescreened.clear()
-        v = falsify_hyperbolicity(p, SearchBudget(grid=8))
+        v = falsify_hyperbolicity(p, 8)
         assert v == Verdict(NO_COUNTEREXAMPLE, detail={"patterns": patterns})
         assert prescreened and set(prescreened) == {(1, 4)}
 
@@ -391,7 +389,7 @@ def test_m1_times_a_p1_zero_quartic_is_searched_to_its_witness():
     p, q = HookPoly(6, 5, (4, -1, -6, 3, 0)), HookPoly(6, 4, (4, -1, -6, 3))
     assert hyperbolicity._closed_form(q)[0]
     assert not hyperbolicity._closed_form_proves(p)
-    v = falsify_hyperbolicity(p, SearchBudget(grid=8))
+    v = falsify_hyperbolicity(p, 8)
     assert v.status == NOT_HYPERBOLIC and v.detail == {"pattern": [2, 4]}
     assert _witness_is_valid(p, v) and _witness_is_valid(q, v)
 
@@ -714,15 +712,15 @@ def _fix(monkeypatch, **constants):
         monkeypatch.setattr(hyperbolicity, name, value)
 
 
-# hook, budget and the falsifier constants the case sets
+# hook, grid and the falsifier constants the case sets
 _CHUNK_CASES = {
     # p(1) = 0: the t^d column vanishes on every row and is trimmed
-    "structural_zeros": (HookPoly(5, 4, (1, 0, 0, -1)), SearchBudget(grid=8), {}),
-    "quintic": (HookPoly(5, 5, (0, 0, 7, -220, 4500)), SearchBudget(grid=8), {}),
+    "structural_zeros": (HookPoly(5, 4, (1, 0, 0, -1)), 8, {}),
+    "quintic": (HookPoly(5, 5, (0, 0, 7, -220, 4500)), 8, {}),
     # pattern (2, 3) has no positive defect on its grid, (3, 2) refines on
-    "stops_mid_chunk": (HookPoly(5, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8), {}),
+    "stops_mid_chunk": (HookPoly(5, 4, (0, 0, 0, Q(8, 3))), 8, {}),
     "small_max_points": (
-        HookPoly(6, 5, (1, -2, 3, 5, -7)), SearchBudget(grid=8), {"MAX_POINTS": 150},
+        HookPoly(6, 5, (1, -2, 3, 5, -7)), 8, {"MAX_POINTS": 150},
     ),
 }
 
@@ -732,9 +730,8 @@ def test_chunked_prescreen_matches_pattern_by_pattern(monkeypatch, name):
     """Per pattern, the lockstep prescreen returns the candidates (numerators,
     denominator, order) and the chain of best rows of the pattern-by-pattern
     one, on the falsifier's chunks and on one chunk of every pattern."""
-    p, budget, fixed = _CHUNK_CASES[name]
+    p, grid, fixed = _CHUNK_CASES[name]
     _fix(monkeypatch, **fixed)
-    grid = budget.grid
     patterns = [m for k in range(2, p.d) for m in hyperbolicity._compositions(p.n, k)]
     a_float = [float(c) for c in p.a]
     expected = {
@@ -791,7 +788,7 @@ def test_kernel_calls_stay_under_max_points(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_prescreen", bounding)
     monkeypatch.setattr(hyperbolicity, "realness_defects", measuring)
     p = HookPoly(6, 5, (1, -2, 3, 5, -7))
-    falsify_hyperbolicity(p, SearchBudget(grid=8))
+    falsify_hyperbolicity(p, 8)
     assert all(rows <= bound for rows, bound in calls)
     # both sides of the cap were reached: a full chunk and a lone pattern
     assert any(cap // 2 < rows <= cap for rows, _ in calls)
@@ -801,16 +798,16 @@ def test_kernel_calls_stay_under_max_points(monkeypatch):
 # -- exact checks after each round against all rounds first -----------------
 
 
-def _reference_falsify(p, budget):
+def _reference_falsify(p, grid):
     """Reference: falsify_hyperbolicity as it was, every round of a chunk
     prescreened before any of its hits is verified, pattern by pattern."""
     a_float = [float(c) for c in p.a]
     patterns = [m for k in range(2, min(p.d - 1, p.n) + 1)
                 for m in hyperbolicity._compositions(p.n, k)]
     seen = set()
-    for chunk in hyperbolicity._chunks(patterns, budget.grid):
+    for chunk in hyperbolicity._chunks(patterns, grid):
         candidates = {mults: [] for mults in chunk}
-        for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, budget.grid):
+        for hits, _ in hyperbolicity._search_chunk(p, a_float, chunk, grid):
             for mults, found in hits.items():
                 candidates[mults] += found
         for mults in chunk:
@@ -823,7 +820,7 @@ def _reference_falsify(p, budget):
     return Verdict(NO_COUNTEREXAMPLE, detail={"patterns": len(patterns)})
 
 
-def _recorded(monkeypatch, falsifier, p, budget):
+def _recorded(monkeypatch, falsifier, p, grid):
     """The verdict, the points checked exactly (the `seen` keys in order)
     and the number of prescreen rounds of one falsifier run."""
     checked, rounds = [], []
@@ -840,29 +837,29 @@ def _recorded(monkeypatch, falsifier, p, budget):
     with monkeypatch.context() as mp:
         mp.setattr(hyperbolicity, "_exact_check", checking)
         mp.setattr(hyperbolicity, "_prescreen", screening)
-        verdict = falsifier(p, budget)
+        verdict = falsifier(p, grid)
     return verdict, checked, len(rounds)
 
 
 _ORDER_CASES = {
     # a falsify-refute hook: the witness is a round-0 hit of the first pattern
-    "round_0_first_pattern": (HookPoly(4, 4, (9, 8, 3, 5)), SearchBudget(grid=8), {}),
+    "round_0_first_pattern": (HookPoly(4, 4, (9, 8, 3, 5)), 8, {}),
     # the witness is a hit of round 1 of the third pattern of its chunk
     "later_round": (
-        HookPoly(5, 5, (8, -2, -2, 4, -3)), SearchBudget(grid=2),
+        HookPoly(5, 5, (8, -2, -2, 4, -3)), 2,
         {"DEFECT_THRESHOLD": 0.5},
     ),
     "second_pattern": (HookPoly(4, 4, (3, -1, -3, 1)), FAST, {}),
     # the head (2, 4) refines through every round before the round-0 hits
     # of (3, 3) are verified
     "head_refines_to_the_end": (
-        HookPoly(6, 5, (-3, -6, -9, -8, 5)), SearchBudget(grid=3),
+        HookPoly(6, 5, (-3, -6, -9, -8, 5)), 3,
         {"DEFECT_THRESHOLD": 0.3},
     ),
     # hyperbolic (m1 m3 and m1^2 m3): every round of every chunk runs
-    "hyperbolic": (HookPoly(5, 4, (0, 0, Q(5, 2), 0)), SearchBudget(grid=8), {}),
+    "hyperbolic": (HookPoly(5, 4, (0, 0, Q(5, 2), 0)), 8, {}),
     "hyperbolic_small_max_points": (
-        HookPoly(6, 5, (0, 0, Q(5, 2), 0, 0)), SearchBudget(grid=8),
+        HookPoly(6, 5, (0, 0, Q(5, 2), 0, 0)), 8,
         {"MAX_POINTS": 150},
     ),
     **_CHUNK_CASES,
@@ -875,11 +872,11 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
     as prescreening every round of a chunk first, and gives the same
     verdict; it never prescreens more rounds."""
     _without_closed_form(monkeypatch)
-    p, budget, fixed = _ORDER_CASES[name]
+    p, grid, fixed = _ORDER_CASES[name]
     _fix(monkeypatch, **fixed)
-    verdict, checked, rounds = _recorded(monkeypatch, falsify_hyperbolicity, p, budget)
+    verdict, checked, rounds = _recorded(monkeypatch, falsify_hyperbolicity, p, grid)
     ref_verdict, ref_checked, ref_rounds = _recorded(
-        monkeypatch, _reference_falsify, p, budget
+        monkeypatch, _reference_falsify, p, grid
     )
     assert verdict == ref_verdict
     assert checked == ref_checked
@@ -891,7 +888,7 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
         assert verdict.detail["pattern"] == [1, 2, 2]
         # without refinement rounds (1, 2, 2) yields no witness
         monkeypatch.setattr(hyperbolicity, "REFINE_ROUNDS", 0)
-        assert falsify_hyperbolicity(p, budget).detail["pattern"] != [1, 2, 2]
+        assert falsify_hyperbolicity(p, grid).detail["pattern"] != [1, 2, 2]
     elif name == "head_refines_to_the_end":
         assert verdict.detail["pattern"] == [3, 3]
         assert rounds == ref_rounds
@@ -902,9 +899,9 @@ def test_falsifier_checks_points_in_the_all_rounds_first_order(monkeypatch, name
 def test_refute_witness_takes_one_prescreen_round(monkeypatch):
     """A witness among the first round's hits of the first pattern ends the
     search before any refinement round is prescreened."""
-    p, budget, _ = _ORDER_CASES["round_0_first_pattern"]
-    assert _recorded(monkeypatch, falsify_hyperbolicity, p, budget)[2] == 1
-    assert _recorded(monkeypatch, _reference_falsify, p, budget)[2] == 4
+    p, grid, _ = _ORDER_CASES["round_0_first_pattern"]
+    assert _recorded(monkeypatch, falsify_hyperbolicity, p, grid)[2] == 1
+    assert _recorded(monkeypatch, _reference_falsify, p, grid)[2] == 4
 
 
 def _falsify_stdout(capsys, hook, *args):
@@ -946,7 +943,7 @@ def test_one_exact_check_per_distinct_point(monkeypatch):
 
     monkeypatch.setattr(hyperbolicity, "_exact_check", counting)
     _without_closed_form(monkeypatch)
-    v = falsify_hyperbolicity(HookPoly(4, 4, (0, 0, 0, Q(8, 3))), SearchBudget(grid=8))
+    v = falsify_hyperbolicity(HookPoly(4, 4, (0, 0, 0, Q(8, 3))), 8)
     assert v.status == NO_COUNTEREXAMPLE
     assert len(checked) == len(set(checked)) == 28
 
@@ -1021,17 +1018,17 @@ def test_integer_snap_matches_fractions(case):
 
 @pytest.mark.parametrize("falsifier", [falsify_hyperbolicity])
 @pytest.mark.parametrize(
-    "a, budget, snap",
+    "a, grid, snap",
     [
-        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8), 4096),
-        ((0, 0, 0, Q(8, 3)), SearchBudget(grid=8), 3),
+        ((0, 0, 0, Q(8, 3)), 8, 4096),
+        ((0, 0, 0, Q(8, 3)), 8, 3),
         ((3, -1, -3, 1), FAST, 4096),
-        ((1, 0, -4, 1), SearchBudget(grid=8), 5),
+        ((1, 0, -4, 1), 8, 5),
     ],
     ids=[f"a{i}-budget{i}" for i in range(4)],
 )
 def test_falsifiers_check_the_fraction_path_points(
-    monkeypatch, falsifier, a, budget, snap
+    monkeypatch, falsifier, a, grid, snap
 ):
     """The falsifier checks exactly the points, in the same order, that it
     checked with the Fraction slice and snap: the same `seen` keys, the
@@ -1050,7 +1047,7 @@ def test_falsifiers_check_the_fraction_path_points(
             mp.setattr(hyperbolicity, "_exact_check", counting)
             mp.setattr(hyperbolicity, "_slice_points", slice_points)
             mp.setattr(hyperbolicity, "_snap_point", snap_point)
-            verdict = falsifier(HookPoly(4, 4, a), budget)
+            verdict = falsifier(HookPoly(4, 4, a), grid)
         return verdict, checked
 
     verdict, checked = run(hyperbolicity._slice_points, hyperbolicity._snap_point)
@@ -1061,45 +1058,59 @@ def test_falsifiers_check_the_fraction_path_points(
     assert verdict.witness == ref_verdict.witness
 
 
-# a grid below 2 is the one budget refused: the caps and the 2**53 guard on
-# grid denominators went with the fields (see the test below)
+# a grid is an integer of at least 2; m1^4 + m4 is not hyperbolic, so a
+# grid that got past the check would run the search to a witness
 @pytest.mark.parametrize(
     "kwargs",
-    [{"grid": 1}, {"grid": 0}, {"grid": -1}, {"grid": -(2**60)},
-     {"grid": 1, "seed": 3}],
+    [{"grid": 1}, {"grid": 0}, {"grid": -1}, {"grid": -(2**60)}, {"grid": -2},
+     {"grid": 2.5}, {"grid": float("inf")}, {"grid": float("nan")}, {"grid": 8.0},
+     {"grid": "8"}],
 )
 def test_budget_rejects_inexact_grids(kwargs):
-    with pytest.raises(InvalidInput, match="grid must be at least 2"):
-        SearchBudget(**kwargs)
+    need = "at least 2" if isinstance(kwargs["grid"], int) else "an integer"
+    with pytest.raises(InvalidInput, match=f"grid must be {need}, got"):
+        falsify_hyperbolicity(HookPoly(4, 4, (1, 0, 0, 1)), **kwargs)
 
 
 @pytest.mark.parametrize(
     "kwargs", [{"grid": 0}, {"grid": -5}, {"grid": -5, "seed": 8},
                {"grid": 1}, {"grid": -1}]
 )
-def test_budget_rejects_empty_caps(kwargs):
-    with pytest.raises(InvalidInput):
-        SearchBudget(**kwargs)
+def test_budget_rejects_empty_caps(capsys, kwargs):
+    """conjecture passes --budget and --seed on to conjecture_case, whose
+    falsifier refuses a grid below 2 whatever the seed."""
+    argv = ["conjecture", "--target", '{"coeffs":["0","0","0","0","1"]}', "--n", "4",
+            "--budget", str(kwargs["grid"])]
+    if "seed" in kwargs:
+        argv += ["--seed", str(kwargs["seed"])]
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "InvalidInput", "message": f"grid must be at least 2, got {kwargs['grid']}"
+    }
 
 
 def test_budget_accepts_smallest_caps(monkeypatch):
     p = HookPoly(5, 4, (0, 0, 0, 3))
     _fix(monkeypatch, MAX_POINTS=1)
-    v = falsify_hyperbolicity(p, SearchBudget(grid=8))
+    v = falsify_hyperbolicity(p, 8)
     assert v.status == NO_COUNTEREXAMPLE
     # no hit reaches exact verification, so no witness can be found
     monkeypatch.undo()
     _fix(monkeypatch, MAX_CANDIDATES=0)
-    v = falsify_hyperbolicity(HookPoly(4, 4, (1, 0, -4, 1)), SearchBudget(grid=8))
+    v = falsify_hyperbolicity(HookPoly(4, 4, (1, 0, -4, 1)), 8)
     assert v.status == NO_COUNTEREXAMPLE
 
 
 def test_budget_accepts_largest_exact_grid():
     """Every grid is accepted: _grid_size caps it at MAX_POINTS a side, so
-    the largest denominator (res - 1) * 8**3 stays far below 2**53."""
+    the largest denominator (res - 1) * 8**3 stays far below 2**53, and on
+    the one free axis of m1^4 + m4 every larger grid searches as the cap."""
     assert (hyperbolicity.REFINE_ROUNDS, hyperbolicity.REFINE_GRID) == (3, 9)
+    p = HookPoly(4, 4, (1, 0, 0, 1))
+    capped = falsify_hyperbolicity(p, hyperbolicity.MAX_POINTS)
+    assert capped.status == NOT_HYPERBOLIC and _witness_is_valid(p, capped)
     for grid in (2**44, 2**60, hyperbolicity.MAX_POINTS + 1):
-        SearchBudget(grid=grid)
+        assert falsify_hyperbolicity(p, grid) == capped
         for free in range(1, 5):
             res = hyperbolicity._grid_size(free, grid)
             assert res**free <= hyperbolicity.MAX_POINTS
@@ -1112,7 +1123,7 @@ def test_budget_accepts_largest_exact_grid():
 def test_conjecture_case_quintic():
     target = UniPoly.from_roots([1, 1, 2, 2, -6], ambient=5)
     report = conjecture_case(
-        ZeroSumPoly(target), 5, budget=FAST, delta_trials=200
+        ZeroSumPoly(target), 5, grid=FAST, delta_trials=200
     )
     assert report.hook.proportional_to(
         HookPoly.from_e_basis(5, 5, (0, 0, 7, -220, 4500))
@@ -1126,7 +1137,7 @@ def test_conjecture_case_quintic():
 def test_conjecture_case_pure_power():
     target = UniPoly([0, 0, 0, 0, 1], 4)  # t^4
     report = conjecture_case(
-        ZeroSumPoly(target), 4, budget=FAST, delta_trials=100
+        ZeroSumPoly(target), 4, grid=FAST, delta_trials=100
     )
     assert report.extendable and report.certificate.kind == "Extension"
     assert report.delta_negative == 0
@@ -1142,7 +1153,7 @@ def test_conjecture_case_rejects_negative_trials():
     target = UniPoly([0, 0, 0, 0, 1], 4)  # t^4
     with pytest.raises(InvalidInput, match="delta_trials"):
         conjecture_case(ZeroSumPoly(target), 4, delta_trials=-1)
-    report = conjecture_case(ZeroSumPoly(target), 4, budget=FAST, delta_trials=0)
+    report = conjecture_case(ZeroSumPoly(target), 4, grid=FAST, delta_trials=0)
     assert (report.delta_trials, report.delta_negative) == (0, 0)
 
 

@@ -135,7 +135,6 @@ def test_each_call_solves_its_distinct_rows(monkeypatch):
     from hypercheck import hyperbolicity
     from hypercheck.hyperbolicity import (
         NO_COUNTEREXAMPLE,
-        SearchBudget,
         falsify_hyperbolicity,
     )
     from hypercheck.sympoly import HookPoly
@@ -153,6 +152,6 @@ def test_each_call_solves_its_distinct_rows(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "realness_defects", recording)
     monkeypatch.setattr(hyperbolicity, "_closed_form", lambda p: (False, {}))
     hook = HookPoly(5, 5, (1, 0, 0, 0, 0))
-    assert falsify_hyperbolicity(hook, SearchBudget(grid=8)).status == NO_COUNTEREXAMPLE
+    assert falsify_hyperbolicity(hook, 8).status == NO_COUNTEREXAMPLE
     assert solved == [k for k in distinct if k]
     assert (sum(rows), sum(solved)) == (12_697, 93)

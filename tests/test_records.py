@@ -11,8 +11,8 @@ from hypercheck.hyperbolicity import (
     ConjectureReport,
     CubicNormalForm,
     EkLinearReport,
-    SearchBudget,
     Verdict,
+    conjecture_case,
 )
 from hypercheck.operators import DiagonalMap, ExtendCertificate, FullDiagonalMap, g0
 from hypercheck.rationals import Q, FrozenRecord
@@ -26,7 +26,6 @@ HOOK = HookPoly(4, 4, (1, 0, -4, 1))
 CASES = [
     (Verdict, dict(status="Hyperbolic", witness=None, detail={"k": 1}),
      ("status", "NotHyperbolic")),
-    (SearchBudget, dict(grid=8, seed=3), ("grid", 9)),
     (ConjectureReport, dict(n=5, d=4, hook=HOOK, falsifier=Verdict("Hyperbolic"),
                             delta_trials=3, delta_negative=0, delta_min=Q(1, 2),
                             extendable=True,
@@ -91,7 +90,14 @@ def test_defaults():
     assert Verdict("Hyperbolic").detail is not Verdict("Hyperbolic").detail
     cert = ExtendCertificate("Extension")
     assert (cert.f, cert.obstruction, cert.detail) == (None, (), {})
-    assert SearchBudget() == SearchBudget(64, 0)
+
+
+def test_reports_holding_roots_compare_by_value():
+    """The quintic's report holds its multiplicity obstruction as roots, so
+    two runs compare equal only if the roots do."""
+    target = ZeroSumPoly(UniPoly.from_roots([1, 1, 2, 2, -6], ambient=5))
+    first, second = (conjecture_case(target, 5, grid=8, delta_trials=5) for _ in range(2))
+    assert first.certificate.obstruction and first == second
 
 
 def test_diagonal_map_ignores_gamma_1():
@@ -131,7 +137,7 @@ def test_zero_sum_rejects_nonzero_subleading_coefficient():
     {"grid": -(2**60)}, {"grid": -5}, {"grid": 0, "seed": -1},
 ])
 def test_budget_rejects_bad_fields(fields):
-    with pytest.raises(InvalidInput):
-        SearchBudget(**fields)
-    with pytest.raises(InvalidInput):
-        SearchBudget().replace(**fields)
+    """conjecture_case takes the falsifier's grid and its own seed as
+    arguments, and refuses a grid below 2 whatever the seed."""
+    with pytest.raises(InvalidInput, match="grid must be at least 2"):
+        conjecture_case(g0(4), 4, delta_trials=0, **fields)

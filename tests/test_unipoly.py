@@ -362,6 +362,23 @@ def test_real_root_compare_equal_across_polynomials():
     assert a.compare(c) == -1 and c.compare(a) == 1
 
 
+def test_real_roots_compare_by_value():
+    """Roots are equal with the same exact value, or the same defining
+    polynomial and isolating interval; they are unhashable, as refinement
+    changes them in place."""
+    p = UniPoly([-2, 0, 1]) * UniPoly.from_roots([Q(1, 3)])
+    assert isolate_real_roots(p) == isolate_real_roots(p)
+    low, third, high = isolate_real_roots(p)
+    assert third == RealRoot.from_rational(Q(1, 3)) != RealRoot.from_rational(Q(1, 2))
+    twin = isolate_real_roots(UniPoly([-2, 0, 1]))[1]  # sqrt(2) of another poly
+    assert twin.compare(high) == 0 and twin != high and high != Q(1, 3)
+    refined = isolate_real_roots(p)[2]
+    refined.refine()
+    assert refined != high and refined != third
+    with pytest.raises(TypeError):
+        hash(high)
+
+
 def test_real_root_vs_rational():
     r = isolate_real_roots(UniPoly([-2, 0, 1]))[1]
     assert r._compare_with_rational(Q(1)) == 1
